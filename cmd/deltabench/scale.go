@@ -86,29 +86,6 @@ func peakRSS() int64 {
 	return 0
 }
 
-// greedyDegPlusOne sweep-colors g with colors from [0, k) using the
-// word-wide palette kernels — the scale stand-in for the deg+1 machinery
-// (the distributed list-coloring solver computes the same kind of
-// coloring; the sweep isolates the kernel cost). Returns the coloring and
-// the number of distinct colors spent.
-func greedyDegPlusOne(g *graph.Graph, k int) (*coloring.Partial, int, error) {
-	out := coloring.NewPartial(g.N())
-	var p coloring.Palette
-	maxColor := -1
-	for v := 0; v < g.N(); v++ {
-		coloring.AvailableInto(&p, g, out, v, k)
-		c := p.Min()
-		if c < 0 {
-			return nil, 0, fmt.Errorf("greedy: no color in [0, %d) left for vertex %d", k, v)
-		}
-		out.Colors[v] = c
-		if c > maxColor {
-			maxColor = c
-		}
-	}
-	return out, maxColor + 1, nil
-}
-
 // verifyScaleWorkloads replays both workload shapes at subsampled n through
 // the conformance oracle before any timing runs.
 func verifyScaleWorkloads() error {
@@ -134,8 +111,8 @@ func verifyScaleWorkloads() error {
 	if !bytes.Equal(pb.Bytes(), sb.Bytes()) {
 		return fmt.Errorf("parallel circulant build diverges from sequential")
 	}
-	out, colors, err := greedyDegPlusOne(reg, d+1)
-	if err != nil {
+	out := coloring.NewPartial(reg.N())
+	if err := coloring.GreedyComplete(reg, out, d+1); err != nil {
 		return err
 	}
 	if err := deltacoloring.VerifyWithin(reg, out.Colors, d+1); err != nil {
@@ -150,7 +127,7 @@ func verifyScaleWorkloads() error {
 		return fmt.Errorf("ring workload rejected by checked run: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "oracle: regular n=8192 verified (%d colors), ring k=64 checked (%d checker firings)\n",
-		colors, rep.Checks)
+		countColors(out.Colors), rep.Checks)
 	return nil
 }
 
@@ -234,15 +211,15 @@ func runScale(w io.Writer, scale bench.Scale) error {
 	note(scaleRecord{Name: "regular_mmap_open", N: nReg, Edges: ne, Ns: float64(time.Since(start).Nanoseconds())})
 
 	start = time.Now()
-	out, colors, err := greedyDegPlusOne(mg, d+1)
-	if err != nil {
+	out := coloring.NewPartial(mg.N())
+	if err := coloring.GreedyComplete(mg, out, d+1); err != nil {
 		return err
 	}
 	colorNs := float64(time.Since(start).Nanoseconds())
 	if err := deltacoloring.VerifyWithin(mg, out.Colors, d+1); err != nil {
 		return fmt.Errorf("regular_color produced an invalid coloring: %w", err)
 	}
-	note(scaleRecord{Name: "regular_color", N: nReg, Edges: ne, Ns: colorNs, Colors: colors})
+	note(scaleRecord{Name: "regular_color", N: nReg, Edges: ne, Ns: colorNs, Colors: countColors(out.Colors)})
 
 	// Ring family: streamed build, then the full deterministic pipeline.
 	start = time.Now()

@@ -7,6 +7,7 @@ import (
 
 	"deltacoloring"
 	"deltacoloring/internal/bench"
+	"deltacoloring/internal/coloring"
 	"deltacoloring/internal/graph"
 )
 
@@ -19,23 +20,25 @@ func TestVerifyScaleWorkloads(t *testing.T) {
 	}
 }
 
+// TestGreedyDegPlusOne pins the regular_color phase: the index-order greedy
+// sweep over [0, deg+1) and the color count the report records.
 func TestGreedyDegPlusOne(t *testing.T) {
 	g, err := graph.Circulant(2048, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, colors, err := greedyDegPlusOne(g, 9)
-	if err != nil {
+	out := coloring.NewPartial(g.N())
+	if err := coloring.GreedyComplete(g, out, 9); err != nil {
 		t.Fatal(err)
 	}
-	if colors < 3 || colors > 9 {
+	if colors := countColors(out.Colors); colors < 3 || colors > 9 {
 		t.Fatalf("suspicious color count %d", colors)
 	}
 	if err := deltacoloring.VerifyWithin(g, out.Colors, 9); err != nil {
 		t.Fatal(err)
 	}
 	// A palette too small for the sweep must fail loudly, not wrap.
-	if _, _, err := greedyDegPlusOne(g, 2); err == nil {
+	if err := coloring.GreedyComplete(g, coloring.NewPartial(g.N()), 2); err == nil {
 		t.Fatal("greedy accepted an infeasible palette")
 	}
 }

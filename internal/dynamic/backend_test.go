@@ -1,10 +1,14 @@
 package dynamic
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"deltacoloring/internal/graph"
+	"deltacoloring/internal/local"
+	"deltacoloring/internal/shard"
 )
 
 func TestNewRejectsUnknownBackend(t *testing.T) {
@@ -89,5 +93,48 @@ func TestBackendRecomputeSurvivesMutationDrift(t *testing.T) {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 		checkSnapshot(t, l)
+	}
+}
+
+// solveSingle is the wire algorithm's one-process coloring of g.
+func solveSingle(t *testing.T, g *graph.Graph) []int {
+	t.Helper()
+	net := local.New(g)
+	defer net.Close()
+	colors, _, err := shard.SolveSingle(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return colors
+}
+
+// TestRecomputeFollowsWireRule: on a graph whose IDs are not its indices,
+// every greedy recompute — New, Recompute, and a batch forced off the
+// incremental path — colors exactly as the sharded wire algorithm does,
+// because both run listcolor's ID-local-max rule.
+func TestRecomputeFollowsWireRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	g := graph.PermuteIDs(graph.ErdosRenyi(400, 0.02, rng), rng)
+	want := solveSingle(t, g)
+	l, err := New(g, Options{FallbackDirtyFraction: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap := checkSnapshot(t, l); !reflect.DeepEqual(snap.Colors, want) {
+		t.Fatal("New diverges from shard.SolveSingle")
+	}
+	if _, err := l.Recompute(); err != nil {
+		t.Fatal(err)
+	}
+	if snap := checkSnapshot(t, l); !reflect.DeepEqual(snap.Colors, want) {
+		t.Fatal("Recompute diverges from shard.SolveSingle")
+	}
+	e := g.Edges()[0]
+	if _, err := l.Apply([]Mutation{{Op: OpRemoveEdge, U: e.U, V: e.V}}); err != nil {
+		t.Fatal(err)
+	}
+	snap := checkSnapshot(t, l)
+	if !reflect.DeepEqual(snap.Colors, solveSingle(t, snap.G)) {
+		t.Fatal("recomputing batch diverges from shard.SolveSingle")
 	}
 }

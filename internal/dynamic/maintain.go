@@ -2,48 +2,38 @@ package dynamic
 
 import (
 	"fmt"
-	"sync"
 
 	"deltacoloring/internal/backend"
 	"deltacoloring/internal/coloring"
 	"deltacoloring/internal/core"
 	"deltacoloring/internal/graph"
-	"deltacoloring/internal/local"
+	"deltacoloring/internal/listcolor"
 	"deltacoloring/internal/repair"
 )
 
-const none32 = int32(coloring.None)
-
-// dynPalPool recycles the per-recolor working palette of solveGreedy's round
-// callback, which may run concurrently across the runner's workers.
-var dynPalPool = sync.Pool{New: func() any { return new(coloring.Palette) }}
-
-// hookNet applies the store options to a fresh maintenance network.
-func (l *Live) hookNet(net *local.Network) {
-	if l.opts.Workers != 0 {
-		net.SetWorkers(l.opts.Workers)
-	}
-	if l.opts.NetHook != nil {
-		l.opts.NetHook(net)
-	}
+// runOpts carries the store's process-level options into every
+// maintenance network and backend run, so chaos hooks and the conformance
+// harness perturb and observe each of them alike.
+func (l *Live) runOpts() *backend.RunOptions {
+	return &backend.RunOptions{Workers: l.opts.Workers, NetHook: l.opts.NetHook}
 }
 
 // maintainIncremental runs the frontier-seeded maintenance path on the
 // post-batch graph g2: scoped damage detection over the batch's touched
 // closed neighborhoods, tight/grow recolor planning (internal/repair), and
-// a frontier-scheduled greedy deg+1 solve in sparse rounds on the root
-// network — so installed fault hooks perturb exactly these rounds. colors is
-// updated in place on success; any error (including a panic from a corrupted
-// engine state) leaves the caller to fall back to a recompute.
+// listcolor's greedy rule on the planned region, frontier-scheduled in
+// sparse rounds on the root network — so installed fault hooks perturb
+// exactly these rounds. colors is updated in place on success; any error
+// (including a panic from a corrupted engine state) leaves the caller to
+// fall back to a recompute.
 func (l *Live) maintainIncremental(g2 *graph.Graph, colors []int, p *batchPlan, prevK int, res *ApplyResult) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("maintenance panic: %v", r)
 		}
 	}()
-	net := local.New(g2)
+	net := backend.NewNetwork(nil, g2, l.runOpts())
 	defer net.Close()
-	l.hookNet(net)
 	defer net.Phase("dynamic/maintain")()
 	start := net.Rounds()
 
@@ -66,18 +56,16 @@ func (l *Live) maintainIncremental(g2 *graph.Graph, colors []int, p *batchPlan, 
 		part := coloring.NewPartial(g2.N())
 		copy(part.Colors, colors)
 		plan := repair.PlanRecolor(net, part, damaged, bound)
-		lists := plan.Lists
 		activeCount := 0
 		for _, a := range plan.Active {
 			if a {
 				activeCount++
 			}
 		}
-		rounds, err := solveGreedy(net, plan.Active, lists, part.Colors, activeCount+2)
-		if err != nil {
+		inst := listcolor.Instance{Active: plan.Active, Lists: plan.Lists}
+		if _, err := listcolor.Greedy(net, inst, part.Colors, activeCount+2); err != nil {
 			return err
 		}
-		_ = rounds
 		res.Recolored = activeCount
 		scoped = make([]int, 0, len(p.touched)+activeCount)
 		scoped = append(scoped, p.touched...)
@@ -105,95 +93,34 @@ func (l *Live) maintainIncremental(g2 *graph.Graph, colors []int, p *batchPlan, 
 	})
 }
 
-// recompute colors g2 from scratch. When a pipeline backend is configured
-// it runs first — on dense structures it maintains a true Δ-coloring — and
-// any backend failure falls through to the greedy path below: every vertex
-// (tombstones included — they are isolated and cost nothing) runs the
-// greedy deg+1 solve over the full palette [0, Δ+1) on a fresh root
-// network, so chaos hooks apply to the fallback path exactly as to the
-// incremental one. colors is overwritten on success.
+// recompute colors g2 from scratch through the backend registry: the
+// configured Options.Backend first — on dense structures it maintains a true
+// Δ-coloring — then the greedy backend, whose rule over [0, Δ+1) applies to
+// every structure (tombstones included: they are isolated and cost nothing).
+// A backend failure — the structure drifted out of its domain (sparse
+// vertices, a (Δ+1)-clique), an injected fault, an invalid coloring — falls
+// through to the next. Workers and NetHook apply to every attempt, so chaos
+// hooks perturb the recompute exactly as the incremental path. colors is
+// overwritten on success.
 func (l *Live) recompute(g2 *graph.Graph, colors []int, res *ApplyResult) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("recompute panic: %v", r)
 		}
 	}()
-	if l.opts.Backend != "" && l.recomputeBackend(g2, colors, res) {
-		return nil
+	names := []string{"greedy"}
+	if l.opts.Backend != "" && l.opts.Backend != "greedy" {
+		names = []string{l.opts.Backend, "greedy"}
 	}
-	net := local.New(g2)
-	defer net.Close()
-	l.hookNet(net)
-	defer net.Phase("dynamic/recompute")()
-	start := net.Rounds()
-
-	n := g2.N()
-	k := g2.MaxDegree() + 1
-	active := make([]bool, n)
-	var slab coloring.ListSlab
-	lists := slab.Take(n, k)
-	for v := 0; v < n; v++ {
-		active[v] = true
+	var bres *backend.Result
+	kNew := 0
+	for _, name := range names {
+		if bres, kNew, err = l.colorWith(name, g2, res.Version); err == nil {
+			break
+		}
 	}
-	work := make([]int, n)
-	for v := range work {
-		work[v] = coloring.None
-	}
-	if _, err := solveGreedy(net, active, lists, work, n+2); err != nil {
+	if err != nil {
 		return err
-	}
-	kNew := 1
-	for _, c := range work {
-		if c+1 > kNew {
-			kNew = c + 1
-		}
-	}
-	part := coloring.Partial{Colors: work}
-	if verr := coloring.VerifyComplete(g2, &part, kNew); verr != nil {
-		return fmt.Errorf("recomputed coloring invalid: %w", verr)
-	}
-	copy(colors, work)
-	res.Recolored += n
-	res.NumColors = kNew
-	res.Rounds += net.Rounds() - start
-	return net.Checkpoint("dynamic/maintain", &Snapshot{
-		G:         g2,
-		Colors:    append([]int(nil), colors...),
-		NumColors: kNew,
-		Version:   res.Version,
-	})
-}
-
-// recomputeBackend attempts the full recoloring through the configured
-// pipeline backend and reports whether it fully succeeded (coloring
-// produced, verified, and checkpointed). Workers and the chaos/conformance
-// NetHook apply to the backend's network exactly as to the greedy paths.
-// Any failure — the structure drifted out of the backend's domain (sparse
-// vertices, a (Δ+1)-clique), an injected fault, a rejected checkpoint —
-// returns false and the caller falls back to the greedy deg+1 solve.
-func (l *Live) recomputeBackend(g2 *graph.Graph, colors []int, res *ApplyResult) bool {
-	b, err := backend.Get(l.opts.Backend)
-	if err != nil {
-		return false
-	}
-	p := backend.Params{Det: core.TestParams(), Rand: core.TestRandomizedParams(), Seed: res.Version}
-	p.Rand.Params = p.Det
-	bres, err := b.Color(nil, g2, p, &backend.RunOptions{
-		Workers: l.opts.Workers,
-		NetHook: l.opts.NetHook,
-	})
-	if err != nil {
-		return false
-	}
-	kNew := 1
-	for _, c := range bres.Colors {
-		if c+1 > kNew {
-			kNew = c + 1
-		}
-	}
-	part := coloring.Partial{Colors: bres.Colors}
-	if coloring.VerifyComplete(g2, &part, kNew) != nil {
-		return false
 	}
 	copy(colors, bres.Colors)
 	res.Recolored += g2.N()
@@ -201,73 +128,39 @@ func (l *Live) recomputeBackend(g2 *graph.Graph, colors []int, res *ApplyResult)
 	res.Rounds += bres.Rounds
 	// Publish the maintenance checkpoint on a hooked network so an attached
 	// harness validates the installed snapshot like any other batch.
-	net := local.New(g2)
+	net := backend.NewNetwork(nil, g2, l.runOpts())
 	defer net.Close()
-	l.hookNet(net)
 	return net.Checkpoint("dynamic/maintain", &Snapshot{
 		G:         g2,
 		Colors:    append([]int(nil), colors...),
 		NumColors: kNew,
 		Version:   res.Version,
-	}) == nil
+	})
 }
 
-// solveGreedy colors the active vertices from their lists with the
-// ID-local-max greedy rule: an uncolored active vertex adopts the smallest
-// list color unused by its visible neighbors, but only once no visible
-// active uncolored neighbor has a higher index. Each round commits at least
-// the highest-index uncolored vertex of every component, so a fault-free
-// solve quiesces within maxRounds = |active|+2; the frontier engine keeps
-// per-round work proportional to the shrinking uncolored region. Under
-// injected faults the rule degrades safely — crashed vertices stay
-// uncolored and dropped messages can yield conflicts — and both are caught
-// by the caller's verification, never served. colors is updated in place.
-func solveGreedy(net *local.Network, active []bool, lists []coloring.Palette, colors []int, maxRounds int) (int, error) {
-	g := net.Graph()
-	st := make([]int32, g.N())
-	for v := range st {
-		st[v] = int32(colors[v])
-	}
-	final, rounds, err := local.NewRunner(net, st).Run(maxRounds,
-		func(v int, self int32, nbrs local.Nbrs[int32]) int32 {
-			if !active[v] || self != none32 {
-				return self
-			}
-			p := dynPalPool.Get().(*coloring.Palette)
-			p.CopyFrom(lists[v])
-			for i := 0; i < nbrs.Len(); i++ {
-				if c := nbrs.State(i); c != none32 {
-					p.Remove(int(c))
-				} else if w := nbrs.At(i); active[w] && w > v {
-					dynPalPool.Put(p)
-					return self // defer to the higher-index uncolored vertex
-				}
-			}
-			c := p.Min()
-			dynPalPool.Put(p)
-			if c >= 0 {
-				return int32(c)
-			}
-			return self // empty list (only reachable under faults)
-		},
-		func(v int, s int32) bool { return !active[v] || s != none32 })
+// colorWith runs one registered backend over g2 and verifies its coloring
+// complete and proper within the palette it spent, which it returns.
+func (l *Live) colorWith(name string, g2 *graph.Graph, version int64) (*backend.Result, int, error) {
+	b, err := backend.Get(name)
 	if err != nil {
-		return rounds, err
+		return nil, 0, err
 	}
-	for v, a := range active {
-		if a && final[v] == none32 {
-			return rounds, fmt.Errorf("vertex %d left uncolored after %d rounds", v, rounds)
+	p := backend.Params{Det: core.TestParams(), Rand: core.TestRandomizedParams(), Seed: version}
+	p.Rand.Params = p.Det
+	bres, err := b.Color(nil, g2, p, l.runOpts())
+	if err != nil {
+		return nil, 0, err
+	}
+	k := 1
+	for _, c := range bres.Colors {
+		if c+1 > k {
+			k = c + 1
 		}
 	}
-	// Copy back only the active vertices: a corrupt fault may have scribbled
-	// over an inactive bystander's engine state, but the store's color for
-	// it stays authoritative.
-	for v, a := range active {
-		if a {
-			colors[v] = int(final[v])
-		}
+	if err := coloring.VerifyComplete(g2, &coloring.Partial{Colors: bres.Colors}, k); err != nil {
+		return nil, 0, fmt.Errorf("recomputed coloring invalid: %w", err)
 	}
-	return rounds, nil
+	return bres, k, nil
 }
 
 // verifyScoped checks the maintained coloring on the scoped vertex set:

@@ -89,8 +89,13 @@ func NewHarness(g *graph.Graph) *Harness {
 // Register appends extra checkers.
 func (h *Harness) Register(cs ...Checker) { h.checkers = append(h.checkers, cs...) }
 
-// Attach installs the harness as net's check hook.
-func (h *Harness) Attach(net *local.Network) { net.SetCheckHook(h.Observe) }
+// Attach installs the harness as net's check hook. Artifacts published on
+// net are checked against net's own graph, so one harness can follow a
+// dynamic store whose maintenance networks run over successive snapshots.
+func (h *Harness) Attach(net *local.Network) {
+	g := net.Graph()
+	net.SetCheckHook(func(phase string, artifact any) error { return h.observe(g, phase, artifact) })
+}
 
 // CorruptPhase arms the negative control: the next artifact published under
 // the given phase tag is damaged in place before checking, so a healthy
@@ -101,9 +106,12 @@ func (h *Harness) CorruptPhase(phase string) {
 	h.corrupt = phase
 }
 
-// Observe is the local.Network check hook: it dispatches the artifact to
-// every matching checker and converts the first failure into a *Violation.
-func (h *Harness) Observe(phase string, artifact any) error {
+// Observe dispatches the artifact, published over the harness's root graph,
+// to every matching checker and converts the first failure into a
+// *Violation.
+func (h *Harness) Observe(phase string, artifact any) error { return h.observe(h.g, phase, artifact) }
+
+func (h *Harness) observe(g *graph.Graph, phase string, artifact any) error {
 	h.mu.Lock()
 	if h.corrupt == phase {
 		h.corrupt = ""
@@ -121,7 +129,7 @@ func (h *Harness) Observe(phase string, artifact any) error {
 		if len(c.Phases) > 0 && !contains(c.Phases, phase) {
 			continue
 		}
-		ok, err := c.Check(h.g, artifact)
+		ok, err := c.Check(g, artifact)
 		if !ok {
 			continue
 		}

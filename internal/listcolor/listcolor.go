@@ -10,6 +10,11 @@
 // exists by the deg+1 invariant. Cost O(log* n + Δ' log Δ') rounds.
 // [MT20] achieves O(√(Δ log Δ) + log* n); the substitution is recorded in
 // DESIGN.md and only affects the Δ-dependence of the round counts.
+//
+// GreedyRule (greedy.go) is the repository's one greedy round rule over the
+// same Instance type, with ID-local-max symmetry breaking instead of slots:
+// the sharded wire algorithm, the greedy backend, and the dynamic store's
+// incremental and full recolors all run it.
 package listcolor
 
 import (
@@ -22,10 +27,11 @@ import (
 	"deltacoloring/internal/local"
 )
 
-// palPool recycles the per-recolor working palette of Solve's sweep callback.
-// The callback may run concurrently across the runner's workers, so the
-// scratch cannot live on the solver; a pooled palette with CopyFrom reuses
-// its word storage and makes the steady-state recolor allocation-free.
+// palPool recycles the per-recolor working palette of Solve's sweep callback
+// and of GreedyRule. The callbacks may run concurrently across the runner's
+// workers, so the scratch cannot live on the solver; a pooled palette with
+// CopyFrom reuses its word storage and makes the steady-state recolor
+// allocation-free.
 var palPool = sync.Pool{New: func() any { return new(coloring.Palette) }}
 
 // Instance is one deg+1-list-coloring instance on a subset of vertices.

@@ -173,3 +173,74 @@ func TestSolveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// buildWithIDs builds an n-vertex graph on edges with the given IDs.
+func buildWithIDs(t *testing.T, n int, edges [][2]int, ids []uint64) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	for v, id := range ids {
+		b.SetID(v, id)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestGreedyIDOrderDecides: on one edge whose lower index carries the higher
+// ID, the higher ID commits first and takes the smallest color — an index
+// tie-break would color the pair the other way round.
+func TestGreedyIDOrderDecides(t *testing.T) {
+	g := buildWithIDs(t, 2, [][2]int{{0, 1}}, []uint64{10, 5})
+	colors := []int{coloring.None, coloring.None}
+	rounds, err := Greedy(local.New(g), Uniform(2, 2), colors, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if colors[0] != 0 || colors[1] != 1 || rounds != 2 {
+		t.Fatalf("colors %v in %d rounds, want [0 1] in 2", colors, rounds)
+	}
+}
+
+// TestGreedyInactiveNeighbors: an inactive uncolored neighbor neither blocks
+// nor constrains (even with the larger ID) and is never written, while an
+// inactive colored neighbor's color is still excluded.
+func TestGreedyInactiveNeighbors(t *testing.T) {
+	// Path 1 - 0 - 2: vertex 1 is inactive and uncolored with the largest
+	// ID, vertex 2 is inactive and holds color 0.
+	g := buildWithIDs(t, 3, [][2]int{{0, 1}, {0, 2}}, []uint64{1, 9, 0})
+	inst := Uniform(3, 3)
+	inst.Active[1], inst.Active[2] = false, false
+	colors := []int{coloring.None, coloring.None, 0}
+	rounds, err := Greedy(local.New(g), inst, colors, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if colors[0] != 1 || colors[1] != coloring.None || colors[2] != 0 || rounds != 1 {
+		t.Fatalf("colors %v in %d rounds, want [1 None 0] in 1", colors, rounds)
+	}
+}
+
+// TestGreedyUniformProperty: on random graphs with permuted IDs the uniform
+// [0, Δ+1) instance always completes to a proper coloring.
+func TestGreedyUniformProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20; i++ {
+		g := graph.PermuteIDs(graph.ErdosRenyi(50, 0.15, rng), rng)
+		k := g.MaxDegree() + 1
+		colors := make([]int, g.N())
+		for v := range colors {
+			colors[v] = coloring.None
+		}
+		if _, err := Greedy(local.New(g), Uniform(g.N(), k), colors, g.N()+2); err != nil {
+			t.Fatal(err)
+		}
+		if err := coloring.VerifyComplete(g, &coloring.Partial{Colors: colors}, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

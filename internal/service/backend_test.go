@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
 	"deltacoloring"
+	"deltacoloring/internal/graphio"
 )
 
 func hardReq() *ColorRequest {
@@ -63,6 +66,69 @@ func TestBackendSelection(t *testing.T) {
 	}
 	if legacy.Backend != "det" {
 		t.Fatalf("legacy run reported backend %q", legacy.Backend)
+	}
+}
+
+// TestLegacyAlgoPinned pins requests that name no backend, which run the
+// registry entry their algo names: the cache key keeps its historical bytes
+// (no backend segment), the response reports algo as the backend, and the
+// coloring, rounds and check report equal the library entry points'.
+func TestLegacyAlgoPinned(t *testing.T) {
+	g := deltacoloring.GenHardCliqueBipartite(16, 16)
+	hash := fmt.Sprintf("%016x", graphio.CanonicalHash(g))
+	for _, tc := range []struct{ body, key string }{
+		{`{"gen":{"family":"hard","m":16,"delta":16}}`, hash + "|det|paper=false"},
+		{`{"gen":{"family":"hard","m":16,"delta":16},"algo":"det","paper":true}`, hash + "|det|paper=true"},
+		{`{"gen":{"family":"hard","m":16,"delta":16},"algo":"rand","seed":7}`, hash + "|rand|paper=false|seed=7"},
+		{`{"gen":{"family":"hard","m":16,"delta":16},"algo":"rand","seed":7,"paper":true}`, hash + "|rand|paper=true|seed=7"},
+		{`{"gen":{"family":"hard","m":16,"delta":16},"algo":"rand","seed":7,"check":true}`, hash + "|rand|paper=false|seed=7|check=true"},
+	} {
+		req, err := parseRequest(strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cacheKey(g, req); got != tc.key {
+			t.Fatalf("%s: cache key %q, want %q", tc.body, got, tc.key)
+		}
+	}
+
+	_, cl, _ := newTestServer(t, Config{Workers: 2})
+	ctx := context.Background()
+	det, detRep, err := deltacoloring.RunCheckedContext(ctx, g, deltacoloring.ScaledParams(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, rndRep, err := deltacoloring.RunCheckedRandomizedContext(ctx, g, deltacoloring.ScaledRandomizedParams(), 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		algo string
+		want *deltacoloring.Result
+		rep  *deltacoloring.CheckReport
+	}{
+		{"det", det, detRep},
+		{"rand", &rnd.Result, rndRep},
+	} {
+		for _, check := range []bool{false, true} {
+			req := hardReq()
+			req.Algo, req.Seed, req.Check = tc.algo, 7, check
+			resp, err := cl.Color(ctx, req)
+			if err != nil {
+				t.Fatalf("algo=%s check=%t: %v", tc.algo, check, err)
+			}
+			mustVerify(t, g, resp)
+			if resp.Backend != tc.algo {
+				t.Fatalf("algo=%s: response backend %q", tc.algo, resp.Backend)
+			}
+			if !slicesEqual(resp.Colors, tc.want.Colors) || resp.Rounds != tc.want.Rounds {
+				t.Fatalf("algo=%s check=%t diverged from the library entry point", tc.algo, check)
+			}
+			if check && (resp.Checks != tc.rep.Checks || !reflect.DeepEqual(resp.CheckPhases, tc.rep.Phases)) {
+				t.Fatalf("algo=%s: check report %d %v, library %d %v",
+					tc.algo, resp.Checks, resp.CheckPhases, tc.rep.Checks, tc.rep.Phases)
+			}
+		}
 	}
 }
 

@@ -214,6 +214,7 @@ func TestGraphCreateValidation(t *testing.T) {
 // once released.
 func TestMutationQueueBackpressure(t *testing.T) {
 	var calls atomic.Int32
+	var armed atomic.Bool
 	block := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(block) }) }
@@ -221,8 +222,10 @@ func TestMutationQueueBackpressure(t *testing.T) {
 	svc, ts := newGraphServer(t, Config{
 		MutationQueueDepth: 2,
 		dynNetHook: func(net *local.Network) {
-			// The first maintenance is the initial coloring; stall the rest.
-			if calls.Add(1) > 1 {
+			// Let the initial coloring through; once armed, stall every
+			// maintenance network.
+			if armed.Load() {
+				calls.Add(1)
 				<-block
 			}
 		},
@@ -231,6 +234,7 @@ func TestMutationQueueBackpressure(t *testing.T) {
 	if code := doJSON(t, ts, "POST", "/v1/graphs", &CreateGraphRequest{Graph: cycleSpec(16)}, &created); code != http.StatusCreated {
 		t.Fatalf("create: %d", code)
 	}
+	armed.Store(true)
 
 	// Three batches: one blocks inside Apply, two sit in the queue.
 	var wg sync.WaitGroup
@@ -245,15 +249,15 @@ func TestMutationQueueBackpressure(t *testing.T) {
 		}(i)
 	}
 
-	// Wait until the loop is provably stalled inside the first Apply
-	// (hook call #2; #1 was the initial coloring) with the other two batches
-	// filling the depth-2 queue — then one probe must bounce with 429.
+	// Wait until the loop is provably stalled inside the first Apply with
+	// the other two batches filling the depth-2 queue — then one probe must
+	// bounce with 429.
 	gs, ok := svc.lookupGraph(created.ID)
 	if !ok {
 		t.Fatal("store vanished")
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for calls.Load() < 2 || len(gs.jobs) < 2 {
+	for calls.Load() < 1 || len(gs.jobs) < 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("queue never filled (hook calls %d, queued %d)", calls.Load(), len(gs.jobs))
 		}

@@ -593,38 +593,8 @@ func (s *Server) runAttempt(j *job, out chan<- runOutcome) {
 		name = "greedy"
 		slack = 1
 		res, report, sharded, err = s.runSharded(j)
-	} else if j.req.Backend != "" {
-		res, shatter, report, name, slack, err = s.runBackend(j)
-	} else if j.req.Algo == "rand" {
-		// No explicit backend: the historical entry points, bit-compatible
-		// with every pre-registry release.
-		opts := &deltacoloring.RunOptions{SpanHook: s.met.addSpan}
-		name = "rand"
-		p := deltacoloring.ScaledRandomizedParams()
-		if j.req.Paper {
-			p = deltacoloring.DefaultRandomizedParams()
-		}
-		var rr *deltacoloring.RandomizedResult
-		if j.req.Check {
-			rr, report, err = deltacoloring.RunCheckedRandomizedContext(j.ctx, j.g, p, j.req.Seed, opts)
-		} else {
-			rr, err = deltacoloring.RandomizedContext(j.ctx, j.g, p, j.req.Seed, opts)
-		}
-		if rr != nil {
-			res, shatter = &rr.Result, &rr.Rand
-		}
 	} else {
-		opts := &deltacoloring.RunOptions{SpanHook: s.met.addSpan}
-		name = "det"
-		p := deltacoloring.ScaledParams()
-		if j.req.Paper {
-			p = deltacoloring.DefaultParams()
-		}
-		if j.req.Check {
-			res, report, err = deltacoloring.RunCheckedContext(j.ctx, j.g, p, opts)
-		} else {
-			res, err = deltacoloring.DeterministicContext(j.ctx, j.g, p, opts)
-		}
+		res, shatter, report, name, slack, err = s.runBackend(j)
 	}
 	if err == nil {
 		// Every pipeline is re-verified against its own declared palette: the
@@ -673,21 +643,20 @@ func (s *Server) runSharded(j *job) (*deltacoloring.Result, *deltacoloring.Check
 		Rounds: sres.Rounds,
 		Spans:  sres.Spans,
 	}
-	var report *deltacoloring.CheckReport
-	if h != nil {
-		if oerr := invariant.ReferenceComplete(j.g, res.Colors, j.g.MaxDegree()+1); oerr != nil {
-			return nil, nil, nil, fmt.Errorf("differential oracle rejected the merged coloring: %w", oerr)
-		}
-		report = &deltacoloring.CheckReport{Checks: h.Checks() + 1, Phases: append(h.Phases(), "oracle")}
+	report, err := oracleReport(j.g, h, res.Colors, 1)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return res, report, sres, nil
 }
 
 // runBackend executes one attempt through the backend registry: the request
 // names a registered backend, or "auto" to let the portfolio selector pick
-// by graph structure. Checked runs attach the conformance harness through
-// the backend's NetHook seam and cross-check the final coloring against the
-// sequential oracle, exactly like the historical checked entry points.
+// by graph structure. A request without one runs the pipeline its algo
+// names ("det" or "rand", both registry entries), so its coloring and
+// response are those of the historical entry points. Checked runs attach
+// the conformance harness through the backend's NetHook seam and
+// cross-check the final coloring against the sequential oracle.
 func (s *Server) runBackend(j *job) (*deltacoloring.Result, *deltacoloring.RandStats, *deltacoloring.CheckReport, string, int, error) {
 	p := backend.Params{
 		Det:  deltacoloring.ScaledParams(),
@@ -699,13 +668,17 @@ func (s *Server) runBackend(j *job) (*deltacoloring.Result, *deltacoloring.RandS
 		p.Rand = deltacoloring.DefaultRandomizedParams()
 	}
 	p.Rand.Params = p.Det
+	name := j.req.Backend
+	if name == "" {
+		name = j.req.Algo
+	}
 	var b backend.Backend
-	if j.req.Backend == "auto" {
+	if name == "auto" {
 		b = backend.Select(j.g, p)
 	} else {
 		var err error
-		if b, err = backend.Get(j.req.Backend); err != nil {
-			return nil, nil, nil, j.req.Backend, 0, err
+		if b, err = backend.Get(name); err != nil {
+			return nil, nil, nil, name, 0, err
 		}
 	}
 	slack := b.Caps().PaletteSlack
@@ -726,16 +699,26 @@ func (s *Server) runBackend(j *job) (*deltacoloring.Result, *deltacoloring.RandS
 		Frontier: bres.Frontier,
 		Stats:    bres.Stats,
 	}
-	var report *deltacoloring.CheckReport
-	if h != nil {
-		// The oracle bound honors the backend's declared palette slack, like
-		// the final re-verification in runAttempt.
-		if oerr := invariant.ReferenceComplete(j.g, res.Colors, j.g.MaxDegree()+slack); oerr != nil {
-			return nil, nil, nil, b.Name(), slack, fmt.Errorf("differential oracle rejected the final coloring: %w", oerr)
-		}
-		report = &deltacoloring.CheckReport{Checks: h.Checks() + 1, Phases: append(h.Phases(), "oracle")}
+	report, err := oracleReport(j.g, h, res.Colors, slack)
+	if err != nil {
+		return nil, nil, nil, b.Name(), slack, err
 	}
 	return res, bres.Rand, report, b.Name(), slack, nil
+}
+
+// oracleReport finishes a checked run (h non-nil; unchecked runs get a nil
+// report): the final coloring is cross-checked against the sequential oracle
+// at Δ plus the producing pipeline's palette slack — the bound runAttempt
+// re-verifies at — and the oracle pass is folded into the report as one
+// extra check.
+func oracleReport(g *graph.Graph, h *invariant.Harness, colors []int, slack int) (*deltacoloring.CheckReport, error) {
+	if h == nil {
+		return nil, nil
+	}
+	if err := invariant.ReferenceComplete(g, colors, g.MaxDegree()+slack); err != nil {
+		return nil, fmt.Errorf("differential oracle rejected the final coloring: %w", err)
+	}
+	return &deltacoloring.CheckReport{Checks: h.Checks() + 1, Phases: append(h.Phases(), "oracle")}, nil
 }
 
 // retryableFailure reports whether an attempt's failure is worth re-running:

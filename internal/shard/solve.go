@@ -2,79 +2,36 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"deltacoloring/internal/coloring"
 	"deltacoloring/internal/core"
 	"deltacoloring/internal/graph"
+	"deltacoloring/internal/listcolor"
 	"deltacoloring/internal/local"
 )
 
 // none is the uncolored engine state.
 const none = int32(coloring.None)
 
-// palPool recycles the per-evaluation working palette; the rule may run
-// concurrently across the dense engine's workers.
-var palPool = sync.Pool{New: func() any { return new(coloring.Palette) }}
-
-// Rule returns the wire algorithm's LOCAL state function over g: greedy
-// deg+1 coloring with ID-local-maximum symmetry breaking. An uncolored
-// vertex defers while any uncolored neighbor has a larger ID; otherwise it
-// takes the smallest color in [0, deg(v)+1) unused by its neighbors. The
-// tie-break reads vertex IDs, never indices, so the rule computes the same
-// trajectory on a shard subgraph (where vertices are renumbered but IDs are
-// inherited) as on the parent graph — the heart of the bit-identity
-// contract. The function is pure, which is also what makes it shardable:
-// its value depends only on the closed neighborhood's previous-round states.
-func Rule(g *graph.Graph) func(v int, self int32, nbrs local.Nbrs[int32]) int32 {
-	return func(v int, self int32, nbrs local.Nbrs[int32]) int32 {
-		if self != none {
-			return self
-		}
-		id := g.ID(v)
-		p := palPool.Get().(*coloring.Palette)
-		p.Fill(nbrs.Len() + 1)
-		for i := 0; i < nbrs.Len(); i++ {
-			if c := nbrs.State(i); c != none {
-				p.Remove(int(c))
-			} else if g.ID(nbrs.At(i)) > id {
-				palPool.Put(p)
-				return self // defer to the higher-ID uncolored neighbor
-			}
-		}
-		c := p.Min()
-		palPool.Put(p)
-		if c >= 0 {
-			return int32(c)
-		}
-		return self // unreachable on a well-formed instance: |palette| > deg
-	}
-}
-
-// Done is the wire algorithm's quiescence predicate.
-func Done(v int, s int32) bool { return s != none }
-
-// SolveSingle runs the wire algorithm on net's whole graph in one process —
-// the oracle every sharded run must match bit-for-bit — and publishes the
-// final coloring checkpoint. It returns the colors, the engine rounds
-// executed, and the palette bound Δ+1.
+// SolveSingle runs the wire algorithm — listcolor's greedy rule with every
+// vertex active on [0, Δ+1) — on net's whole graph in one process: the
+// oracle every sharded run must match bit-for-bit. It publishes the final
+// coloring checkpoint and returns the colors, the engine rounds executed,
+// and the palette bound Δ+1.
 func SolveSingle(net *local.Network) ([]int, int, error) {
 	g := net.Graph()
 	defer net.Phase("shard/solve")()
-	st := make([]int32, g.N())
-	for v := range st {
-		st[v] = none
+	colors := make([]int, g.N())
+	for v := range colors {
+		colors[v] = coloring.None
 	}
-	final, rounds, err := local.NewRunner(net, st).Run(g.N()+2, Rule(g), Done)
+	k := g.MaxDegree() + 1
+	rounds, err := listcolor.Greedy(net, listcolor.Uniform(g.N(), k), colors, g.N()+2)
 	if err != nil {
 		return nil, rounds, err
 	}
-	colors := make([]int, len(final))
-	for v, c := range final {
-		colors[v] = int(c)
-	}
 	if err := net.Checkpoint("final", &core.CkptColoring{
-		C: &coloring.Partial{Colors: colors}, NumColors: g.MaxDegree() + 1, Complete: true,
+		C: &coloring.Partial{Colors: colors}, NumColors: k, Complete: true,
 	}); err != nil {
 		return nil, rounds, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"deltacoloring/internal/listcolor"
 	"deltacoloring/internal/local"
 )
 
@@ -28,7 +29,12 @@ type StepResult struct {
 // subgraph, applies the coordinator's ghost updates between rounds, and
 // evaluates the wire rule on exactly the local vertices whose closed
 // neighborhood changed — the frontier engine's activation-set idea applied
-// across the cut, so a quiet boundary costs no evaluations at all.
+// across the cut, so a quiet boundary costs no evaluations at all. The rule
+// is listcolor's greedy rule with every vertex active, ghosts included, so a
+// ghost blocks by ID exactly as it does on the parent graph. The palette is
+// [0, Δ_sub+1) for the shard subgraph's own maximum degree: a local keeps its
+// full parent degree there, so its smallest free color is the one the
+// parent's [0, Δ+1) yields, and no allocation is sized by a wire field.
 type Worker struct {
 	part  *Part
 	delta int
@@ -57,7 +63,7 @@ func NewWorker(part *Part, delta int) *Worker {
 		delta:      delta,
 		net:        net,
 		run:        local.NewRunner(net, st),
-		rule:       Rule(g),
+		rule:       listcolor.Uniform(g.N(), g.MaxDegree()+1).GreedyRule(g),
 		isBoundary: make([]bool, g.N()),
 		inActive:   make([]bool, g.N()),
 		notDone:    len(part.Locals),
