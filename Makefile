@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke bench-arena bench-dynamic bench-wal bench-scale bench-shard report report-full report-faults report-frontier fuzz clean
+.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke bench-arena bench-dynamic bench-wal bench-scale bench-shard profile-ring report report-full report-faults report-frontier fuzz clean
 
 # `check` is the default CI path: vet + the full test suite under -race.
 all: build check
@@ -123,6 +123,13 @@ bench-scale:
 # point -out at BENCH_shard.json to regenerate the checked-in artifact.
 bench-shard:
 	$(GO) run ./cmd/deltastorm -shard -quick -out BENCH_shard.ci.json
+
+# CPU and heap profiles of the deterministic pipeline on a permuted clique
+# ring (BenchmarkEasyRing): where its time and allocations go at large n.
+# Writes cpu.out, mem.out and the core.test binary pprof needs to read
+# them: `go tool pprof -top core.test cpu.out`.
+profile-ring:
+	$(GO) test -run '^$$' -bench '^BenchmarkEasyRing$$' -benchmem -benchtime 20x -cpuprofile cpu.out -memprofile mem.out -o core.test ./internal/core/
 
 # The evaluation tables of EXPERIMENTS.md (standard scale, a few minutes),
 # followed by the frontier-occupancy table E19.

@@ -81,67 +81,66 @@ func (ec *easyColorer) run() error {
 		}
 	}
 
-	// BFS layering from the anchor loopholes over uncolored vertices.
+	// BFS layering from the anchor loopholes over uncolored vertices; each
+	// BFS frontier is one layer, kept as its member list.
 	done = net.Phase("alg3/layers")
 	defer done()
-	layer := make([]int, g.N())
-	for v := range layer {
-		layer[v] = -1
-	}
+	seen := make([]bool, g.N())
 	var frontier []int
 	for _, l := range anchors {
 		for _, v := range l.Verts {
 			if out.Colored(v) {
 				return fmt.Errorf("core: anchor loophole vertex %d already colored", v)
 			}
-			if layer[v] == -1 {
-				layer[v] = 0
+			if !seen[v] {
+				seen[v] = true
 				frontier = append(frontier, v)
 			}
 		}
 	}
-	maxLayer := 0
+	layers := [][]int{frontier}
 	for depth := 1; depth <= hp.p.Layers && len(frontier) > 0; depth++ {
 		var next []int
 		for _, v := range frontier {
 			for _, nw := range g.Neighbors(v) {
 				w := int(nw)
-				if layer[w] == -1 && hp.isActive(w) && !out.Colored(w) {
-					layer[w] = depth
+				if !seen[w] && hp.isActive(w) && !out.Colored(w) {
+					seen[w] = true
 					next = append(next, w)
 				}
 			}
 		}
 		if len(next) > 0 {
-			maxLayer = depth
+			layers = append(layers, next)
 		}
 		frontier = next
 	}
 	net.Charge(hp.p.Layers)
 	for v := 0; v < g.N(); v++ {
-		if hp.isActive(v) && !out.Colored(v) && layer[v] == -1 {
+		if hp.isActive(v) && !out.Colored(v) && !seen[v] {
 			return fmt.Errorf("core: Lemma 20 coverage violated: uncolored vertex %d beyond %d layers of every anchor loophole",
 				v, hp.p.Layers)
 		}
 	}
-	hp.stats.Layers = maxLayer
+	hp.stats.Layers = len(layers) - 1
 
 	// Color layers outside-in; every layer-i vertex has an uncolored
-	// neighbor in layer i-1 (its BFS parent), hence slack.
-	for depth := maxLayer; depth >= 1; depth-- {
-		inst := listcolor.Instance{Active: make([]bool, g.N()), Lists: make([]coloring.Palette, g.N())}
-		any := false
-		for v := 0; v < g.N(); v++ {
-			if layer[v] == depth {
-				inst.Active[v] = true
-				coloring.AvailableInto(&inst.Lists[v], g, out, v, delta)
-				any = true
-			}
+	// neighbor in layer i-1 (its BFS parent), hence slack. One instance
+	// serves every layer: only the current layer's members are active and
+	// have their lists rebuilt, so a layer costs O(its members + their
+	// edges), not O(n).
+	var slab coloring.ListSlab
+	inst := listcolor.Instance{Active: make([]bool, g.N()), Lists: slab.Take(g.N(), delta)}
+	for depth := len(layers) - 1; depth >= 1; depth-- {
+		for _, v := range layers[depth] {
+			inst.Active[v] = true
+			coloring.AvailableInto(&inst.Lists[v], g, out, v, delta)
 		}
-		if !any {
-			continue
+		err := listcolor.Solve(net, inst, out)
+		for _, v := range layers[depth] {
+			inst.Active[v] = false
 		}
-		if err := listcolor.Solve(net, inst, out); err != nil {
+		if err != nil {
 			return fmt.Errorf("core: layer %d: %w", depth, err)
 		}
 	}
@@ -166,22 +165,41 @@ func (ec *easyColorer) run() error {
 // loopholeGraph builds G_L: one node per voted loophole, an edge when two
 // loopholes share a vertex or are joined by a graph edge.
 func loopholeGraph(g *graph.Graph, voted []*loophole.Loophole) (*graph.Graph, error) {
-	b := graph.NewBuilder(len(voted))
-	byVertex := map[int][]int{}
-	for i, l := range voted {
+	// byVertex indexes, in CSR form, the voted loopholes containing each
+	// vertex: they are ids[off[v]:off[v+1]]. off[v] first counts v's
+	// loopholes and is prefix-summed to the end of v's run; the fill walks
+	// the loopholes backwards, decrementing it down to the run's start.
+	off := make([]int32, g.N()+1)
+	for _, l := range voted {
 		for _, v := range l.Verts {
-			byVertex[v] = append(byVertex[v], i)
+			off[v]++
 		}
 	}
-	addPair := func(i, j int) {
+	for v := 1; v <= g.N(); v++ {
+		off[v] += off[v-1]
+	}
+	ids := make([]int32, off[g.N()])
+	for i := len(voted) - 1; i >= 0; i-- {
+		for _, v := range voted[i].Verts {
+			off[v]--
+			ids[off[v]] = int32(i)
+		}
+	}
+	byVertex := func(v int32) []int32 { return ids[off[v]:off[v+1]] }
+
+	// Build sorts and dedups each adjacency run, so emitting a pair more
+	// than once or in any order yields the same G_L.
+	b := graph.NewBuilder(len(voted))
+	addPair := func(i, j int32) {
 		if i != j {
 			if i > j {
 				i, j = j, i
 			}
-			b.AddEdge(i, j)
+			b.AddEdge(int(i), int(j))
 		}
 	}
-	for _, ls := range byVertex {
+	for v := int32(0); v < int32(g.N()); v++ {
+		ls := byVertex(v)
 		for i := 0; i < len(ls); i++ {
 			for j := i + 1; j < len(ls); j++ {
 				addPair(ls[i], ls[j])
@@ -191,8 +209,8 @@ func loopholeGraph(g *graph.Graph, voted []*loophole.Loophole) (*graph.Graph, er
 	for i, l := range voted {
 		for _, v := range l.Verts {
 			for _, w := range g.Neighbors(v) {
-				for _, j := range byVertex[int(w)] {
-					addPair(i, j)
+				for _, j := range byVertex(w) {
+					addPair(int32(i), j)
 				}
 			}
 		}

@@ -12,7 +12,10 @@ type Sub struct {
 	G *Graph
 	// ToParent maps subgraph vertex -> parent vertex.
 	ToParent []int
-	// FromParent maps parent vertex -> subgraph vertex, or -1.
+	// FromParent maps parent vertex -> subgraph vertex, or -1. Induced
+	// leaves it nil, since a parent-sized map would make every induced
+	// subgraph cost O(parent n); a caller that needs the reverse lookup
+	// builds it from ToParent.
 	FromParent []int
 }
 
@@ -39,11 +42,13 @@ func (sc *inducerScratch) grow(n int) {
 
 // Induced returns the subgraph of g induced by vs (duplicates are ignored).
 // IDs are inherited from the parent so symmetry breaking stays consistent.
+// It costs O(len(vs) + their degrees) and leaves FromParent nil.
 //
-// The subgraph is assembled in CSR form in a single pass over the members'
-// adjacency: because members are processed in ascending order and the
-// relabeling is monotone, the emitted neighbor runs are already sorted and
-// deduplicated, so no post-processing pass is needed.
+// The subgraph is assembled in CSR form in two passes over the members'
+// adjacency, one counting and one filling the exactly sized edge array:
+// because members are processed in ascending order and the relabeling is
+// monotone, the emitted neighbor runs are already sorted and deduplicated,
+// so no post-processing pass is needed.
 func Induced(g *Graph, vs []int) *Sub {
 	sc := inducerPool.Get().(*inducerScratch)
 	sc.grow(g.N())
@@ -64,29 +69,31 @@ func Induced(g *Graph, vs []int) *Sub {
 	k := len(uniq)
 	offsets := make([]int32, k+1)
 	ids := make([]uint64, k)
-	edges := make([]int32, 0, 16)
 	for i, v := range uniq {
 		ids[i] = g.ID(v)
+		deg := int32(0)
+		for _, w := range g.Neighbors(v) {
+			if relabel[w] >= 0 {
+				deg++
+			}
+		}
+		offsets[i+1] = offsets[i] + deg
+	}
+	edges := make([]int32, 0, offsets[k])
+	for _, v := range uniq {
 		for _, w := range g.Neighbors(v) {
 			if j := relabel[w]; j >= 0 {
 				edges = append(edges, j)
 			}
 		}
-		offsets[i+1] = int32(len(edges))
 	}
-	edges = edges[:len(edges):len(edges)]
 
-	from := make([]int, g.N())
-	for i := range from {
-		from[i] = -1
-	}
-	for i, v := range uniq {
-		from[v] = i
+	for _, v := range uniq {
 		relabel[v] = -1 // sparse reset for the next pooled use
 	}
 	inducerPool.Put(sc)
 
-	return &Sub{G: fromCSR(offsets, edges, ids), ToParent: uniq, FromParent: from}
+	return &Sub{G: fromCSR(offsets, edges, ids), ToParent: uniq}
 }
 
 // Power returns the r-th power graph of g: vertices are the same and u~v iff

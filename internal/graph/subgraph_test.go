@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -15,16 +16,16 @@ func TestInduced(t *testing.T) {
 	if sub.G.M() != 3 {
 		t.Fatalf("m = %d, want 3 (triangle)", sub.G.M())
 	}
+	if want := []int{1, 3, 5}; !reflect.DeepEqual(sub.ToParent, want) {
+		t.Fatalf("ToParent = %v, want %v", sub.ToParent, want)
+	}
 	for i, p := range sub.ToParent {
-		if sub.FromParent[p] != i {
-			t.Fatal("mapping not inverse")
-		}
 		if sub.G.ID(i) != g.ID(p) {
 			t.Fatal("IDs not inherited")
 		}
 	}
-	if sub.FromParent[0] != -1 {
-		t.Fatal("absent vertex mapped")
+	if sub.FromParent != nil {
+		t.Fatal("Induced built a parent-sized FromParent map")
 	}
 }
 

@@ -52,10 +52,13 @@ func planSteps(mBits float64, delta int) []step {
 	return steps
 }
 
+// maxDegree bounds the polynomial degree d of a step.
+const maxDegree = 80
+
 // chooseStep picks the smallest degree d (hence smallest q and output space)
 // such that q^(d+1) can encode all current colors.
 func chooseStep(mBits float64, delta int) (step, bool) {
-	for d := uint64(1); d <= 80; d++ {
+	for d := uint64(1); d <= maxDegree; d++ {
 		q := nextPrime(d*uint64(delta) + 1)
 		if float64(d+1)*math.Log2(float64(q)) >= mBits {
 			return step{d: d, q: q}, true
@@ -88,24 +91,30 @@ func isPrime(n uint64) bool {
 	return true
 }
 
-// digitsBaseQ returns the d+1 base-q digits of c (little-endian) — the
-// coefficients of the polynomial representing color c.
-func digitsBaseQ(c, q uint64, d uint64) []uint64 {
-	coeffs := make([]uint64, d+1)
-	for i := range coeffs {
-		coeffs[i] = c % q
-		c /= q
+// powersInto fills pw with x^0, ..., x^(len(pw)-1) mod q and returns it.
+func powersInto(pw []uint64, x, q uint64) []uint64 {
+	xp := uint64(1)
+	for i := range pw {
+		pw[i] = xp
+		xp = xp * x % q
 	}
-	return coeffs
+	return pw
 }
 
-// evalPoly evaluates the polynomial with the given coefficients at x mod q.
-func evalPoly(coeffs []uint64, x, q uint64) uint64 {
-	var acc uint64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*x + coeffs[i]) % q
+// polyAt evaluates over F_q the polynomial p_c whose coefficients are the
+// len(pw) little-endian base-q digits of c, at the point whose powers are
+// pw (see powersInto). The digits are peeled off c as the sum runs, so no
+// coefficient slice is built, and the sum is carried in 128 bits and
+// reduced once; the value is the one Horner's rule gives. Each term is
+// below q², which fits a uint64 for q < 2³².
+func polyAt(c, q uint64, pw []uint64) uint64 {
+	var hi, lo, carry uint64
+	for _, xp := range pw {
+		lo, carry = bits.Add64(lo, c%q*xp, 0)
+		hi += carry
+		c /= q
 	}
-	return acc
+	return bits.Rem64(hi, lo, q)
 }
 
 // Color computes a proper coloring of net's graph with at most
@@ -160,22 +169,30 @@ func toInts(cur []uint64) []int {
 }
 
 // linialRound performs one algebraic reduction round on the state engine.
+// Each vertex adopts the first x in F_q where its polynomial differs from
+// every neighbor's, as (x, p_c(x)). The round allocates nothing.
 func linialRound(run *local.Runner[uint64], s step) []uint64 {
 	return run.Step(func(v int, self uint64, nbrs local.Nbrs[uint64]) uint64 {
-		mine := digitsBaseQ(self, s.q, s.d)
-		// Find x in F_q where our polynomial differs from every neighbor's.
-		for x := uint64(0); x < s.q; x++ {
-			y := evalPoly(mine, x, s.q)
+		// x = 0 first, where p_c(0) is c's lowest digit; most vertices stop
+		// here. A neighbor equal to self (an improper input) fails every x.
+		y := self % s.q
+		ok := true
+		for i := 0; i < nbrs.Len(); i++ {
+			if nbrs.State(i)%s.q == y {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return y
+		}
+		var buf [maxDegree + 1]uint64
+		for x := uint64(1); x < s.q; x++ {
+			pw := powersInto(buf[:s.d+1], x, s.q)
+			y := polyAt(self, s.q, pw)
 			ok := true
 			for i := 0; i < nbrs.Len(); i++ {
-				other := nbrs.State(i)
-				if other == self {
-					// Proper-coloring invariant violated by caller.
-					ok = false
-					break
-				}
-				theirs := digitsBaseQ(other, s.q, s.d)
-				if evalPoly(theirs, x, s.q) == y {
+				if other := nbrs.State(i); other == self || polyAt(other, s.q, pw) == y {
 					ok = false
 					break
 				}
@@ -240,33 +257,23 @@ func Reduce(net *local.Network, cur []int, m, target int) ([]int, error) {
 			if self%blockSize != top {
 				return self
 			}
+			// The smallest in-block slot below target that no neighbor
+			// holds, searched one 64-slot window at a time with a mask and a
+			// trailing-zeros count, so a recolor allocates nothing. Fewer
+			// than target neighbors leave a free slot by the window holding
+			// slot deg.
 			block := self / blockSize
-			if target <= 64 {
-				// Constant-Δ fast path: slot occupancy fits one word, so the
-				// free-slot search is a mask and a trailing-zeros count with
-				// no per-recolor allocation.
+			for base := 0; base < target; base += 64 {
+				width := min(64, target-base)
 				var used uint64
 				for i := 0; i < nbrs.Len(); i++ {
 					nc := nbrs.State(i)
-					if nc/blockSize == block && nc%blockSize < target {
-						used |= 1 << (nc % blockSize)
+					if slot := nc%blockSize - base; nc/blockSize == block && slot >= 0 && slot < width {
+						used |= 1 << slot
 					}
 				}
-				if free := ^used & (1<<target - 1); free != 0 {
-					return block*blockSize + bits.TrailingZeros64(free)
-				}
-				panic("linial: no free slot during reduction (degree invariant violated)")
-			}
-			used := make([]bool, target)
-			for i := 0; i < nbrs.Len(); i++ {
-				nc := nbrs.State(i)
-				if nc/blockSize == block && nc%blockSize < target {
-					used[nc%blockSize] = true
-				}
-			}
-			for slot, u := range used {
-				if !u {
-					return block*blockSize + slot
+				if free := ^used & (1<<width - 1); free != 0 {
+					return block*blockSize + base + bits.TrailingZeros64(free)
 				}
 			}
 			panic("linial: no free slot during reduction (degree invariant violated)")

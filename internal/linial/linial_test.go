@@ -1,6 +1,7 @@
 package linial
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,6 +116,24 @@ func TestReduce(t *testing.T) {
 	}
 }
 
+// A target above 64 puts the free-slot search across several 64-slot
+// windows: on K_150 the late recolors find the first window full.
+func TestReduceWideTarget(t *testing.T) {
+	for _, n := range []int{65, 100, 150} {
+		g := graph.Complete(n)
+		net := local.New(g)
+		cur := make([]int, n)
+		for v := range cur {
+			cur[v] = 7*v + 3
+		}
+		out, err := Reduce(net, cur, 7*n+3, n)
+		if err != nil {
+			t.Fatalf("n=%d: Reduce: %v", n, err)
+		}
+		properIntColoring(t, g, out, n)
+	}
+}
+
 func TestReduceRejectsBadInput(t *testing.T) {
 	g := graph.Complete(4)
 	net := local.New(g)
@@ -176,6 +195,49 @@ func TestPrimes(t *testing.T) {
 	}
 }
 
+// digitsBaseQ returns the d+1 base-q digits of c (little-endian) — the
+// coefficients of the polynomial representing color c. With evalPoly it is
+// the reference form of polyAt.
+func digitsBaseQ(c, q uint64, d uint64) []uint64 {
+	coeffs := make([]uint64, d+1)
+	for i := range coeffs {
+		coeffs[i] = c % q
+		c /= q
+	}
+	return coeffs
+}
+
+// evalPoly evaluates the polynomial with the given coefficients at x mod q
+// by Horner's rule.
+func evalPoly(coeffs []uint64, x, q uint64) uint64 {
+	var acc uint64
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		acc = (acc*x + coeffs[i]) % q
+	}
+	return acc
+}
+
+// refPick is the reference round rule: the first x in F_q at which self's
+// digit polynomial, evaluated by Horner's rule, differs from every
+// neighbor's, and the color (x, p(x)). ok is false when no x works.
+func refPick(self uint64, nbrs []uint64, s step) (color uint64, ok bool) {
+	mine := digitsBaseQ(self, s.q, s.d)
+	for x := uint64(0); x < s.q; x++ {
+		y := evalPoly(mine, x, s.q)
+		free := true
+		for _, other := range nbrs {
+			if other == self || evalPoly(digitsBaseQ(other, s.q, s.d), x, s.q) == y {
+				free = false
+				break
+			}
+		}
+		if free {
+			return x*s.q + y, true
+		}
+	}
+	return 0, false
+}
+
 func TestPolyEval(t *testing.T) {
 	// p(x) = 3 + 2x + x^2 over F_5
 	coeffs := []uint64{3, 2, 1}
@@ -184,12 +246,101 @@ func TestPolyEval(t *testing.T) {
 		if got := evalPoly(coeffs, uint64(x), 5); got != w {
 			t.Fatalf("p(%d) = %d, want %d", x, got, w)
 		}
+		if got := polyAt(3+2*5+1*25, 5, powersInto(make([]uint64, 3), uint64(x), 5)); got != w {
+			t.Fatalf("polyAt(%d) = %d, want %d", x, got, w)
+		}
 	}
 	d := digitsBaseQ(3+2*5+1*25, 5, 2)
 	for i, c := range coeffs {
 		if d[i] != c {
 			t.Fatalf("digits = %v, want %v", d, coeffs)
 		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, s := range []step{{1, 17}, {2, 127}, {3, 65537}, {7, 4294967291}, {maxDegree, 4294967291}} {
+		for i := 0; i < 200; i++ {
+			c, x := rng.Uint64(), rng.Uint64()%s.q
+			if got, want := polyAt(c, s.q, powersInto(make([]uint64, s.d+1), x, s.q)), evalPoly(digitsBaseQ(c, s.q, s.d), x, s.q); got != want {
+				t.Fatalf("step %+v c=%d x=%d: polyAt %d, Horner %d", s, c, x, got, want)
+			}
+		}
+	}
+}
+
+// starRound runs one linialRound on a star whose center holds self and
+// whose leaves hold nbrs, and returns every vertex's new color.
+func starRound(self uint64, nbrs []uint64, s step) []uint64 {
+	states := append([]uint64{self}, nbrs...)
+	run := local.NewRunner(local.New(graph.Star(len(states))), states)
+	return linialRound(run, s)
+}
+
+// TestLinialRoundMatchesReference holds the allocation-free round kernel to
+// the digits-and-Horner rule it replaced: over random stars, for every
+// (d, q) step that planSteps schedules from 10- to 64-bit color spaces and
+// Δ from 1 to 126, the center and every leaf must pick exactly the color
+// the reference picks. States include raw IDs at or above 2³², neighbors
+// forced to collide with the center at x = 0 (same lowest digit), and a
+// neighbor equal to the center, on which the round must panic.
+func TestLinialRoundMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	steps := 0
+	for _, mBits := range []float64{10, 20, 32, 33, 40, 48, 64} {
+		for _, delta := range []int{1, 2, 3, 5, 16, 63, 126} {
+			in := mBits
+			for _, s := range planSteps(mBits, delta) {
+				steps++
+				// Colors entering this step lie in [0, 2^in).
+				draw := func() uint64 {
+					if in >= 64 {
+						return rng.Uint64()
+					}
+					return rng.Uint64() % (uint64(1) << uint(in))
+				}
+				for trial := 0; trial < 40; trial++ {
+					self := draw()
+					if trial%4 == 0 && in > 32 {
+						self |= 1 << 32 // a raw ID at or above 2^32
+					}
+					deg := 1 + rng.Intn(delta)
+					nbrs := make([]uint64, 0, deg)
+					for len(nbrs) < deg {
+						c := draw()
+						if trial%2 == 1 {
+							// Force an x = 0 collision: same lowest digit.
+							c = c - c%s.q + self%s.q
+						}
+						if c != self {
+							nbrs = append(nbrs, c)
+						}
+					}
+					got := starRound(self, nbrs, s)
+					want, ok := refPick(self, nbrs, s)
+					if !ok || got[0] != want {
+						t.Fatalf("step %+v center %d nbrs %v: kernel %d, reference %d (ok=%v)", s, self, nbrs, got[0], want, ok)
+					}
+					for i, c := range nbrs {
+						want, _ := refPick(c, []uint64{self}, s)
+						if got[i+1] != want {
+							t.Fatalf("step %+v leaf %d: kernel %d, reference %d", s, c, got[i+1], want)
+						}
+					}
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("step %+v: a neighbor equal to self did not panic", s)
+						}
+					}()
+					self := draw()
+					starRound(self, []uint64{draw() | 1, self}, s)
+				}()
+				in = 2 * math.Log2(float64(s.q))
+			}
+		}
+	}
+	if steps == 0 {
+		t.Fatal("no steps planned")
 	}
 }
 

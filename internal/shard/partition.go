@@ -144,7 +144,17 @@ func BuildPartition(g *graph.Graph, k int) (*Partition, error) {
 				}
 			}
 		}
-		p.Parts[s] = buildPart(graph.Induced(g, members[s]), members[s][:locals])
+		// Workers route boundary updates by parent vertex, so the part
+		// keeps the parent-sized reverse map Induced does not build.
+		sub := graph.Induced(g, members[s])
+		sub.FromParent = make([]int, n)
+		for i := range sub.FromParent {
+			sub.FromParent[i] = -1
+		}
+		for i, pv := range sub.ToParent {
+			sub.FromParent[pv] = i
+		}
+		p.Parts[s] = buildPart(sub, members[s][:locals])
 	}
 	return p, nil
 }
