@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke bench-arena bench-dynamic bench-wal bench-scale bench-shard profile-ring report report-full report-faults report-frontier fuzz clean
 
-# `check` is the default CI path: vet + the full test suite under -race.
+# `check` is the default CI path: gofmt + vet + the full test suite under -race.
 all: build check
 
 build:
@@ -20,6 +20,7 @@ test-short:
 	$(GO) test -short ./...
 
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
@@ -158,6 +159,9 @@ fuzz:
 	$(GO) test -fuzz FuzzRepair -fuzztime 30s ./internal/repair/
 	$(GO) test -fuzz FuzzFrontier -fuzztime 30s ./internal/local/
 	$(GO) test -fuzz FuzzPartition -fuzztime 30s ./internal/shard/
+	$(GO) test -fuzz FuzzRoundsRequest -fuzztime 30s ./internal/shard/
+	$(GO) test -fuzz FuzzRoundsResponse -fuzztime 30s ./internal/shard/
+	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 30s ./internal/graph/
 
 clean:
 	$(GO) clean ./...

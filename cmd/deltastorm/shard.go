@@ -90,17 +90,8 @@ func solveOracle(g *graph.Graph) ([]int, int, error) {
 func workerFleet(nWorkers int) (addrs []string, stop func()) {
 	servers := make([]*httptest.Server, nWorkers)
 	for i := range servers {
-		host := shard.NewHost(0)
 		mux := http.NewServeMux()
-		mux.HandleFunc("POST "+shard.RoundsPath, func(w http.ResponseWriter, r *http.Request) {
-			req := &shard.RoundsRequest{}
-			if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(host.Handle(req))
-		})
+		mux.Handle("POST "+shard.RoundsPath, shard.NewHost(0))
 		servers[i] = httptest.NewServer(mux)
 		addrs = append(addrs, servers[i].URL)
 	}

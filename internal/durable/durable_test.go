@@ -383,7 +383,8 @@ func TestReplayFailureReproducesUnhealthy(t *testing.T) {
 		}
 	}
 	goodVersion := live.Version() - 1 // last version whose maintenance held
-	crash(s) // no checkpoint: the failing batch lives only in the log
+	// No checkpoint: the failing batch lives only in the log.
+	crash(s)
 
 	// Recover under the same fault pressure: the replayed batch fails its
 	// maintenance again, reproducing the pre-crash unhealthy-with-last-good

@@ -113,7 +113,14 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 	if n < 0 || n > MaxN || ne < 0 || ne%2 != 0 {
 		return nil, fmt.Errorf("graph: decode: implausible shape n=%d half-edges=%d", n, ne)
 	}
-	body := make([]byte, 4*(n+1)+4*ne+8*n)
+	size := 4*(n+1) + 4*ne + 8*n
+	// A reader that knows its length (the shard wire's bytes.Reader, the
+	// checkpoint's) fails a header claiming more than it holds before the
+	// body is allocated.
+	if lr, ok := r.(interface{ Len() int }); ok && lr.Len() < size {
+		return nil, fmt.Errorf("graph: decode body: header claims %d bytes, %d remain", size, lr.Len())
+	}
+	body := make([]byte, size)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("graph: decode body: %w", err)
 	}
@@ -157,15 +164,19 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 			prev = w
 		}
 	}
-	g := fromCSR(offsets, edges, ids)
-	// Symmetry is the one invariant the per-vertex scan above cannot see;
-	// check it edge-by-edge (binary searches, cheap at checkpoint cadence).
+	// Symmetry is the one invariant the per-vertex scan above cannot see.
+	// Visiting v ascending, each neighbor w's sorted list must yield exactly
+	// v at its cursor: O(n+m), where a search per half-edge costs O(m log Δ).
+	cursor := make([]int32, n)
+	copy(cursor, offsets[:n])
 	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			if !g.HasEdge(int(w), v) {
-				return nil, fmt.Errorf("graph: decode: edge {%d,%d} not symmetric", v, w)
+		for _, w := range edges[offsets[v]:offsets[v+1]] {
+			c := cursor[w]
+			if c == offsets[w+1] || edges[c] != int32(v) {
+				return nil, fmt.Errorf("graph: decode: adjacency not symmetric at %d's neighbor %d", v, w)
 			}
+			cursor[w] = c + 1
 		}
 	}
-	return g, nil
+	return fromCSR(offsets, edges, ids), nil
 }

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -85,5 +88,134 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 		if verr := got.Validate(); verr != nil {
 			t.Fatalf("byte %d: decode accepted a graph failing Validate: %v", i, verr)
 		}
+	}
+}
+
+// encodeRaw lays out a CSR image exactly as EncodeBinary does, from arrays
+// that need not describe a valid graph, with identity IDs.
+func encodeRaw(offsets, edges []int32) []byte {
+	n := len(offsets) - 1
+	b := binary.LittleEndian.AppendUint32(nil, uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(edges)))
+	for _, o := range offsets {
+		b = binary.LittleEndian.AppendUint32(b, uint32(o))
+	}
+	for _, e := range edges {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e))
+	}
+	for v := 0; v < n; v++ {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return b
+}
+
+// TestDecodeBinaryRejectsAsymmetry: negative controls for the symmetry
+// check, each an image that passes every per-vertex check (sorted, in range,
+// no self-loops, even half-edge count) but lists some edge on one side only.
+func TestDecodeBinaryRejectsAsymmetry(t *testing.T) {
+	for name, tc := range map[string]struct{ offsets, edges []int32 }{
+		// 0 lists 1 and 2 lists 3; 1 and 3 list nobody.
+		"one-sided edge": {[]int32{0, 1, 1, 2, 2}, []int32{1, 3}},
+		// The path 0-1-2-3 with 3's entry 2 replaced by 0.
+		"wrong entry": {[]int32{0, 1, 3, 5, 6}, []int32{1, 0, 2, 1, 3, 0}},
+		// The triangle 0-1-2 with 0 missing from 1's list and 1 from 2's.
+		"entry missing": {[]int32{0, 2, 3, 4}, []int32{1, 2, 2, 0}},
+		// The star 1-{2,3} with leaves 0 and 4 listing 1 one-sidedly: the
+		// lister has the smaller degree, so a HasEdge search (which scans
+		// the shorter list) finds the edge and misses the asymmetry.
+		"one-sided from a low degree": {[]int32{0, 1, 3, 4, 5, 6}, []int32{1, 2, 3, 1, 1, 1}},
+	} {
+		_, err := DecodeBinary(bytes.NewReader(encodeRaw(tc.offsets, tc.edges)))
+		if err == nil || !strings.Contains(err.Error(), "not symmetric") {
+			t.Errorf("%s: err = %v, want a symmetry error", name, err)
+		}
+		ids := make([]uint64, len(tc.offsets)-1)
+		for v := range ids {
+			ids[v] = uint64(v)
+		}
+		if err := fromCSR(tc.offsets, tc.edges, ids).Validate(); err == nil || !strings.Contains(err.Error(), "not symmetric") {
+			t.Errorf("%s: Validate err = %v, want a symmetry error", name, err)
+		}
+	}
+	// The positive control: the same path with 3's entry intact decodes.
+	if _, err := DecodeBinary(bytes.NewReader(encodeRaw([]int32{0, 1, 3, 5, 6}, []int32{1, 0, 2, 1, 3, 2}))); err != nil {
+		t.Fatalf("valid path rejected: %v", err)
+	}
+}
+
+// TestDecodeBinarySymmetryMatchesMatrix: on random small images with
+// sorted, in-range, loop-free lists, DecodeBinary accepts exactly the ones
+// whose adjacency matrix is symmetric.
+func TestDecodeBinarySymmetryMatchesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var accepted, rejected int
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.Intn(6)
+		adj := make([][]bool, n)
+		for v := range adj {
+			adj[v] = make([]bool, n)
+		}
+		for v := 0; v < n; v++ {
+			for w := v + 1; w < n; w++ {
+				if rng.Intn(2) == 0 {
+					adj[v][w], adj[w][v] = true, true
+				}
+			}
+		}
+		// Flip a few half-edges so about half the images are asymmetric.
+		for flips := rng.Intn(3); flips > 0; flips-- {
+			v, w := rng.Intn(n), rng.Intn(n)
+			if v != w {
+				adj[v][w] = !adj[v][w]
+			}
+		}
+		offsets := []int32{0}
+		var edges []int32
+		for v := 0; v < n; v++ {
+			for w := 0; w < n; w++ {
+				if adj[v][w] {
+					edges = append(edges, int32(w))
+				}
+			}
+			offsets = append(offsets, int32(len(edges)))
+		}
+		if len(edges)%2 != 0 {
+			continue // rejected for its count before symmetry is looked at
+		}
+		symmetric := true
+		for v := 0; v < n; v++ {
+			for w := 0; w < n; w++ {
+				symmetric = symmetric && adj[v][w] == adj[w][v]
+			}
+		}
+		_, err := DecodeBinary(bytes.NewReader(encodeRaw(offsets, edges)))
+		if (err == nil) != symmetric {
+			t.Fatalf("offsets %v edges %v: symmetric=%v but decode err=%v", offsets, edges, symmetric, err)
+		}
+		if symmetric {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	if accepted < 100 || rejected < 100 {
+		t.Fatalf("weak sample: %d accepted, %d rejected", accepted, rejected)
+	}
+}
+
+// TestDecodeBinaryChecksLengthFirst: a header claiming more bytes than a
+// sized reader holds fails before the body is allocated.
+func TestDecodeBinaryChecksLengthFirst(t *testing.T) {
+	head := binary.LittleEndian.AppendUint32(nil, 1<<20) // a 12 MiB body
+	head = binary.LittleEndian.AppendUint32(head, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeBinary(bytes.NewReader(head))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("header without a body accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("allocated %d bytes rejecting an 8-byte input", grew)
 	}
 }

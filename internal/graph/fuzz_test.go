@@ -144,3 +144,35 @@ func FuzzBuilder(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBinary feeds arbitrary bytes to the binary CSR decoder, which
+// reads checkpoints and shard shipments. Every input must yield an error or
+// a graph that passes Validate and re-encodes to exactly the bytes the
+// decoder consumed; never a panic or an allocation the input cannot back.
+func FuzzDecodeBinary(f *testing.F) {
+	for _, g := range []*Graph{NewBuilder(0).MustBuild(), NewBuilder(3).MustBuild(), Torus(3, 4), Grid(2, 3)} {
+		var buf bytes.Buffer
+		if err := EncodeBinary(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(encodeRaw([]int32{0, 1, 3, 4, 5, 6}, []int32{1, 2, 3, 1, 1, 1})) // asymmetric
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		g, err := DecodeBinary(r)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("decoded graph fails Validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("re-encoding differs from the %d bytes decoded", len(consumed))
+		}
+	})
+}

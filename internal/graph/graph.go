@@ -345,7 +345,10 @@ func (g *Graph) Validate() error {
 			if w < 0 || int(w) >= g.N() {
 				return fmt.Errorf("graph: neighbor %d of %d out of range", w, v)
 			}
-			if !g.HasEdge(int(w), v) {
+			// Search w's own list: HasEdge scans the shorter one, which
+			// is v's when v has the smaller degree, and would find w there.
+			back := g.Neighbors(int(w))
+			if i := searchInt32(back, int32(v)); i == len(back) || back[i] != int32(v) {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", v, w)
 			}
 			prev = w

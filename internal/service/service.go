@@ -957,23 +957,20 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 
 // handleShardRounds serves the worker half of the sharded protocol: a
 // coordinator (possibly this same process in a cluster of peers) posts one
-// init/step/finish/abort operation per shard per round. Protocol failures
-// travel inside a 200 response so the coordinator can reconstruct the named
-// violation type; only an undecodable body is an HTTP error.
+// init/step/finish/abort frame per shard per round. Protocol failures
+// travel inside a 200 response frame so the coordinator can reconstruct the
+// named violation type; only an undecodable or oversized body is an HTTP
+// error (400, text).
 func (s *Server) handleShardRounds(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, err := decodeStrict[shard.RoundsRequest](r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Op == "init" && req.ParentN > s.cfg.MaxVertices {
-		writeJSON(w, http.StatusOK, &shard.RoundsResponse{
-			Error: fmt.Sprintf("shard parent graph has n=%d, above the %d-vertex limit", req.ParentN, s.cfg.MaxVertices),
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.shardHost.Handle(req))
+	shard.ServeRounds(w, r, func(req *shard.RoundsRequest) *shard.RoundsResponse {
+		if req.Op == "init" && req.ParentN > s.cfg.MaxVertices {
+			return &shard.RoundsResponse{
+				Error: fmt.Sprintf("shard parent graph has n=%d, above the %d-vertex limit", req.ParentN, s.cfg.MaxVertices),
+			}
+		}
+		return s.shardHost.Handle(req)
+	})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

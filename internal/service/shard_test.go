@@ -3,11 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,40 +280,69 @@ func TestShardChaosNeverServesBadColoring(t *testing.T) {
 }
 
 // TestShardRoundsEndpointRefusesGarbage: the worker endpoint answers
-// protocol failures inside a 200 (so coordinators can reconstruct typed
-// violations) and rejects undecodable bodies and oversized graphs.
+// protocol failures inside a 200 response frame (so coordinators can
+// reconstruct typed violations), refuses oversized graphs the same way, and
+// answers every frame that does not decode — including a JSON body from a
+// coordinator of another wire version — with 400 and a text body.
 func TestShardRoundsEndpointRefusesGarbage(t *testing.T) {
 	_, cl, _ := newTestServer(t, Config{Workers: 1, MaxVertices: 100})
-	post := func(body []byte) (int, *shard.RoundsResponse) {
+	post := func(body []byte) (int, string, []byte) {
 		t.Helper()
-		hr, err := http.Post(cl.BaseURL+shard.RoundsPath, "application/json", bytes.NewReader(body))
+		hr, err := http.Post(cl.BaseURL+shard.RoundsPath, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer hr.Body.Close()
-		resp := &shard.RoundsResponse{}
-		_ = json.NewDecoder(hr.Body).Decode(resp)
-		return hr.StatusCode, resp
+		raw, err := io.ReadAll(hr.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hr.StatusCode, hr.Header.Get("Content-Type"), raw
 	}
-	if status, _ := post([]byte("{nope")); status != http.StatusBadRequest {
-		t.Fatalf("undecodable body: status %d", status)
+	frame := func(req *shard.RoundsRequest) []byte {
+		t.Helper()
+		b, err := shard.EncodeRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	if status, _ := post([]byte(`{"op":"init","unknown_field":1}`)); status != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d", status)
+	step := frame(&shard.RoundsRequest{Op: "step", Session: "ghost", Updates: []shard.Update{{V: 1, C: 2}}})
+	initFrame := frame(&shard.RoundsRequest{Op: "init", Session: "s", ParentN: 3, Graph: make([]byte, 20), ToParent: []int32{0, 1, 2}})
+
+	badVersion := bytes.Clone(step)
+	badVersion[0]++
+	// Header, empty session, shard 0, then a count of 1<<40 updates
+	// followed by a single pair.
+	overCount := binary.AppendUvarint([]byte{step[0], step[1], 0, 0}, 1<<40)
+	overCount = append(overCount, make([]byte, 8)...)
+	for name, body := range map[string][]byte{
+		"empty":         nil,
+		"json":          []byte(`{"op":"step","session":"ghost","shard":0}`),
+		"bad version":   badVersion,
+		"truncated":     initFrame[:len(initFrame)/2],
+		"count > bytes": overCount,
+		"trailing":      append(bytes.Clone(step), 0),
+	} {
+		status, ctype, raw := post(body)
+		if status != http.StatusBadRequest || !strings.HasPrefix(ctype, "text/plain") || !bytes.Contains(raw, []byte("shard:")) {
+			t.Errorf("%s: status %d, %s body %q; want 400 with a text body", name, status, ctype, raw)
+		}
 	}
+
 	// Unknown session: a protocol error inside a 200.
-	body, _ := json.Marshal(&shard.RoundsRequest{Op: "step", Session: "ghost", Shard: 0})
-	status, resp := post(body)
-	if status != http.StatusOK || resp.OK || resp.Error == "" {
-		t.Fatalf("unknown session: status %d resp %+v", status, resp)
+	status, _, raw := post(step)
+	resp, err := shard.DecodeResponse(raw)
+	if status != http.StatusOK || err != nil || resp.OK || !strings.Contains(resp.Error, "unknown session") {
+		t.Fatalf("unknown session: status %d resp %+v err %v", status, resp, err)
 	}
 	// Oversized parent graph: refused before decoding the subgraph.
-	body, _ = json.Marshal(&shard.RoundsRequest{Op: "init", Session: "big", ParentN: 101})
-	status, resp = post(body)
-	if status != http.StatusOK || resp.OK || resp.Error == "" {
-		t.Fatalf("oversized init: status %d resp %+v", status, resp)
+	status, _, raw = post(frame(&shard.RoundsRequest{Op: "init", Session: "big", ParentN: 101}))
+	resp, err = shard.DecodeResponse(raw)
+	if status != http.StatusOK || err != nil || resp.OK {
+		t.Fatalf("oversized init: status %d resp %+v err %v", status, resp, err)
 	}
-	if want := fmt.Sprintf("above the %d-vertex limit", 100); !bytes.Contains([]byte(resp.Error), []byte(want)) {
+	if want := fmt.Sprintf("above the %d-vertex limit", 100); !strings.Contains(resp.Error, want) {
 		t.Fatalf("oversized init error %q", resp.Error)
 	}
 }

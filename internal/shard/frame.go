@@ -1,0 +1,340 @@
+package shard
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+)
+
+// The /v1/shard/rounds wire: one binary frame per request and one per
+// response, all integers little-endian or unsigned varints.
+//
+// Request frame:
+//
+//	byte     version (frameVersion)
+//	byte     op: 1 init, 2 step, 3 finish, 4 abort
+//	uvarint  len(session), then the session bytes
+//	uvarint  shard
+//	init:    uvarint parent n, uvarint Δ,
+//	         uvarint len(graph), then the graph.EncodeBinary image,
+//	         uvarint len(to_parent), then one int32 each,
+//	         uvarint len(locals), then one int32 each
+//	step:    uvarint len(updates), then one (v, c) int32 pair each
+//
+// Response frame:
+//
+//	byte     version (frameVersion)
+//	byte     ok: 0 or 1
+//	uvarint  len(error), then the error bytes
+//	uvarint  len(violation), then the violation tag bytes
+//	uvarint  not_done
+//	uvarint  len(changed), then one (v, c) int32 pair each
+//	uvarint  len(colors), then one (v, c) int32 pair each
+//
+// The decoders read untrusted bytes. They check every count against the
+// bytes that remain before allocating, and reject an unknown version or op,
+// a non-minimal varint, a scalar above math.MaxInt32 and trailing bytes, so
+// every frame that decodes re-encodes to exactly its own bytes. They do not
+// judge the payload: vertex and color values, the graph image and the
+// parent mapping are the worker's to validate (the exchange contract, the
+// CSR decoder, NewPartFromWire). A server answers an undecodable request
+// with HTTP 400 and a text body, so a coordinator and a worker built from
+// different wire versions fail cleanly instead of misreading each other.
+
+// frameVersion leads every frame; bump it on any layout change.
+const frameVersion = 1
+
+// frameContentType labels both frame kinds on the wire.
+const frameContentType = "application/octet-stream"
+
+// maxPrealloc caps the body buffer sized from an untrusted Content-Length.
+const maxPrealloc = 4 << 20
+
+// opNames maps the op byte to RoundsRequest.Op; index 0 is no op.
+var opNames = [...]string{1: "init", 2: "step", 3: "finish", 4: "abort"}
+
+func opCode(op string) (byte, bool) {
+	for i, name := range opNames {
+		if i > 0 && name == op {
+			return byte(i), true
+		}
+	}
+	return 0, false
+}
+
+// EncodeRequest serializes one request frame. Only the payload of req.Op is
+// written; the other op's fields are ignored.
+func EncodeRequest(req *RoundsRequest) ([]byte, error) {
+	op, ok := opCode(req.Op)
+	if !ok {
+		return nil, fmt.Errorf("shard: encode: unknown op %q", req.Op)
+	}
+	if min(req.Shard, req.ParentN, req.Delta) < 0 || max(req.Shard, req.ParentN, req.Delta) > math.MaxInt32 {
+		return nil, fmt.Errorf("shard: encode: shard %d, parent n %d or delta %d out of range", req.Shard, req.ParentN, req.Delta)
+	}
+	b := make([]byte, 0, 8*binary.MaxVarintLen64+len(req.Session)+len(req.Graph)+
+		4*(len(req.ToParent)+len(req.Locals))+8*len(req.Updates))
+	b = append(b, frameVersion, op)
+	b = appendString(b, req.Session)
+	b = binary.AppendUvarint(b, uint64(req.Shard))
+	switch req.Op {
+	case "init":
+		b = binary.AppendUvarint(b, uint64(req.ParentN))
+		b = binary.AppendUvarint(b, uint64(req.Delta))
+		b = binary.AppendUvarint(b, uint64(len(req.Graph)))
+		b = append(b, req.Graph...)
+		b = appendInt32s(b, req.ToParent)
+		b = appendInt32s(b, req.Locals)
+	case "step":
+		b = appendUpdates(b, req.Updates)
+	}
+	return b, nil
+}
+
+// DecodeRequest parses one request frame. The returned Graph aliases b.
+func DecodeRequest(b []byte) (*RoundsRequest, error) {
+	r := frameReader{b: b}
+	r.version()
+	op := r.byte()
+	req := &RoundsRequest{}
+	if r.err == nil {
+		if int(op) >= len(opNames) || op == 0 {
+			r.fail("unknown op %d", op)
+		} else {
+			req.Op = opNames[op]
+		}
+	}
+	req.Session = string(r.bytes())
+	req.Shard = r.scalar()
+	switch req.Op {
+	case "init":
+		req.ParentN = r.scalar()
+		req.Delta = r.scalar()
+		req.Graph = r.bytes()
+		req.ToParent = r.int32s()
+		req.Locals = r.int32s()
+	case "step":
+		req.Updates = r.updates()
+	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// EncodeResponse serializes one response frame. NotDone must not be
+// negative; the decoder rejects the value a negative one would encode to.
+func EncodeResponse(resp *RoundsResponse) []byte {
+	b := make([]byte, 0, 2+5*binary.MaxVarintLen64+len(resp.Error)+len(resp.Violation)+
+		8*(len(resp.Changed)+len(resp.Colors)))
+	ok := byte(0)
+	if resp.OK {
+		ok = 1
+	}
+	b = append(b, frameVersion, ok)
+	b = appendString(b, resp.Error)
+	b = appendString(b, resp.Violation)
+	b = binary.AppendUvarint(b, uint64(resp.NotDone))
+	b = appendUpdates(b, resp.Changed)
+	b = appendUpdates(b, resp.Colors)
+	return b
+}
+
+// DecodeResponse parses one response frame.
+func DecodeResponse(b []byte) (*RoundsResponse, error) {
+	r := frameReader{b: b}
+	r.version()
+	resp := &RoundsResponse{}
+	switch ok := r.byte(); {
+	case r.err != nil:
+	case ok > 1:
+		r.fail("bad ok byte %d", ok)
+	default:
+		resp.OK = ok == 1
+	}
+	resp.Error = string(r.bytes())
+	resp.Violation = string(r.bytes())
+	resp.NotDone = r.scalar()
+	resp.Changed = r.updates()
+	resp.Colors = r.updates()
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// ServeRounds is the server half of the wire, shared by every worker host:
+// it reads one request frame from r's body, answers a frame that does not
+// decode with 400 and a text body, and writes handle's reply as a response
+// frame otherwise. A caller that must bound the body wraps r.Body first.
+func ServeRounds(w http.ResponseWriter, r *http.Request, handle func(*RoundsRequest) *RoundsResponse) {
+	body, err := readBody(r.Body, r.ContentLength)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("shard: read request: %v", err), http.StatusBadRequest)
+		return
+	}
+	req, err := DecodeRequest(body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	w.Header().Set("Content-Type", frameContentType)
+	_, _ = w.Write(EncodeResponse(handle(req)))
+}
+
+// readBody reads a whole body, sizing the buffer from its declared length
+// (-1 when unknown) up to maxPrealloc.
+func readBody(r io.Reader, length int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(length, 0), maxPrealloc)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendInt32s(b []byte, xs []int32) []byte {
+	b = binary.AppendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
+	}
+	return b
+}
+
+func appendUpdates(b []byte, us []Update) []byte {
+	b = binary.AppendUvarint(b, uint64(len(us)))
+	for _, u := range us {
+		b = binary.LittleEndian.AppendUint32(b, uint32(u.V))
+		b = binary.LittleEndian.AppendUint32(b, uint32(u.C))
+	}
+	return b
+}
+
+// frameReader consumes a frame front to back. The first failure sticks:
+// later reads return zero values and end reports it.
+type frameReader struct {
+	b   []byte
+	err error
+}
+
+func (r *frameReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("shard: bad frame: "+format, args...)
+	}
+}
+
+func (r *frameReader) byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.b) == 0 {
+		r.fail("truncated")
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *frameReader) version() {
+	if v := r.byte(); r.err == nil && v != frameVersion {
+		r.fail("unknown version %d, want %d", v, frameVersion)
+	}
+}
+
+func (r *frameReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overflowing varint")
+		return 0
+	}
+	// A minimal encoding never ends in a zero continuation byte.
+	if n > 1 && r.b[n-1] == 0 {
+		r.fail("non-minimal varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// scalar reads a value in [0, math.MaxInt32].
+func (r *frameReader) scalar() int {
+	v := r.uvarint()
+	if v > math.MaxInt32 {
+		r.fail("value %d out of range", v)
+		return 0
+	}
+	return int(v)
+}
+
+// count reads an element count and checks that many elems of size bytes
+// remain, before anything is allocated for them.
+func (r *frameReader) count(size int) int {
+	v := r.uvarint()
+	if r.err == nil && v > uint64(len(r.b)/size) {
+		r.fail("count %d exceeds the %d bytes left", v, len(r.b))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
+// bytes returns a length-prefixed byte run, aliasing the frame.
+func (r *frameReader) bytes() []byte {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := r.b[:n:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *frameReader) int32s() []int32 {
+	n := r.count(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(r.b[4*i:]))
+	}
+	r.b = r.b[4*n:]
+	return out
+}
+
+func (r *frameReader) updates() []Update {
+	n := r.count(8)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Update, n)
+	for i := range out {
+		out[i] = Update{
+			V: int32(binary.LittleEndian.Uint32(r.b[8*i:])),
+			C: int32(binary.LittleEndian.Uint32(r.b[8*i+4:])),
+		}
+	}
+	r.b = r.b[8*n:]
+	return out
+}
+
+// end reports the first failure, or trailing bytes after a whole frame.
+func (r *frameReader) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	return r.err
+}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -62,6 +63,92 @@ func FuzzPartition(f *testing.F) {
 		if !reflect.DeepEqual(res.Colors, wantColors) || res.Rounds != wantRounds {
 			t.Fatalf("sharded run diverges: rounds %d vs %d, colors %v vs %v",
 				res.Rounds, wantRounds, res.Colors, wantColors)
+		}
+	})
+}
+
+// wireSeeds returns one valid request frame per op, the init built from a
+// real partition so the fuzzers start from frames a coordinator sends.
+func wireSeeds(f *testing.F) [][]byte {
+	g := graph.Grid(4, 3)
+	p, err := BuildPartition(g, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.EncodeBinary(&buf, p.Parts[0].Sub.G); err != nil {
+		f.Fatal(err)
+	}
+	toParent := make([]int32, len(p.Parts[0].Sub.ToParent))
+	for i, pv := range p.Parts[0].Sub.ToParent {
+		toParent[i] = int32(pv)
+	}
+	var out [][]byte
+	for _, req := range []*RoundsRequest{
+		{Op: "init", Session: "s", Shard: 0, Graph: buf.Bytes(), ToParent: toParent, Locals: p.Parts[0].Locals, ParentN: g.N(), Delta: g.MaxDegree()},
+		{Op: "step", Session: "s", Shard: 1, Updates: []Update{{V: 3, C: 0}, {V: 7, C: 2}}},
+		{Op: "finish", Session: "s", Shard: 1},
+		{Op: "abort", Session: "", Shard: 300},
+	} {
+		b, err := EncodeRequest(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// FuzzRoundsRequest feeds arbitrary bytes to the request decoder every
+// worker host runs on untrusted input. Every input must yield an error or a
+// request that re-encodes to exactly its bytes; a decoded request of modest
+// parent size must then go through Host.Handle without a panic.
+func FuzzRoundsRequest(f *testing.F) {
+	for _, b := range wireSeeds(f) {
+		f.Add(b)
+	}
+	f.Add([]byte(`{"op":"step","session":"s","shard":0}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeRequest(data)
+		if err != nil {
+			return
+		}
+		again, err := EncodeRequest(req)
+		if err != nil {
+			t.Fatalf("decoded request does not encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
+		}
+		if req.ParentN <= 1<<12 {
+			host := NewHost(0)
+			if resp := host.Handle(req); resp.OK && req.Op == "init" {
+				host.Handle(&RoundsRequest{Op: "step", Session: req.Session, Shard: req.Shard})
+				host.Handle(&RoundsRequest{Op: "finish", Session: req.Session, Shard: req.Shard})
+			}
+		}
+	})
+}
+
+// FuzzRoundsResponse feeds arbitrary bytes to the response decoder the
+// coordinator runs on each worker's reply: an error or a response that
+// re-encodes to exactly its bytes.
+func FuzzRoundsResponse(f *testing.F) {
+	for _, resp := range []*RoundsResponse{
+		{OK: true},
+		{OK: true, Changed: []Update{{V: 1, C: 0}, {V: 9, C: 3}}, NotDone: 17},
+		{OK: true, Colors: []Update{{V: 0, C: 1}, {V: 2, C: 0}}},
+		{Error: "ghost recolored from 1 to 2", Violation: "exchange"},
+	} {
+		f.Add(EncodeResponse(resp))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := DecodeResponse(data)
+		if err != nil {
+			return
+		}
+		if again := EncodeResponse(resp); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
 		}
 	})
 }

@@ -3,12 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deltacoloring/internal/graph"
@@ -94,24 +94,17 @@ func newTestCluster(t *testing.T, count int) []string {
 	t.Helper()
 	addrs := make([]string, count)
 	for i := 0; i < count; i++ {
-		host := NewHost(0)
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var req RoundsRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			_ = json.NewEncoder(w).Encode(host.Handle(&req))
-		}))
+		srv := httptest.NewServer(NewHost(0))
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.URL
 	}
 	return addrs
 }
 
-// TestShardedBitIdentityOverHTTP runs the full wire protocol — subgraphs
-// shipped as binary CSR, rounds as JSON — against real HTTP worker processes
-// and demands the same bit-identity the in-process transport has.
+// TestShardedBitIdentityOverHTTP runs the full wire protocol — binary
+// request and response frames carrying the CSR subgraphs and every round's
+// exchange — against real HTTP worker processes and demands the same
+// bit-identity the in-process transport has.
 func TestShardedBitIdentityOverHTTP(t *testing.T) {
 	for _, tc := range []struct{ k, workers int }{
 		{1, 1}, {2, 2}, {4, 2}, {4, 4}, {3, 5},
@@ -134,6 +127,35 @@ func TestShardedBitIdentityOverHTTP(t *testing.T) {
 				t.Fatalf("HTTP cluster rounds = %d, want %d", res.Rounds, want.rounds)
 			}
 		})
+	}
+}
+
+// TestHTTPTransportRefusesForeignWire: a worker that does not speak this
+// frame version fails the run with its own reason, whether it refuses the
+// request (an old worker's 400 on a body it cannot parse) or answers with
+// bytes that are not a response frame.
+func TestHTTPTransportRefusesForeignWire(t *testing.T) {
+	for name, tc := range map[string]struct {
+		status int
+		body   string
+		want   string
+	}{
+		"refused":  {http.StatusBadRequest, `{"error":"invalid JSON body"}`, "answered 400: {\"error\":\"invalid JSON body\"}"},
+		"misfiled": {http.StatusOK, `{"ok":true}`, "bad response"},
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(tc.status)
+			_, _ = w.Write([]byte(tc.body))
+		}))
+		tr, err := NewHTTPTransport([]string{srv.URL}, "foreign", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(context.Background(), graph.Grid(4, 4), Config{K: 2, Transport: tr})
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", name, err, tc.want)
+		}
 	}
 }
 

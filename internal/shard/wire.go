@@ -8,51 +8,49 @@ import (
 	"sync"
 	"time"
 
-	"encoding/json"
-
 	"deltacoloring/internal/graph"
 )
 
 // RoundsPath is the internal endpoint workers serve the protocol on.
 const RoundsPath = "/v1/shard/rounds"
 
-// RoundsRequest is the body of POST /v1/shard/rounds: one protocol
-// operation addressed to one shard of one session.
+// RoundsRequest is one protocol operation addressed to one shard of one
+// session: the body of POST /v1/shard/rounds, framed by EncodeRequest.
 type RoundsRequest struct {
 	// Op is "init", "step", "finish", or "abort".
-	Op string `json:"op"`
+	Op string
 	// Session namespaces concurrent runs on a shared worker host.
-	Session string `json:"session"`
+	Session string
 	// Shard is the shard index within the session.
-	Shard int `json:"shard"`
+	Shard int
 
 	// Init payload: the binary-encoded shard subgraph, the sub→parent
 	// vertex mapping, the owned sub-local indices, the parent graph's
 	// vertex count and maximum degree.
-	Graph    []byte  `json:"graph,omitempty"`
-	ToParent []int32 `json:"to_parent,omitempty"`
-	Locals   []int32 `json:"locals,omitempty"`
-	ParentN  int     `json:"parent_n,omitempty"`
-	Delta    int     `json:"delta,omitempty"`
+	Graph    []byte
+	ToParent []int32
+	Locals   []int32
+	ParentN  int
+	Delta    int
 
 	// Step payload: ghost updates to apply before the round.
-	Updates []Update `json:"updates,omitempty"`
+	Updates []Update
 }
 
-// RoundsResponse is the endpoint's reply. Protocol failures travel in
-// Error/Violation (HTTP 200): the transport reconstructs the named
-// violation type on the coordinator's side.
+// RoundsResponse is the endpoint's reply, framed by EncodeResponse.
+// Protocol failures travel in Error/Violation (HTTP 200): the transport
+// reconstructs the named violation type on the coordinator's side.
 type RoundsResponse struct {
-	OK bool `json:"ok"`
+	OK bool
 	// Step reply.
-	Changed []Update `json:"changed,omitempty"`
-	NotDone int      `json:"not_done,omitempty"`
+	Changed []Update
+	NotDone int
 	// Finish reply: every local vertex's color.
-	Colors []Update `json:"colors,omitempty"`
+	Colors []Update
 	// Error is the failure message; Violation tags its type ("exchange",
 	// "merge", or "" for untyped errors).
-	Error     string `json:"error,omitempty"`
-	Violation string `json:"violation,omitempty"`
+	Error     string
+	Violation string
 }
 
 // hostSession is one worker living on a Host.
@@ -63,9 +61,10 @@ type hostSession struct {
 }
 
 // Host owns the shard workers of one serving process, keyed by
-// session/shard. It is the server half of the protocol: the service's
-// /v1/shard/rounds handler decodes a RoundsRequest and hands it here.
-// Sessions idle past the TTL are reaped on the next call.
+// session/shard. It is the server half of the protocol: ServeRounds decodes
+// each request frame and hands it to Handle, and a Host served directly as
+// an http.Handler does exactly that. Sessions idle past the TTL are reaped
+// on the next call.
 type Host struct {
 	mu       sync.Mutex
 	sessions map[string]*hostSession
@@ -87,6 +86,11 @@ func (h *Host) Sessions() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.sessions)
+}
+
+// ServeHTTP serves the /v1/shard/rounds wire with no admission limits.
+func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	ServeRounds(w, r, h.Handle)
 }
 
 func sessionKey(session string, shard int) string {
@@ -219,7 +223,7 @@ func NewHTTPTransport(addrs []string, session string, client *http.Client) (*HTT
 func (t *HTTPTransport) do(ctx context.Context, shard int, req *RoundsRequest) (*RoundsResponse, error) {
 	req.Session = t.session
 	req.Shard = shard
-	body, err := json.Marshal(req)
+	body, err := EncodeRequest(req)
 	if err != nil {
 		return nil, err
 	}
@@ -228,18 +232,24 @@ func (t *HTTPTransport) do(ctx context.Context, shard int, req *RoundsRequest) (
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("Content-Type", frameContentType)
 	hresp, err := t.client.Do(hreq)
 	if err != nil {
 		return nil, err
 	}
 	defer hresp.Body.Close()
-	resp := &RoundsResponse{}
-	if err := json.NewDecoder(hresp.Body).Decode(resp); err != nil {
-		return nil, fmt.Errorf("shard: bad response from %s: %w", url, err)
+	raw, err := readBody(hresp.Body, hresp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("shard: read response from %s: %w", url, err)
 	}
-	if hresp.StatusCode != http.StatusOK && resp.Error == "" {
-		return nil, fmt.Errorf("shard: %s answered %d", url, hresp.StatusCode)
+	if hresp.StatusCode != http.StatusOK {
+		// A 400 carries the decoder's complaint as text: typically a
+		// worker built with another frame version.
+		return nil, fmt.Errorf("shard: %s answered %d: %s", url, hresp.StatusCode, bytes.TrimSpace(raw[:min(len(raw), 256)]))
+	}
+	resp, err := DecodeResponse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("shard: bad response from %s: %w", url, err)
 	}
 	if resp.Error != "" {
 		// Reconstruct the named violation so errors.As works across the wire.

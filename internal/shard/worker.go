@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"deltacoloring/internal/listcolor"
 	"deltacoloring/internal/local"
@@ -11,8 +11,8 @@ import (
 // Update carries one vertex's color across the cut, addressed by the
 // parent-graph vertex index (the one namespace all shards share).
 type Update struct {
-	V int32 `json:"v"`
-	C int32 `json:"c"`
+	V int32
+	C int32
 }
 
 // StepResult is one worker's contribution to one LOCAL round.
@@ -20,9 +20,9 @@ type StepResult struct {
 	// Changed lists the boundary locals that took a color this round,
 	// ascending by parent vertex; the coordinator routes each to every
 	// shard holding its ghost.
-	Changed []Update `json:"changed,omitempty"`
+	Changed []Update
 	// NotDone is the number of still-uncolored locals.
-	NotDone int `json:"not_done"`
+	NotDone int
 }
 
 // Worker executes one shard's side of the protocol: it owns the shard
@@ -127,7 +127,7 @@ func (w *Worker) Step(shard int, updates []Update) (*StepResult, error) {
 	}
 	// Ascending evaluation order gives canonical Changed messages; results
 	// are order-independent (SparseStep is two-phase), this is for the wire.
-	sort.Slice(w.active, func(a, b int) bool { return w.active[a] < w.active[b] })
+	slices.Sort(w.active)
 	w.changed = w.run.SparseStep(w.active, w.changed[:0], w.rule)
 	for _, v := range w.active {
 		w.inActive[v] = false
