@@ -162,6 +162,8 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundsRequest -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzRoundsResponse -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 30s ./internal/graph/
+	$(GO) test -fuzz FuzzColorRequest -fuzztime 30s ./internal/service/
+	$(GO) test -fuzz FuzzWALPayload -fuzztime 30s ./internal/durable/
 
 clean:
 	$(GO) clean ./...

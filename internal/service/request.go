@@ -145,10 +145,8 @@ func decodeStrict[T any](r io.Reader) (*T, error) {
 
 // parseRequest decodes and validates a ColorRequest body.
 func parseRequest(r io.Reader) (*ColorRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	req := &ColorRequest{}
-	if err := dec.Decode(req); err != nil {
+	req, err := parseBody(r)
+	if err != nil {
 		return nil, fmt.Errorf("invalid JSON body: %w", err)
 	}
 	switch req.Algo {
@@ -232,6 +230,7 @@ func buildGraph(req *ColorRequest, maxN int, graphDir string) (*graph.Graph, err
 			return nil, fmt.Errorf("graph n=%d outside [0, %d]", req.Graph.N, maxN)
 		}
 		b := graph.NewBuilder(req.Graph.N)
+		b.Grow(len(req.Graph.Edges))
 		for _, e := range req.Graph.Edges {
 			b.AddEdge(e[0], e[1])
 		}

@@ -776,9 +776,15 @@ func (s *Server) failJob(j *job, err error, panicked bool) {
 		Quarantined: panicked}, status)
 }
 
-// jsonBufPool recycles response-encoding buffers across requests so steady
-// serving does not allocate a fresh encoder buffer per response.
+// jsonBufPool recycles request-body and response-encoding buffers across
+// requests so steady serving does not allocate a fresh buffer per body.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putJSONBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= 1<<20 { // don't pin giant bodies in the pool
+		jsonBufPool.Put(buf)
+	}
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
@@ -789,15 +795,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		// Encoding our own response types cannot fail on valid data; fall
 		// back to a bare status so the connection is not left hanging.
 		w.WriteHeader(http.StatusInternalServerError)
-		jsonBufPool.Put(buf)
+		putJSONBuf(buf)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= 1<<20 { // don't pin giant colorings in the pool
-		jsonBufPool.Put(buf)
-	}
+	putJSONBuf(buf)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
