@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke bench-arena bench-dynamic bench-wal bench-scale bench-shard profile-ring report report-full report-faults report-frontier fuzz clean
+.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke profile-ring report report-full report-faults report-frontier fuzz clean
 
 # `check` is the default CI path: gofmt + vet + the full test suite under -race.
 all: build check
@@ -78,52 +78,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of every benchmark: catches bit-rot in benchmark code and
-# gross perf/alloc regressions without the full calibration cost. The
-# deltabench invocations run every pipeline on both engines (frontier and
-# dense) and fail on any round-count divergence — the cheap standing
-# result-preservation check for frontier scheduling.
+# gross perf/alloc regressions without the full calibration cost.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
-	$(GO) run ./cmd/deltabench -bench -bench-iters 1 -bench-out /dev/null
-	$(GO) run ./cmd/deltabench -frontier -scale quick
-
-# One-iteration backend arena (EXPERIMENTS.md table E22): every registered
-# backend over the dense workload zoo with verified colorings per cell.
-# Raise -bench-iters and point -bench-out at BENCH_arena.json to
-# regenerate the checked-in artifact.
-bench-arena:
-	$(GO) run ./cmd/deltabench -arena -bench-iters 1 -bench-out BENCH_arena.ci.json
-
-# The dynamic-maintenance benchmark (EXPERIMENTS.md E21): short mutation
-# streams with the per-batch oracle on. Drop -quick and add
-# `-out BENCH_dynamic.json` to regenerate the checked-in artifact.
-bench-dynamic:
-	$(GO) run ./cmd/deltastorm -quick
-
-# The durable-layer benchmark (EXPERIMENTS.md E23): per-batch WAL append
-# overhead under each fsync policy against a bare store on the localized
-# ~1% stream (acceptance bar: fsync=off <= 10%), plus crash-recovery wall
-# time vs replayed log length. Drop -quick and point -out at BENCH_wal.json
-# to regenerate the checked-in artifact.
-bench-wal:
-	$(GO) run ./cmd/deltastorm -wal -quick -out BENCH_wal.ci.json
-
-# The big-graph substrate benchmark (EXPERIMENTS.md table E24): streamed
-# parallel CSR builds, binary-format write, mmap reopen, and deg+1 coloring
-# on the circulant family, plus the clique ring through the full pipeline,
-# all oracle-verified at subsampled n before timing. Quick scale is the CI
-# smoke; run with -scale standard and -bench-out BENCH_scale.json to
-# regenerate the checked-in artifact.
-bench-scale:
-	$(GO) run ./cmd/deltabench -scalebench -scale quick -bench-out BENCH_scale.ci.json
-
-# The sharded-cluster benchmark (EXPERIMENTS.md E25): coordinator ns/op and
-# per-run p50/p99 across shard counts, in-process and over the
-# /v1/shard/rounds HTTP protocol against loopback worker hosts, every run
-# compared bit-for-bit against the single-process oracle. Drop -quick and
-# point -out at BENCH_shard.json to regenerate the checked-in artifact.
-bench-shard:
-	$(GO) run ./cmd/deltastorm -shard -quick -out BENCH_shard.ci.json
 
 # CPU and heap profiles of the deterministic pipeline on a permuted clique
 # ring (BenchmarkEasyRing): where its time and allocations go at large n.
@@ -132,11 +89,10 @@ bench-shard:
 profile-ring:
 	$(GO) test -run '^$$' -bench '^BenchmarkEasyRing$$' -benchmem -benchtime 20x -cpuprofile cpu.out -memprofile mem.out -o core.test ./internal/core/
 
-# The evaluation tables of EXPERIMENTS.md (standard scale, a few minutes),
-# followed by the frontier-occupancy table E19.
+# The evaluation tables of EXPERIMENTS.md (E1-E16, E18 and E19; standard
+# scale, a few minutes).
 report:
 	$(GO) run ./cmd/deltabench -scale standard
-	$(GO) run ./cmd/deltabench -frontier -scale standard
 
 # Adds the paper-exact Δ=126 instances and large-n points (much longer).
 report-full:
@@ -144,11 +100,11 @@ report-full:
 
 # The fault-tolerance experiment (EXPERIMENTS.md table E18).
 report-faults:
-	$(GO) run ./cmd/deltabench -faults -scale standard
+	$(GO) run ./cmd/deltabench -only E18 -scale standard
 
 # The frontier-occupancy experiment (EXPERIMENTS.md table E19).
 report-frontier:
-	$(GO) run ./cmd/deltabench -frontier -scale standard
+	$(GO) run ./cmd/deltabench -only E19 -scale standard
 
 fuzz:
 	$(GO) test -fuzz FuzzNewGraph -fuzztime 30s .
@@ -164,6 +120,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzColorRequest -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzWALPayload -fuzztime 30s ./internal/durable/
+	$(GO) test -fuzz FuzzCheckpointState -fuzztime 30s ./internal/durable/
 
 clean:
 	$(GO) clean ./...

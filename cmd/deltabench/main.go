@@ -1,50 +1,28 @@
-// Command deltabench runs the evaluation suite (experiments E1-E16 of
-// EXPERIMENTS.md) and prints one table per experiment.
+// Command deltabench runs the evaluation suite (experiments E1-E16, E18 and
+// E19 of EXPERIMENTS.md) and prints one table per experiment.
 //
 // Usage:
 //
 //	deltabench [-scale quick|standard|full] [-only E1,E5,...]
-//	deltabench -bench [-bench-iters n] [-bench-out file.json]
-//	deltabench -arena [-bench-iters n] [-bench-out BENCH_arena.json]
-//	deltabench -faults [-scale quick|standard|full]
-//	deltabench -frontier [-scale quick|standard|full]
-//	deltabench -scalebench [-scale quick|standard|full] [-bench-out BENCH_scale.json]
 //	deltabench ... [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // Standard scale finishes in a few minutes; full scale adds the paper-exact
 // Δ=126 instances and large n points and can take considerably longer.
-// -bench skips the experiment tables and instead measures the end-to-end
-// pipelines with -benchmem-style allocation accounting, emitting a JSON
-// report (BENCH_csr.json tracks the before/after snapshot of the CSR
-// refactor; BENCH_faults.json the repair-path overhead; BENCH_frontier.json
-// the frontier-scheduling snapshot). Each workload runs on both engines and
-// the command fails if the frontier and dense round counts diverge.
-// -arena runs the backend arena (EXPERIMENTS.md table E22): every
-// registered backend from internal/backend on the dense workload zoo,
-// recording per-cell timing, round charge, and color count; off-domain
-// refusals are marked skipped. BENCH_arena.json tracks the snapshot.
-// -faults runs E18, the fault-tolerance experiment: a pipeline coloring is
-// damaged by seeded crash-stop + corruption plans at increasing rates and
-// repaired distributedly, measuring blast radius, extra colors, and repair
-// rounds (see EXPERIMENTS.md table E18).
-// -frontier runs E19, the frontier-occupancy experiment: each flagship
+// E18 is the fault-tolerance experiment: a pipeline coloring is damaged by
+// seeded crash-stop + corruption plans at increasing rates and repaired
+// distributedly. E19 is the frontier-occupancy experiment: each flagship
 // workload reports its sparse-round share and skipped vertex evaluations,
-// cross-checked round-for-round against the dense engine (EXPERIMENTS.md
-// table E19, DESIGN.md "Frontier scheduling contract").
-// -scalebench runs the big-graph substrate benchmarks (EXPERIMENTS.md table
-// E24) sized by -scale (quick n=2·10⁵ CI smoke, standard 10⁶, full 10⁷):
-// streamed parallel CSR builds, binary format write, mmap reopen, deg+1
-// greedy coloring on the mapped view, and the clique-ring family through
-// the full deterministic pipeline, reporting ns/edge and peak RSS per
-// phase. Both workload shapes are oracle-verified at subsampled n before
-// any timing. BENCH_scale.json tracks the standard-scale snapshot.
-// -cpuprofile and -memprofile write pprof profiles of whichever mode ran;
-// see CONTRIBUTING.md for the profiling workflow.
+// cross-checked round-for-round against the dense engine, and fails on any
+// divergence (DESIGN.md "Frontier scheduling contract"). -only names the
+// experiments to run; an id that names no experiment is an error.
+// -cpuprofile and -memprofile write pprof profiles of the run; see
+// CONTRIBUTING.md for the profiling workflow.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -54,28 +32,58 @@ import (
 	"deltacoloring/internal/bench"
 )
 
+// runners lists every experiment deltabench can run, in report order.
+var runners = []struct {
+	id string
+	fn func(bench.Scale) (*bench.Table, error)
+}{
+	{"E1", bench.E1}, {"E2", bench.E2}, {"E3", bench.E3}, {"E4", bench.E4},
+	{"E5", bench.E5}, {"E6", bench.E6}, {"E7", bench.E7}, {"E8", bench.E8},
+	{"E9", bench.E9}, {"E10", bench.E10}, {"E11", bench.E11}, {"E12", bench.E12},
+	{"E13", bench.EDelta63}, {"E14", bench.LogStarDemo}, {"E15", bench.E15},
+	{"E16", bench.E16}, {"E18", bench.E18}, {"E19", bench.E19},
+}
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "deltabench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("deltabench", flag.ContinueOnError)
 	scaleFlag := fs.String("scale", "standard", "experiment scale: quick, standard, or full")
-	onlyFlag := fs.String("only", "", "comma-separated experiment ids to run (e.g. E1,E5); empty = all")
-	benchFlag := fs.Bool("bench", false, "run the allocation benchmarks instead of the experiment tables")
-	arenaFlag := fs.Bool("arena", false, "run every registered backend over the workload zoo and emit BENCH_arena.json")
-	faultsFlag := fs.Bool("faults", false, "run the fault-tolerance experiment (E18) instead of the experiment tables")
-	frontierFlag := fs.Bool("frontier", false, "run the frontier-occupancy experiment (E19) instead of the experiment tables")
-	scaleBenchFlag := fs.Bool("scalebench", false, "run the big-graph substrate benchmarks (E24) sized by -scale and emit BENCH_scale.json")
-	benchIters := fs.Int("bench-iters", 5, "iterations per benchmark in -bench mode (1 for a smoke run)")
-	benchOut := fs.String("bench-out", "", "write the -bench JSON report to this file (default stdout)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
+	onlyFlag := fs.String("only", "", "comma-separated experiment ids to run (e.g. E1,E5,E19); empty = all")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (after the run) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var scale bench.Scale
+	switch *scaleFlag {
+	case "quick":
+		scale = bench.Quick
+	case "standard":
+		scale = bench.Standard
+	case "full":
+		scale = bench.Full
+	default:
+		return fmt.Errorf("unknown scale %q", *scaleFlag)
+	}
+	only := map[string]bool{}
+	if *onlyFlag != "" {
+		known := map[string]bool{}
+		for _, r := range runners {
+			known[r.id] = true
+		}
+		for _, id := range strings.Split(*onlyFlag, ",") {
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if !known[id] {
+				return fmt.Errorf("unknown experiment %q in -only", id)
+			}
+			only[id] = true
+		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -101,79 +109,7 @@ func run(args []string) error {
 			f.Close()
 		}()
 	}
-	var scale bench.Scale
-	switch *scaleFlag {
-	case "quick":
-		scale = bench.Quick
-	case "standard":
-		scale = bench.Standard
-	case "full":
-		scale = bench.Full
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleFlag)
-	}
-	if *benchFlag || *arenaFlag || *scaleBenchFlag {
-		if *benchIters < 1 {
-			return fmt.Errorf("bench-iters must be at least 1")
-		}
-		out := os.Stdout
-		if *benchOut != "" {
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			out = f
-		}
-		if *scaleBenchFlag {
-			return runScale(out, scale)
-		}
-		if *arenaFlag {
-			return runArena(out, *benchIters)
-		}
-		return runBench(out, *benchIters)
-	}
-	if *faultsFlag {
-		start := time.Now()
-		tab, err := bench.E18(scale)
-		if err != nil {
-			return fmt.Errorf("E18: %w", err)
-		}
-		if _, err := tab.WriteTo(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("(E18 finished in %v)\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	if *frontierFlag {
-		start := time.Now()
-		tab, err := bench.E19(scale)
-		if err != nil {
-			return fmt.Errorf("E19: %w", err)
-		}
-		if _, err := tab.WriteTo(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("(E19 finished in %v)\n", time.Since(start).Round(time.Millisecond))
-		return nil
-	}
-	only := map[string]bool{}
-	if *onlyFlag != "" {
-		for _, id := range strings.Split(*onlyFlag, ",") {
-			only[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
 
-	runners := []struct {
-		id string
-		fn func(bench.Scale) (*bench.Table, error)
-	}{
-		{"E1", bench.E1}, {"E2", bench.E2}, {"E3", bench.E3}, {"E4", bench.E4},
-		{"E5", bench.E5}, {"E6", bench.E6}, {"E7", bench.E7}, {"E8", bench.E8},
-		{"E9", bench.E9}, {"E10", bench.E10}, {"E11", bench.E11}, {"E12", bench.E12},
-		{"E13", bench.EDelta63}, {"E14", bench.LogStarDemo}, {"E15", bench.E15},
-		{"E16", bench.E16},
-	}
 	for _, r := range runners {
 		if len(only) > 0 && !only[r.id] {
 			continue
@@ -183,10 +119,10 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.id, err)
 		}
-		if _, err := tab.WriteTo(os.Stdout); err != nil {
+		if _, err := tab.WriteTo(w); err != nil {
 			return err
 		}
-		fmt.Printf("(%s finished in %v)\n\n", r.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "(%s finished in %v)\n\n", r.id, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

@@ -125,10 +125,6 @@ type RunOptions struct {
 	// Workers sets the Exchange worker count (0 keeps the default of 1;
 	// negative picks GOMAXPROCS-style automatic parallelism).
 	Workers int
-	// DisableFrontier forces every state-engine round onto the dense path,
-	// disabling frontier scheduling. Results are bit-identical either way;
-	// this exists for benchmarking and cross-checking.
-	DisableFrontier bool
 }
 
 // Deterministic runs Theorem 1's algorithm with the given parameters.
@@ -170,11 +166,7 @@ func backendOpts(opts *RunOptions) *backend.RunOptions {
 	if opts == nil {
 		return nil
 	}
-	return &backend.RunOptions{
-		SpanHook:        opts.SpanHook,
-		Workers:         opts.Workers,
-		DisableFrontier: opts.DisableFrontier,
-	}
+	return &backend.RunOptions{SpanHook: opts.SpanHook, Workers: opts.Workers}
 }
 
 // fromBackend converts a backend result to the public shape.
@@ -207,20 +199,14 @@ type CheckReport struct {
 	Phases []string
 }
 
-// RunChecked is Deterministic with the conformance harness attached: every
-// pipeline phase checkpoints its intermediate state (ACD, classification,
-// matching, hypergraph grab, split, triads, partial colorings) and the
-// registered invariant checkers validate it mid-run. The final coloring is
-// additionally cross-checked against the independent sequential oracle. A
-// violation aborts the run with an *invariant.Violation naming the phase and
-// the invariant. Checked runs are bit-identical to unchecked ones — the
-// harness only observes.
-func RunChecked(g *Graph, p Params) (*Result, *CheckReport, error) {
-	return RunCheckedContext(context.Background(), g, p, nil)
-}
-
-// RunCheckedContext is RunChecked with cancellation and run options; see
-// DeterministicContext for the contract.
+// RunCheckedContext is DeterministicContext with the conformance harness
+// attached: every pipeline phase checkpoints its intermediate state (ACD,
+// classification, matching, hypergraph grab, split, triads, partial
+// colorings) and the registered invariant checkers validate it mid-run. The
+// final coloring is additionally cross-checked against the independent
+// sequential oracle. A violation aborts the run with an *invariant.Violation
+// naming the phase and the invariant. Checked runs are bit-identical to
+// unchecked ones — the harness only observes.
 func RunCheckedContext(ctx context.Context, g *Graph, p Params, opts *RunOptions) (*Result, *CheckReport, error) {
 	h := invariant.NewHarness(g)
 	res, err := backend.Default().Color(ctx, g, backend.Params{Det: p}, withHarness(opts, h))
@@ -230,14 +216,8 @@ func RunCheckedContext(ctx context.Context, g *Graph, p Params, opts *RunOptions
 	return checkReport(g, h, fromBackend(res))
 }
 
-// RunCheckedRandomized is Randomized with the conformance harness attached;
-// see RunChecked for the contract.
-func RunCheckedRandomized(g *Graph, p RandomizedParams, seed int64) (*RandomizedResult, *CheckReport, error) {
-	return RunCheckedRandomizedContext(context.Background(), g, p, seed, nil)
-}
-
-// RunCheckedRandomizedContext is RunCheckedRandomized with cancellation and
-// run options; see DeterministicContext for the contract.
+// RunCheckedRandomizedContext is RandomizedContext with the conformance
+// harness attached; see RunCheckedContext for the contract.
 func RunCheckedRandomizedContext(ctx context.Context, g *Graph, p RandomizedParams, seed int64, opts *RunOptions) (*RandomizedResult, *CheckReport, error) {
 	h := invariant.NewHarness(g)
 	bres, err := mustBackend("rand").Color(ctx, g, backend.Params{Rand: p, Seed: seed}, withHarness(opts, h))

@@ -84,7 +84,7 @@ func TestE11BaselineStuck(t *testing.T) {
 }
 
 // E18 stays out of All() (the paper-mirroring E1–E16 suite) and is driven by
-// `deltabench -faults`; it must still produce a well-formed table at every
+// `deltabench -only E18`; it must still produce a well-formed table at every
 // scale the tests exercise.
 func TestE18Quick(t *testing.T) {
 	tab, err := E18(Quick)
@@ -119,7 +119,7 @@ func TestE18Quick(t *testing.T) {
 	}
 }
 
-// E19, like E18, stays out of All() and is driven by `deltabench -frontier`.
+// E19, like E18, stays out of All() and is driven by `deltabench -only E19`.
 // Running it IS the frontier/dense cross-check — E19 returns an error on any
 // round-count divergence — so this test doubles as a result-preservation
 // gate. The occupancy assertion is deliberately loose: class sweeps dominate

@@ -23,10 +23,10 @@ type frontierWorkload struct {
 // E19 — frontier occupancy: for each flagship workload, how many state-engine
 // rounds ran on the sparse (frontier-scheduled) path and how many vertex
 // evaluations the frontier skipped. Every workload is executed twice, once
-// per engine, and E19 fails if the round counts diverge — the same
-// result-preservation cross-check `make bench-smoke` and CI run. E19 backs
-// DESIGN.md's "Frontier scheduling contract" section; it is run by
-// `deltabench -frontier` and, like E18, kept out of the default E1–E16 sweep.
+// per engine, and E19 fails if the round counts diverge — the
+// result-preservation cross-check CI runs. E19 backs DESIGN.md's "Frontier
+// scheduling contract" section; it is run by `deltabench -only E19` and,
+// like E18, kept out of All().
 func E19(s Scale) (*Table, error) {
 	t := &Table{
 		ID:     "E19",

@@ -146,6 +146,22 @@ func TestGreedyComplete(t *testing.T) {
 	if err := GreedyComplete(g, c2, 4); err == nil {
 		t.Fatal("greedy on K5 with 4 colors should fail")
 	}
+	// The deg+1 sweep on a streamed 8-regular circulant completes within
+	// its palette; a palette too small fails loudly rather than wrapping.
+	circ, err := graph.Circulant(2048, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c3 := NewPartial(circ.N())
+	if err := GreedyComplete(circ, c3, 9); err != nil {
+		t.Fatalf("greedy on the circulant with deg+1 colors: %v", err)
+	}
+	if err := VerifyComplete(circ, c3, 9); err != nil {
+		t.Fatalf("greedy produced invalid coloring on the circulant: %v", err)
+	}
+	if err := GreedyComplete(circ, NewPartial(circ.N()), 2); err == nil {
+		t.Fatal("greedy on the circulant with 2 colors should fail")
+	}
 }
 
 // Property: greedy with Δ+1 colors always completes and is proper.

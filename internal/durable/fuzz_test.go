@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"deltacoloring/internal/dynamic"
+	"deltacoloring/internal/graph"
 )
 
 // FuzzWALPayload feeds arbitrary bytes to the payload decoder recovery runs
@@ -36,6 +39,67 @@ func FuzzWALPayload(f *testing.F) {
 		v2, b2, err := decodePayload(rec[walRecordHeader:])
 		if err != nil || v2 != version || !reflect.DeepEqual(b2, batch) {
 			t.Fatalf("round trip: version %d→%d, batch %v→%v, err %v", version, v2, batch, b2, err)
+		}
+	})
+}
+
+// FuzzCheckpointState feeds arbitrary bytes to the snapshot decoder recovery
+// runs on every checksummed checkpoint body. Every input must yield an error
+// or a state, never a panic; a decoded state must have the shape
+// dynamic.NewFromState checks (one color and one removed flag per vertex,
+// last-good colors matching its graph) and must re-encode to a fixed point.
+func FuzzCheckpointState(f *testing.F) {
+	live, err := dynamic.New(graph.ErdosRenyi(12, 0.3, rand.New(rand.NewSource(5))), dynamic.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 3; i++ {
+		if _, err := live.Apply(flipBatch(rng, live)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	healthy := live.State()
+	// An unhealthy image carries its last-good snapshot explicitly.
+	unhealthy := healthy
+	unhealthy.Healthy = false
+	unhealthy.Version++
+	unhealthy.G = graph.Path(4)
+	unhealthy.Colors, unhealthy.Removed = []int{0, 1, 0, 1}, make([]bool, 4)
+	for _, st := range []dynamic.State{healthy, unhealthy} {
+		var body bytes.Buffer
+		if err := encodeState(&body, st); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, err := decodeState(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if n := st.G.N(); len(st.Colors) != n || len(st.Removed) != n {
+			t.Fatalf("shape: n=%d, %d colors, %d removed flags", n, len(st.Colors), len(st.Removed))
+		}
+		if lg := st.LastGood; lg != nil && len(lg.Colors) != lg.G.N() {
+			t.Fatalf("last-good shape: n=%d, %d colors", lg.G.N(), len(lg.Colors))
+		}
+		// Varints may arrive non-minimal and a current-version last-good is
+		// elided on write, so the first re-encoding need not equal body; the
+		// second must equal the first.
+		var once, twice bytes.Buffer
+		if err := encodeState(&once, st); err != nil {
+			t.Fatalf("decoded state does not encode: %v", err)
+		}
+		st2, err := decodeState(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded state does not decode: %v", err)
+		}
+		if err := encodeState(&twice, st2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
 }
