@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke profile-ring report report-full report-faults report-frontier fuzz clean
+.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke profile-ring report report-full report-faults report-frontier fuzz loc clean
 
 # `check` is the default CI path: gofmt + vet + the full test suite under -race.
 all: build check
@@ -121,6 +121,15 @@ fuzz:
 	$(GO) test -fuzz FuzzColorRequest -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzWALPayload -fuzztime 30s ./internal/durable/
 	$(GO) test -fuzz FuzzCheckpointState -fuzztime 30s ./internal/durable/
+
+# Non-test Go lines of the working tree against BASE (a commit, branch or
+# tag): added, deleted and net lines over *.go files, _test.go excluded.
+# CHANGES.md reports this number for every change (ROADMAP aim 2). New
+# files count once git tracks them (`git add -N` is enough).
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' | \
+		awk '{ a += $$1; d += $$2 } END { printf "non-test Go lines vs $(BASE): +%d -%d, net %d\n", a, d, a - d }'
 
 clean:
 	$(GO) clean ./...

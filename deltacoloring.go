@@ -191,13 +191,9 @@ func mustBackend(name string) backend.Backend {
 
 // CheckReport summarizes the invariant validation of a checked run: which
 // pipeline phases published intermediate state and how many conformance
-// checkers fired on it. See DESIGN.md §10 for the checker catalogue.
-type CheckReport struct {
-	// Checks is the total number of checker firings across the run.
-	Checks int
-	// Phases lists the distinct phase tags validated, sorted.
-	Phases []string
-}
+// checkers fired on it, the closing oracle pass counted as one more check.
+// See DESIGN.md §10 for the checker catalogue.
+type CheckReport = invariant.Report
 
 // RunCheckedContext is DeterministicContext with the conformance harness
 // attached: every pipeline phase checkpoints its intermediate state (ACD,
@@ -213,7 +209,11 @@ func RunCheckedContext(ctx context.Context, g *Graph, p Params, opts *RunOptions
 	if err != nil {
 		return nil, nil, err
 	}
-	return checkReport(g, h, fromBackend(res))
+	rep, err := h.Oracle(res.Colors, g.MaxDegree())
+	if err != nil {
+		return nil, nil, fmt.Errorf("deltacoloring: %w", err)
+	}
+	return fromBackend(res), rep, nil
 }
 
 // RunCheckedRandomizedContext is RandomizedContext with the conformance
@@ -224,11 +224,11 @@ func RunCheckedRandomizedContext(ctx context.Context, g *Graph, p RandomizedPara
 	if err != nil {
 		return nil, nil, err
 	}
-	res, rep, err := checkReport(g, h, fromBackend(bres))
+	rep, err := h.Oracle(bres.Colors, g.MaxDegree())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("deltacoloring: %w", err)
 	}
-	return &RandomizedResult{Result: *res, Rand: *bres.Rand}, rep, nil
+	return &RandomizedResult{Result: *fromBackend(bres), Rand: *bres.Rand}, rep, nil
 }
 
 // withHarness wires the conformance harness into a run's network hook.
@@ -239,18 +239,6 @@ func withHarness(opts *RunOptions, h *invariant.Harness) *backend.RunOptions {
 	}
 	bo.NetHook = h.Attach
 	return bo
-}
-
-// checkReport cross-checks the final coloring against the sequential oracle
-// (independent of every distributed verifier) and folds the oracle pass into
-// the report as one extra check. An oracle rejection means a verifier bug
-// slipped through and fails the run.
-func checkReport(g *Graph, h *invariant.Harness, res *Result) (*Result, *CheckReport, error) {
-	if err := invariant.ReferenceComplete(g, res.Colors, g.MaxDegree()); err != nil {
-		return nil, nil, fmt.Errorf("deltacoloring: differential oracle rejected the final coloring: %w", err)
-	}
-	rep := &CheckReport{Checks: h.Checks() + 1, Phases: append(h.Phases(), "oracle")}
-	return res, rep, nil
 }
 
 // Verify checks that colors is a complete proper coloring of g with colors

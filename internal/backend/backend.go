@@ -163,9 +163,7 @@ func Default() Backend {
 // goes through it.
 func NewNetwork(ctx context.Context, g *graph.Graph, opts *RunOptions) *local.Network {
 	net := local.New(g)
-	if ctx != nil && ctx.Done() != nil {
-		net.SetInterrupt(func() error { return ctx.Err() })
-	}
+	net.InterruptOn(ctx)
 	if opts != nil {
 		if opts.SpanHook != nil {
 			net.SetSpanHook(opts.SpanHook)
@@ -183,24 +181,12 @@ func NewNetwork(ctx context.Context, g *graph.Graph, opts *RunOptions) *local.Ne
 	return net
 }
 
-// RecoverInterrupt converts the local.Interrupt panic raised by a cancelled
-// context back into an ordinary error return; any other panic propagates.
-func RecoverInterrupt(err *error) {
-	if r := recover(); r != nil {
-		ip, ok := r.(local.Interrupt)
-		if !ok {
-			panic(r)
-		}
-		*err = ip.Err
-	}
-}
-
 // Exec runs fn on a freshly configured network for g, closing it on the
 // way out and translating interrupt panics into errors. It is the shared
 // context/panic-recovery boilerplate of every run entry point.
 func Exec(ctx context.Context, g *graph.Graph, opts *RunOptions, fn func(*local.Network) error) (err error) {
 	net := NewNetwork(ctx, g, opts)
 	defer net.Close()
-	defer RecoverInterrupt(&err)
+	defer local.RecoverInterrupt(&err)
 	return fn(net)
 }

@@ -103,51 +103,36 @@ func TestSelectZeroParams(t *testing.T) {
 	}
 }
 
-func TestRaceWinnerMatchesSolo(t *testing.T) {
+// TestFrontierMatchesSpans holds every backend to one accounting: the
+// engine rounds a run reports equal the sum over its phase spans. The five
+// backends that accept the graph are pinned by name and engine rounds; any
+// other backend must refuse it.
+func TestFrontierMatchesSpans(t *testing.T) {
 	g, _ := graph.HardCliqueBipartite(16, 16)
-	p := Params{Det: core.TestParams()}
-	det, rul := mustGet("det"), mustGet("ruling")
-	res, err := Race(nil, g, p, nil, det, rul)
-	if err != nil {
-		t.Fatalf("Race: %v", err)
-	}
-	if res.Winner != "det" && res.Winner != "ruling" {
-		t.Fatalf("unexpected winner %q", res.Winner)
-	}
-	if res.Loser == res.Winner || res.Loser == "" {
-		t.Fatalf("bad loser %q for winner %q", res.Loser, res.Winner)
-	}
-	solo, err := mustGet(res.Winner).Color(nil, g, p, nil)
-	if err != nil {
-		t.Fatalf("solo %s: %v", res.Winner, err)
-	}
-	for v, c := range res.Colors {
-		if c != solo.Colors[v] {
-			t.Fatalf("race winner %s diverged from solo run at vertex %d: %d != %d", res.Winner, v, c, solo.Colors[v])
+	p := Params{Det: core.TestParams(), Rand: core.TestRandomizedParams(), Seed: 1}
+	want := map[string]int{"det": 135, "rand": 271, "ruling": 158, "simple": 133, "greedy": 17}
+	for _, name := range Names() {
+		res, err := mustGet(name).Color(nil, g, p, nil)
+		rounds, accepts := want[name]
+		if !accepts {
+			if err == nil {
+				t.Errorf("%s: accepted the graph; add it to the table", name)
+			}
+			continue
 		}
-	}
-}
-
-func TestRaceSameBackend(t *testing.T) {
-	g, _ := graph.EasyCliqueRing(8, 16)
-	det := mustGet("det")
-	res, err := Race(nil, g, Params{Det: core.TestParams()}, nil, det, det)
-	if err != nil {
-		t.Fatalf("Race: %v", err)
-	}
-	if res.Winner != "det" || res.Loser != "" {
-		t.Fatalf("same-backend race: winner %q loser %q", res.Winner, res.Loser)
-	}
-}
-
-func TestRaceBothFail(t *testing.T) {
-	// A sparse graph is rejected by every dense-only pipeline.
-	g := graph.Cycle(32)
-	_, err := Race(nil, g, Params{Det: core.TestParams()}, nil, mustGet("simple"), mustGet("ruling"))
-	if err == nil {
-		t.Fatal("race of two failing backends succeeded")
-	}
-	if !strings.Contains(err.Error(), "both failed") {
-		t.Fatalf("unexpected race error: %v", err)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if res.Frontier.EngineRounds != rounds {
+			t.Errorf("%s: Frontier.EngineRounds = %d, want %d", name, res.Frontier.EngineRounds, rounds)
+		}
+		spans := 0
+		for _, sp := range res.Spans {
+			spans += sp.EngineRounds
+		}
+		if res.Frontier.EngineRounds != spans {
+			t.Errorf("%s: Frontier.EngineRounds = %d, spans sum to %d", name, res.Frontier.EngineRounds, spans)
+		}
 	}
 }

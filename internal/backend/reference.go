@@ -7,15 +7,16 @@ import (
 	"deltacoloring/internal/core"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/local"
+	"deltacoloring/internal/shard"
 )
 
-// pipelineBackend adapts one internal/core pipeline to the Backend
-// interface: all four registered backends share the network lifecycle in
-// Exec and differ only in the core entry point they call.
+// pipelineBackend adapts one pipeline to the Backend interface: every
+// registered backend shares the network lifecycle in Exec and differs only
+// in the entry point it calls.
 type pipelineBackend struct {
 	name string
 	caps Caps
-	run  func(net *local.Network, p Params) (*core.Result, *core.RandStats, error)
+	run  func(net *local.Network, p Params) (*Result, error)
 }
 
 func (b *pipelineBackend) Name() string { return b.name }
@@ -23,25 +24,29 @@ func (b *pipelineBackend) Caps() Caps   { return b.caps }
 
 func (b *pipelineBackend) Color(ctx context.Context, g *graph.Graph, p Params, opts *RunOptions) (*Result, error) {
 	var res *Result
-	err := Exec(ctx, g, opts, func(net *local.Network) error {
-		cres, rstats, rerr := b.run(net, p)
-		if rerr != nil {
-			return rerr
-		}
-		res = &Result{
-			Colors:   cres.Coloring.Colors,
-			Rounds:   cres.Rounds,
-			Spans:    cres.Spans,
-			Frontier: cres.Frontier,
-			Stats:    cres.Stats,
-			Rand:     rstats,
-		}
-		return nil
+	err := Exec(ctx, g, opts, func(net *local.Network) (err error) {
+		res, err = b.run(net, p)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// fromCore lifts a core pipeline's outcome into a backend Result.
+func fromCore(res *core.Result, rs *core.RandStats, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Colors:   res.Coloring.Colors,
+		Rounds:   res.Rounds,
+		Spans:    res.Spans,
+		Frontier: res.Frontier,
+		Stats:    res.Stats,
+		Rand:     rs,
+	}, nil
 }
 
 func init() {
@@ -50,22 +55,22 @@ func init() {
 	Register(&pipelineBackend{
 		name: "det",
 		caps: Caps{Checkpoints: true, Frontier: true, Faults: true},
-		run: func(net *local.Network, p Params) (*core.Result, *core.RandStats, error) {
+		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorDeterministic(net, p.Det)
-			return res, nil, err
+			return fromCore(res, nil, err)
 		},
 	})
 	// rand: Theorem 2's shattering-based pipeline (Algorithm 4).
 	Register(&pipelineBackend{
 		name: "rand",
 		caps: Caps{Checkpoints: true, Frontier: true, Faults: true, Randomized: true},
-		run: func(net *local.Network, p Params) (*core.Result, *core.RandStats, error) {
+		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorRandomized(net, p.Rand, rand.New(rand.NewSource(p.Seed)))
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			rs := res.Rand
-			return &res.Result, &rs, nil
+			return fromCore(&res.Result, &rs, nil)
 		},
 	})
 	// simple: the Section 1.1 sketch for extremely dense graphs (every
@@ -73,9 +78,9 @@ func init() {
 	Register(&pipelineBackend{
 		name: "simple",
 		caps: Caps{Checkpoints: true, Frontier: true},
-		run: func(net *local.Network, p Params) (*core.Result, *core.RandStats, error) {
+		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorSimpleDense(net, p.Det)
-			return res, nil, err
+			return fromCore(res, nil, err)
 		},
 	})
 	// ruling: the ruling-subgraph route (arXiv 2503.04320): triad selection
@@ -84,9 +89,26 @@ func init() {
 	Register(&pipelineBackend{
 		name: "ruling",
 		caps: Caps{Checkpoints: true, Frontier: true},
-		run: func(net *local.Network, p Params) (*core.Result, *core.RandStats, error) {
+		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorRuling(net, p.Det)
-			return res, nil, err
+			return fromCore(res, nil, err)
+		},
+	})
+	// greedy: the sharded subsystem's wire algorithm, greedy deg+1 coloring
+	// with ID-local-max symmetry breaking. It is the one backend whose runs
+	// shard across processes bit-identically (see internal/shard and
+	// DESIGN.md §15), and the oracle the sharded conformance suite compares
+	// clusters against. Unlike the paper pipelines it uses Δ+1 colors,
+	// declared via Caps.PaletteSlack.
+	Register(&pipelineBackend{
+		name: "greedy",
+		caps: Caps{Checkpoints: true, Frontier: true, PaletteSlack: 1},
+		run: func(net *local.Network, _ Params) (*Result, error) {
+			colors, rounds, err := shard.SolveSingle(net)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Colors: colors, Rounds: rounds, Spans: net.Spans(), Frontier: net.FrontierStats()}, nil
 		},
 	})
 }

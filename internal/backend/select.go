@@ -1,9 +1,6 @@
 package backend
 
 import (
-	"context"
-	"fmt"
-
 	"deltacoloring/internal/acd"
 	"deltacoloring/internal/core"
 	"deltacoloring/internal/graph"
@@ -69,63 +66,4 @@ func mustGet(name string) Backend {
 		panic(err) // registered in this package's init
 	}
 	return b
-}
-
-// RaceResult is the outcome of a Race: the winner's result plus who won.
-type RaceResult struct {
-	*Result
-	// Winner is the backend whose result is reported.
-	Winner string
-	// Loser is the cancelled (or failed) contender, empty if the
-	// contenders were the same backend.
-	Loser string
-}
-
-// Race runs two backends concurrently under one context and cancels the
-// loser: the first successful result wins and the other run is aborted at
-// its next LOCAL round boundary. If the first finisher failed, the second
-// is awaited; if both fail, both errors are reported. Hooks in opts
-// (SpanHook, NetHook) observe both contenders concurrently and must be
-// safe for that — do not attach a conformance harness to a race.
-func Race(ctx context.Context, g *graph.Graph, p Params, opts *RunOptions, b1, b2 Backend) (*RaceResult, error) {
-	if b1.Name() == b2.Name() {
-		res, err := b1.Color(ctx, g, p, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &RaceResult{Result: res, Winner: b1.Name()}, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		name string
-		res  *Result
-		err  error
-	}
-	ch := make(chan outcome, 2)
-	for _, b := range []Backend{b1, b2} {
-		go func(b Backend) {
-			res, err := b.Color(rctx, g, p, opts)
-			ch <- outcome{name: b.Name(), res: res, err: err}
-		}(b)
-	}
-	first := <-ch
-	if first.err == nil {
-		cancel()
-		<-ch // join the loser so no goroutine outlives the call
-		loser := b1.Name()
-		if first.name == loser {
-			loser = b2.Name()
-		}
-		return &RaceResult{Result: first.res, Winner: first.name, Loser: loser}, nil
-	}
-	second := <-ch
-	if second.err == nil {
-		return &RaceResult{Result: second.res, Winner: second.name, Loser: first.name}, nil
-	}
-	return nil, fmt.Errorf("backend: race %s vs %s: both failed: %v; %v",
-		b1.Name(), b2.Name(), first.err, second.err)
 }

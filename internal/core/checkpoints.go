@@ -20,13 +20,13 @@ import (
 // small allocation per phase per run.
 
 // CkptACD is the almost-clique decomposition of Algorithm 1 line 1
-// (phases alg1/acd, alg4/acd, simple/acd). Invariant: acd.(*ACD).Verify.
+// (phase <prefix>/acd of every driver). Invariant: acd.(*ACD).Verify.
 type CkptACD struct {
 	A *acd.ACD
 }
 
 // CkptClassification is the hard/easy clique classification with loophole
-// witnesses (phases alg1/classify, alg4/classify, simple/classify).
+// witnesses (phase <prefix>/classify of every driver).
 // Invariant: loophole.VerifyHard (Lemma 9).
 type CkptClassification struct {
 	A  *acd.ACD

@@ -56,6 +56,13 @@ type Result struct {
 // verified during the run; violations surface as errors rather than bad
 // colorings.
 func ColorDeterministic(net *local.Network, p Params) (*Result, error) {
+	return colorAlgorithm1(net, p, "alg1", (*hardPipeline).selectTriadsByHEG)
+}
+
+// colorAlgorithm1 runs Algorithm 1 with a pluggable triad selection for
+// Algorithm 2. The deterministic driver and the ruling-subgraph route
+// differ only in that step and in the prefix of their front-half spans.
+func colorAlgorithm1(net *local.Network, p Params, prefix string, selectTriads func(*hardPipeline) error) (*Result, error) {
 	g := net.Graph()
 	delta := g.MaxDegree()
 	if err := p.Validate(delta); err != nil {
@@ -73,51 +80,15 @@ func ColorDeterministic(net *local.Network, p Params) (*Result, error) {
 		return nil, fmt.Errorf("core: Δ = 0 graph has no colors to assign")
 	}
 
-	// Algorithm 1, line 1: the ACD.
-	doneACD := net.Phase("alg1/acd")
-	a, err := acd.Compute(net, p.Eps)
-	if err == nil {
-		err = net.Checkpoint("alg1/acd", &CkptACD{A: a})
-	}
-	doneACD()
-	if err != nil {
-		return nil, err
-	}
-	if !a.IsDense() {
-		return nil, fmt.Errorf("%w: %d sparse vertices", ErrNotDense, a.SparseCount())
-	}
-	res.Stats.NumCliques = len(a.Cliques)
-
-	// Brooks exception: a (Δ+1)-clique admits no Δ-coloring.
-	for _, members := range a.Cliques {
-		if len(members) == delta+1 && g.IsClique(members) {
-			return nil, ErrBrooks
-		}
-	}
-
-	// Hard/easy classification (Definition 8) with the Lemma 9 safety net.
-	doneCl := net.Phase("alg1/classify")
-	cl := loophole.Classify(g, a)
-	err = loophole.VerifyHard(g, a, cl)
-	if err == nil {
-		err = net.Checkpoint("alg1/classify", &CkptClassification{A: a, Cl: cl})
-	}
-	net.Charge(3) // loophole detection inspects radius-3 balls
-	doneCl()
+	// Algorithm 1, line 1: the ACD and the hard/easy classification.
+	a, cl, err := decompose(net, p.Eps, prefix, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
 
 	// Algorithm 1, line 2: color hard cliques (Algorithm 2).
-	spec := instanceSpec{
-		hardLike: make([]bool, len(a.Cliques)),
-		witness:  cl.Witness,
-	}
-	for ci := range a.Cliques {
-		spec.hardLike[ci] = !cl.Easy[ci]
-	}
-	hp := newHardPipeline(net, a, spec, p, res.Coloring, &res.Stats)
-	if err := hp.run(); err != nil {
+	hp := newHardPipeline(net, a, wholeGraphSpec(a, cl), p, res.Coloring, &res.Stats)
+	if err := hp.run(selectTriads); err != nil {
 		return nil, err
 	}
 
@@ -126,17 +97,79 @@ func ColorDeterministic(net *local.Network, p Params) (*Result, error) {
 	if err := ec.run(); err != nil {
 		return nil, err
 	}
-
-	if err := coloring.VerifyComplete(g, res.Coloring, delta); err != nil {
-		return nil, fmt.Errorf("core: final verification: %w", err)
-	}
-	if err := net.Checkpoint("final", &CkptColoring{C: res.Coloring, NumColors: delta, Complete: true}); err != nil {
+	if err := finish(net, res); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// decompose is the front half every driver shares. It computes the ACD
+// (Algorithm 1, line 1), rejects sparse inputs and Brooks exceptions, and
+// classifies the almost cliques hard or easy (Definition 8) behind the
+// Lemma 9 safety net. The two steps run under the spans and checkpoints
+// prefix/acd and prefix/classify.
+func decompose(net *local.Network, eps float64, prefix string, st *Stats) (*acd.ACD, *loophole.Classification, error) {
+	g := net.Graph()
+	doneACD := net.Phase(prefix + "/acd")
+	a, err := acd.Compute(net, eps)
+	if err == nil {
+		err = net.Checkpoint(prefix+"/acd", &CkptACD{A: a})
+	}
+	doneACD()
+	if err != nil {
+		return nil, nil, err
+	}
+	if !a.IsDense() {
+		return nil, nil, fmt.Errorf("%w: %d sparse vertices", ErrNotDense, a.SparseCount())
+	}
+	st.NumCliques = len(a.Cliques)
+
+	// Brooks exception: a (Δ+1)-clique admits no Δ-coloring.
+	for _, members := range a.Cliques {
+		if len(members) == g.MaxDegree()+1 && g.IsClique(members) {
+			return nil, nil, ErrBrooks
+		}
+	}
+
+	doneCl := net.Phase(prefix + "/classify")
+	cl := loophole.Classify(g, a)
+	err = loophole.VerifyHard(g, a, cl)
+	if err == nil {
+		err = net.Checkpoint(prefix+"/classify", &CkptClassification{A: a, Cl: cl})
+	}
+	net.Charge(3) // loophole detection inspects radius-3 balls
+	doneCl()
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, cl, nil
+}
+
+// wholeGraphSpec is the instance of the whole classified graph: the hard
+// cliques go to Algorithm 2, the easy ones to Algorithm 3 with their
+// loophole witnesses.
+func wholeGraphSpec(a *acd.ACD, cl *loophole.Classification) instanceSpec {
+	spec := instanceSpec{hardLike: make([]bool, len(a.Cliques)), witness: cl.Witness}
+	for ci := range a.Cliques {
+		spec.hardLike[ci] = !cl.Easy[ci]
+	}
+	return spec
+}
+
+// finish is the epilogue every driver shares: it verifies the complete
+// Δ-coloring, publishes the "final" checkpoint, and records the run's
+// rounds, spans and frontier accounting in res.
+func finish(net *local.Network, res *Result) error {
+	if err := coloring.VerifyComplete(net.Graph(), res.Coloring, res.Stats.Delta); err != nil {
+		return fmt.Errorf("core: final verification: %w", err)
+	}
+	if err := net.Checkpoint("final", &CkptColoring{C: res.Coloring, NumColors: res.Stats.Delta, Complete: true}); err != nil {
+		return err
 	}
 	res.Rounds = net.Rounds()
 	res.Spans = net.Spans()
 	res.Frontier = net.FrontierStats()
-	return res, nil
+	return nil
 }
 
 // TestParams returns a scaled-down parameterization for graphs with

@@ -739,34 +739,38 @@ func (hp *hardPipeline) fillLists(inst *listcolor.Instance) {
 	}
 }
 
-// run executes all phases of Algorithm 2.
-func (hp *hardPipeline) run() error {
+// run executes Algorithm 2 on the instance's hard cliques: selectTriads
+// produces the F3 candidates (phases 1-2, or a substitute route), then
+// the triads, pair coloring and anchored list coloring of phases 3-4B
+// follow.
+func (hp *hardPipeline) run(selectTriads func(*hardPipeline) error) error {
 	hp.stats.HardCliques = count(hp.hard)
 	hp.stats.EasyCliques = len(hp.hard) - hp.stats.HardCliques
 	if hp.stats.HardCliques == 0 {
 		return nil
 	}
+	phases := []func(*hardPipeline) error{selectTriads,
+		(*hardPipeline).phase3Triads, (*hardPipeline).phase4APairs, (*hardPipeline).phase4BRest}
+	for _, phase := range phases {
+		if err := phase(hp); err != nil {
+			return err
+		}
+	}
+	hp.stats.TypeI = count(hp.typeI)
+	hp.stats.TypeII = hp.stats.HardCliques - hp.stats.TypeI
+	return nil
+}
+
+// selectTriadsByHEG is Algorithm 2's own triad selection: the maximal
+// matching F1, hyperedge grabbing into F2, and the sparsification to F3.
+func (hp *hardPipeline) selectTriadsByHEG() error {
 	if err := hp.phase1Matching(); err != nil {
 		return err
 	}
 	if err := hp.phase1HEG(); err != nil {
 		return err
 	}
-	if err := hp.phase2Sparsify(); err != nil {
-		return err
-	}
-	if err := hp.phase3Triads(); err != nil {
-		return err
-	}
-	if err := hp.phase4APairs(); err != nil {
-		return err
-	}
-	if err := hp.phase4BRest(); err != nil {
-		return err
-	}
-	hp.stats.TypeI = count(hp.typeI)
-	hp.stats.TypeII = hp.stats.HardCliques - hp.stats.TypeI
-	return nil
+	return hp.phase2Sparsify()
 }
 
 func count(bs []bool) int {

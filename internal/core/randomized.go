@@ -92,32 +92,7 @@ func ColorRandomized(net *local.Network, rp RandomizedParams, rng *rand.Rand) (*
 	out := res.Coloring
 
 	// Shared preprocessing with Theorem 1 (ACD, Brooks, classification).
-	doneACD := net.Phase("alg4/acd")
-	a, err := acd.Compute(net, rp.Eps)
-	if err == nil {
-		err = net.Checkpoint("alg4/acd", &CkptACD{A: a})
-	}
-	doneACD()
-	if err != nil {
-		return nil, err
-	}
-	if !a.IsDense() {
-		return nil, fmt.Errorf("%w: %d sparse vertices", ErrNotDense, a.SparseCount())
-	}
-	res.Stats.NumCliques = len(a.Cliques)
-	for _, members := range a.Cliques {
-		if len(members) == delta+1 && g.IsClique(members) {
-			return nil, ErrBrooks
-		}
-	}
-	doneCl := net.Phase("alg4/classify")
-	cl := loophole.Classify(g, a)
-	err = loophole.VerifyHard(g, a, cl)
-	if err == nil {
-		err = net.Checkpoint("alg4/classify", &CkptClassification{A: a, Cl: cl})
-	}
-	net.Charge(3)
-	doneCl()
+	a, cl, err := decompose(net, rp.Eps, "alg4", &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -224,27 +199,17 @@ func ColorRandomized(net *local.Network, rp RandomizedParams, rng *rand.Rand) (*
 	}
 
 	// Post-processing II: easy cliques and loopholes via Algorithm 3.
-	spec := instanceSpec{hardLike: make([]bool, len(a.Cliques)), witness: cl.Witness}
-	for ci := range a.Cliques {
-		spec.hardLike[ci] = !cl.Easy[ci]
-	}
 	var st2 Stats
-	hp := newHardPipeline(net, a, spec, rp.Params, out, &st2)
+	hp := newHardPipeline(net, a, wholeGraphSpec(a, cl), rp.Params, out, &st2)
 	ec := &easyColorer{hp: hp}
 	if err := ec.run(); err != nil {
 		return nil, err
 	}
 	res.Stats.Layers = st2.Layers
 
-	if err := coloring.VerifyComplete(g, out, delta); err != nil {
-		return nil, fmt.Errorf("core: final verification: %w", err)
-	}
-	if err := net.Checkpoint("final", &CkptColoring{C: out, NumColors: delta, Complete: true}); err != nil {
+	if err := finish(net, &res.Result); err != nil {
 		return nil, err
 	}
-	res.Rounds = net.Rounds()
-	res.Spans = net.Spans()
-	res.Frontier = net.FrontierStats()
 	return res, nil
 }
 
@@ -529,7 +494,7 @@ func colorComponent(compNet *local.Network, a *acd.ACD, cl *loophole.Classificat
 	}
 	var st Stats
 	hp := newHardPipeline(compNet, a, spec, rp.Params, out, &st)
-	if err := hp.run(); err != nil {
+	if err := hp.run((*hardPipeline).selectTriadsByHEG); err != nil {
 		return hardLike, err
 	}
 	ec := &easyColorer{hp: hp}

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"deltacoloring/internal/acd"
-	"deltacoloring/internal/coloring"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/local"
-	"deltacoloring/internal/loophole"
 	"deltacoloring/internal/rulingset"
 )
 
@@ -31,95 +28,7 @@ const rulingSubgraphR = 2
 // the same checkpoint artifacts. Cliques for which no valid triad can be
 // selected fall back to the Type II anchor route.
 func ColorRuling(net *local.Network, p Params) (*Result, error) {
-	g := net.Graph()
-	delta := g.MaxDegree()
-	if err := p.Validate(delta); err != nil {
-		return nil, err
-	}
-	res := &Result{Coloring: coloring.NewPartial(g.N())}
-	res.Stats.N = g.N()
-	res.Stats.Delta = delta
-	if g.N() == 0 {
-		return res, nil
-	}
-	if delta == 0 {
-		return nil, fmt.Errorf("core: Δ = 0 graph has no colors to assign")
-	}
-
-	doneACD := net.Phase("ruling/acd")
-	a, err := acd.Compute(net, p.Eps)
-	if err == nil {
-		err = net.Checkpoint("ruling/acd", &CkptACD{A: a})
-	}
-	doneACD()
-	if err != nil {
-		return nil, err
-	}
-	if !a.IsDense() {
-		return nil, fmt.Errorf("%w: %d sparse vertices", ErrNotDense, a.SparseCount())
-	}
-	res.Stats.NumCliques = len(a.Cliques)
-	for _, members := range a.Cliques {
-		if len(members) == delta+1 && g.IsClique(members) {
-			return nil, ErrBrooks
-		}
-	}
-
-	doneCl := net.Phase("ruling/classify")
-	cl := loophole.Classify(g, a)
-	err = loophole.VerifyHard(g, a, cl)
-	if err == nil {
-		err = net.Checkpoint("ruling/classify", &CkptClassification{A: a, Cl: cl})
-	}
-	net.Charge(3)
-	doneCl()
-	if err != nil {
-		return nil, err
-	}
-
-	spec := instanceSpec{
-		hardLike: make([]bool, len(a.Cliques)),
-		witness:  cl.Witness,
-	}
-	for ci := range a.Cliques {
-		spec.hardLike[ci] = !cl.Easy[ci]
-	}
-	hp := newHardPipeline(net, a, spec, p, res.Coloring, &res.Stats)
-	hp.stats.HardCliques = count(hp.hard)
-	hp.stats.EasyCliques = len(hp.hard) - hp.stats.HardCliques
-
-	if hp.stats.HardCliques > 0 {
-		if err := hp.selectTriadsByRuling(); err != nil {
-			return nil, err
-		}
-		if err := hp.phase3Triads(); err != nil {
-			return nil, err
-		}
-		if err := hp.phase4APairs(); err != nil {
-			return nil, err
-		}
-		if err := hp.phase4BRest(); err != nil {
-			return nil, err
-		}
-		hp.stats.TypeI = count(hp.typeI)
-		hp.stats.TypeII = hp.stats.HardCliques - hp.stats.TypeI
-	}
-
-	ec := &easyColorer{hp: hp}
-	if err := ec.run(); err != nil {
-		return nil, err
-	}
-
-	if err := coloring.VerifyComplete(g, res.Coloring, delta); err != nil {
-		return nil, fmt.Errorf("core: final verification: %w", err)
-	}
-	if err := net.Checkpoint("final", &CkptColoring{C: res.Coloring, NumColors: delta, Complete: true}); err != nil {
-		return nil, err
-	}
-	res.Rounds = net.Rounds()
-	res.Spans = net.Spans()
-	res.Frontier = net.FrontierStats()
-	return res, nil
+	return colorAlgorithm1(net, p, "ruling", (*hardPipeline).selectTriadsByRuling)
 }
 
 // selectTriadsByRuling replaces Algorithm 2's phases 1-2 (matching, HEG,

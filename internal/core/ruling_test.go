@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"deltacoloring/internal/graph"
@@ -88,12 +90,11 @@ func TestRulingWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestRulingSpansAndPairLoad pins the route's shape: the ruling-set and
-// selection phases replace matching/HEG/sparsify, and the load-balanced
-// selection keeps the pair-coloring phase no more expensive than the
-// deterministic pipeline's (the ruling set trades total rounds for a
-// cheaper, coordination-free selection; EXPERIMENTS.md E22 quantifies the
-// trade on every workload).
+// TestRulingSpansAndPairLoad pins the route's cost against Algorithm 2's:
+// the load-balanced selection keeps the pair-coloring phase no more
+// expensive than the deterministic pipeline's (the ruling set trades total
+// rounds for a cheaper, coordination-free selection; EXPERIMENTS.md E22
+// quantifies the trade on every workload).
 func TestRulingSpansAndPairLoad(t *testing.T) {
 	g, _ := graph.HardCliqueBipartite(16, 16)
 	det, err := ColorDeterministic(local.New(g), TestParams())
@@ -112,17 +113,46 @@ func TestRulingSpansAndPairLoad(t *testing.T) {
 		}
 		return -1
 	}
-	for _, name := range []string{"ruling/acd", "ruling/classify", "ruling/rulingset", "ruling/select", "alg2/triads", "alg2/pairs", "alg2/rest"} {
-		if spanRounds(rul, name) < 0 {
-			t.Fatalf("span %q missing from ruling run: %+v", name, rul.Spans)
-		}
-	}
-	for _, name := range []string{"alg2/matching", "alg2/heg", "alg2/sparsify"} {
-		if spanRounds(rul, name) >= 0 {
-			t.Fatalf("span %q should not appear in a ruling run", name)
-		}
-	}
 	if rp, dp := spanRounds(rul, "alg2/pairs"), spanRounds(det, "alg2/pairs"); rp > dp {
 		t.Fatalf("ruling pair coloring costs %d rounds > deterministic %d", rp, dp)
+	}
+}
+
+// TestDriverSpanNames pins each driver's ordered span list on one hard
+// instance. The names are a contract: the conformance checkers key on them
+// and the benchmark's per-phase metrics read them.
+func TestDriverSpanNames(t *testing.T) {
+	g, _ := graph.HardCliqueBipartite(16, 16)
+	runs := []struct {
+		name string
+		run  func(*local.Network) (*Result, error)
+		want string
+	}{
+		{"det", func(net *local.Network) (*Result, error) { return ColorDeterministic(net, TestParams()) },
+			"alg1/acd alg1/classify alg2/matching alg2/heg alg2/sparsify alg2/triads alg2/pairs alg2/rest"},
+		{"rand", func(net *local.Network) (*Result, error) {
+			res, err := ColorRandomized(net, TestRandomizedParams(), rand.New(rand.NewSource(1)))
+			if err != nil {
+				return nil, err
+			}
+			return &res.Result, nil
+		}, "alg4/acd alg4/classify alg4/preshatter alg4/components alg4/happylayers"},
+		{"ruling", func(net *local.Network) (*Result, error) { return ColorRuling(net, TestParams()) },
+			"ruling/acd ruling/classify ruling/rulingset ruling/select alg2/triads alg2/pairs alg2/rest"},
+		{"simple", func(net *local.Network) (*Result, error) { return ColorSimpleDense(net, TestParams()) },
+			"simple/acd simple/classify simple/orientation simple/triads alg2/triads alg2/pairs alg2/rest"},
+	}
+	for _, r := range runs {
+		res, err := r.run(local.New(g))
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		names := make([]string, len(res.Spans))
+		for i, sp := range res.Spans {
+			names[i] = sp.Name
+		}
+		if got := strings.Join(names, " "); got != r.want {
+			t.Errorf("%s spans:\n got %s\nwant %s", r.name, got, r.want)
+		}
 	}
 }

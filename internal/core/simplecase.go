@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 
-	"deltacoloring/internal/acd"
 	"deltacoloring/internal/coloring"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/local"
-	"deltacoloring/internal/loophole"
 	"deltacoloring/internal/sinkless"
 )
 
@@ -41,32 +39,7 @@ func ColorSimpleDense(net *local.Network, p Params) (*Result, error) {
 		return nil, fmt.Errorf("core: simple-dense path needs Δ >= 6 for the two-out orientation, got %d", delta)
 	}
 
-	doneACD := net.Phase("simple/acd")
-	a, err := acd.Compute(net, p.Eps)
-	if err == nil {
-		err = net.Checkpoint("simple/acd", &CkptACD{A: a})
-	}
-	doneACD()
-	if err != nil {
-		return nil, err
-	}
-	if !a.IsDense() {
-		return nil, fmt.Errorf("%w: %d sparse vertices", ErrNotDense, a.SparseCount())
-	}
-	res.Stats.NumCliques = len(a.Cliques)
-	for _, members := range a.Cliques {
-		if len(members) == delta+1 && g.IsClique(members) {
-			return nil, ErrBrooks
-		}
-	}
-	doneCl := net.Phase("simple/classify")
-	cl := loophole.Classify(g, a)
-	err = loophole.VerifyHard(g, a, cl)
-	if err == nil {
-		err = net.Checkpoint("simple/classify", &CkptClassification{A: a, Cl: cl})
-	}
-	net.Charge(3)
-	doneCl()
+	a, cl, err := decompose(net, p.Eps, "simple", &res.Stats)
 	if err != nil {
 		return nil, err
 	}
@@ -80,11 +53,7 @@ func ColorSimpleDense(net *local.Network, p Params) (*Result, error) {
 	}
 	res.Stats.HardCliques = len(a.Cliques)
 
-	spec := instanceSpec{hardLike: make([]bool, len(a.Cliques)), witness: make([]*loophole.Loophole, len(a.Cliques))}
-	for ci := range a.Cliques {
-		spec.hardLike[ci] = true
-	}
-	hp := newHardPipeline(net, a, spec, p, res.Coloring, &res.Stats)
+	hp := newHardPipeline(net, a, wholeGraphSpec(a, cl), p, res.Coloring, &res.Stats)
 
 	// The clique graph H: one node per clique, one edge per external edge
 	// of G. Hardness guarantees H is simple (two parallel matching edges
@@ -171,13 +140,8 @@ func ColorSimpleDense(net *local.Network, p Params) (*Result, error) {
 	}
 	res.Stats.TypeI = count(typeI)
 
-	if err := coloring.VerifyComplete(g, res.Coloring, delta); err != nil {
-		return nil, fmt.Errorf("core: final verification: %w", err)
-	}
-	if err := net.Checkpoint("final", &CkptColoring{C: res.Coloring, NumColors: delta, Complete: true}); err != nil {
+	if err := finish(net, res); err != nil {
 		return nil, err
 	}
-	res.Rounds = net.Rounds()
-	res.Spans = net.Spans()
 	return res, nil
 }

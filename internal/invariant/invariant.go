@@ -167,6 +167,25 @@ func (h *Harness) Records() []Record {
 	return out
 }
 
+// Report summarizes a checked run, closing oracle pass included.
+type Report struct {
+	// Checks is the total number of checker firings across the run.
+	Checks int
+	// Phases lists the distinct phase tags validated, sorted, then "oracle".
+	Phases []string
+}
+
+// Oracle closes a checked run: it cross-checks the final coloring against
+// the sequential oracle at palette bound k, independent of every
+// distributed verifier, and counts that pass as one more check. An oracle
+// rejection means a verifier bug slipped through and fails the run.
+func (h *Harness) Oracle(colors []int, k int) (*Report, error) {
+	if err := ReferenceComplete(h.g, colors, k); err != nil {
+		return nil, fmt.Errorf("differential oracle rejected the final coloring: %w", err)
+	}
+	return &Report{Checks: h.Checks() + 1, Phases: append(h.Phases(), "oracle")}, nil
+}
+
 // Phases returns the sorted distinct phase tags that produced at least one
 // check.
 func (h *Harness) Phases() []string {

@@ -32,15 +32,7 @@ func shardedSuite(w Workload, opt Options) SuiteResult {
 	err := func() (err error) {
 		net := local.New(g)
 		defer net.Close()
-		defer func() {
-			if r := recover(); r != nil {
-				ip, ok := r.(local.Interrupt)
-				if !ok {
-					panic(r)
-				}
-				err = ip.Err
-			}
-		}()
+		defer local.RecoverInterrupt(&err)
 		oracleH.Attach(net)
 		oracleColors, oracleRounds, err = shard.SolveSingle(net)
 		return err

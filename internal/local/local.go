@@ -39,6 +39,7 @@
 package local
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -263,6 +264,28 @@ func (n *Network) SetInterrupt(check func() error) {
 	n.counter.mu.Lock()
 	defer n.counter.mu.Unlock()
 	n.counter.interrupt = check
+}
+
+// InterruptOn installs ctx's cancellation as the interrupt check, so a run
+// aborts with ctx.Err() at its next round boundary. A nil ctx, or one that
+// can never be done, installs nothing.
+func (n *Network) InterruptOn(ctx context.Context) {
+	if ctx != nil && ctx.Done() != nil {
+		n.SetInterrupt(func() error { return ctx.Err() })
+	}
+}
+
+// RecoverInterrupt, deferred by a run entry point, converts the Interrupt
+// panic back into an ordinary error stored in *err; any other panic
+// propagates.
+func RecoverInterrupt(err *error) {
+	if r := recover(); r != nil {
+		ip, ok := r.(Interrupt)
+		if !ok {
+			panic(r)
+		}
+		*err = ip.Err
+	}
 }
 
 // SetSpanHook installs an export hook invoked with each span's final value

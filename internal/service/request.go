@@ -6,12 +6,12 @@ import (
 	"io"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"deltacoloring"
 	"deltacoloring/internal/backend"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/graphio"
+	"deltacoloring/internal/invariant"
 )
 
 // ColorRequest is the body of POST /v1/color. Exactly one of EdgeList,
@@ -329,47 +329,54 @@ func cacheKey(g *graph.Graph, req *ColorRequest) string {
 	return key
 }
 
-// spanScratch recycles the span staging slice across jobs: responses may be
-// retained indefinitely by the result cache, so they get one exact-size copy
-// while the append-grown staging buffer returns to the pool.
-var spanScratch = sync.Pool{New: func() any { return new([]PhaseSpan) }}
-
-// resultResponse converts a run result into the wire shape. report is the
-// conformance summary of a checked run (nil otherwise).
-func resultResponse(g *graph.Graph, res *deltacoloring.Result, shatter *deltacoloring.RandStats, report *deltacoloring.CheckReport, elapsedMS float64) *ColorResponse {
+// runResponse converts a finished run into the wire shape. Before a
+// coloring is served it passes two checks, in this order: a checked run's
+// harness (h non-nil) closes with the sequential oracle, then the coloring
+// is re-verified against the producing pipeline's declared palette, Δ plus
+// its PaletteSlack (the paper pipelines at Δ, the greedy wire algorithm at
+// Δ+1).
+func runResponse(g *graph.Graph, h *invariant.Harness, name string, slack int, res *backend.Result) (*ColorResponse, error) {
+	k := g.MaxDegree() + slack
 	resp := &ColorResponse{
-		State:     "done",
-		N:         g.N(),
-		M:         g.M(),
-		Delta:     g.MaxDegree(),
-		Colors:    res.Colors,
-		Rounds:    res.Rounds,
-		ElapsedMS: elapsedMS,
+		State:   "done",
+		Backend: name,
+		N:       g.N(),
+		M:       g.M(),
+		Delta:   g.MaxDegree(),
+		Colors:  res.Colors,
+		Rounds:  res.Rounds,
 	}
-	stage := spanScratch.Get().(*[]PhaseSpan)
-	spans := (*stage)[:0]
+	if h != nil {
+		rep, err := h.Oracle(res.Colors, k)
+		if err != nil {
+			return nil, err
+		}
+		resp.Checks, resp.CheckPhases = rep.Checks, rep.Phases
+	}
+	if err := deltacoloring.VerifyWithin(g, res.Colors, k); err != nil {
+		return nil, err
+	}
+	n := 0
 	for _, sp := range res.Spans {
 		if sp.Rounds > 0 {
-			spans = append(spans, PhaseSpan{Name: sp.Name, Rounds: sp.Rounds})
+			n++
 		}
 	}
-	if len(spans) > 0 {
-		resp.Spans = make([]PhaseSpan, len(spans))
-		copy(resp.Spans, spans)
+	if n > 0 {
+		resp.Spans = make([]PhaseSpan, 0, n)
+		for _, sp := range res.Spans {
+			if sp.Rounds > 0 {
+				resp.Spans = append(resp.Spans, PhaseSpan{Name: sp.Name, Rounds: sp.Rounds})
+			}
+		}
 	}
-	*stage = spans[:0]
-	spanScratch.Put(stage)
-	if shatter != nil {
+	if rs := res.Rand; rs != nil {
 		resp.Shatter = &ShatterStats{
-			TNodesProposed: shatter.TNodesProposed,
-			TNodesKept:     shatter.TNodesKept,
-			Components:     shatter.Components,
-			MaxComponent:   shatter.MaxComponent,
+			TNodesProposed: rs.TNodesProposed,
+			TNodesKept:     rs.TNodesKept,
+			Components:     rs.Components,
+			MaxComponent:   rs.MaxComponent,
 		}
 	}
-	if report != nil {
-		resp.Checks = report.Checks
-		resp.CheckPhases = report.Phases
-	}
-	return resp
+	return resp, nil
 }

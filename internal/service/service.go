@@ -484,11 +484,8 @@ func (s *Server) worker() {
 // runOutcome is one attempt's result, handed from the attempt goroutine
 // back to the supervising worker.
 type runOutcome struct {
-	res      *deltacoloring.Result
-	shatter  *deltacoloring.RandStats
-	report   *deltacoloring.CheckReport
-	sharded  *shard.Result // non-nil for ?shards= runs: K + cut traffic
-	backend  string        // resolved backend name ("auto" resolved to the pick)
+	resp     *ColorResponse
+	traffic  *shard.Traffic // non-nil for ?shards= runs
 	err      error
 	panicked bool
 }
@@ -529,20 +526,17 @@ func (s *Server) runJob(j *job) {
 		}
 		if o.err == nil {
 			elapsed := time.Since(start)
-			resp := resultResponse(j.g, o.res, o.shatter, o.report, float64(elapsed.Microseconds())/1000)
+			resp := o.resp
 			resp.JobID = j.id
-			resp.Backend = o.backend
-			if o.sharded != nil {
-				resp.Shards = o.sharded.K
-				resp.CutEdges = o.sharded.Traffic.CutEdges
-				resp.BoundaryUpdates = o.sharded.Traffic.BoundaryUpdates
-				s.met.shardRun(o.sharded.Traffic.CutEdges, o.sharded.Traffic.BoundaryUpdates, o.sharded.Traffic.StepCalls)
+			resp.ElapsedMS = float64(elapsed.Microseconds()) / 1000
+			if o.traffic != nil {
+				s.met.shardRun(o.traffic.CutEdges, o.traffic.BoundaryUpdates, o.traffic.StepCalls)
 			}
 			if !j.req.NoCache {
 				s.cache.add(j.key, resp)
 			}
 			s.met.jobCompleted(elapsed)
-			s.met.backendJob(o.backend)
+			s.met.backendJob(resp.Backend)
 			s.breaker.success()
 			j.finish(resp, http.StatusOK)
 			return
@@ -580,29 +574,13 @@ func (s *Server) runAttempt(j *job, out chan<- runOutcome) {
 		out <- runOutcome{err: err}
 		return
 	}
-	var (
-		res     *deltacoloring.Result
-		shatter *deltacoloring.RandStats
-		report  *deltacoloring.CheckReport
-		sharded *shard.Result
-		name    string
-		slack   int // extra palette room over Δ the producing pipeline declares
-		err     error
-	)
+	var o runOutcome
 	if j.req.Shards > 0 {
-		name = "greedy"
-		slack = 1
-		res, report, sharded, err = s.runSharded(j)
+		o.resp, o.traffic, o.err = s.runSharded(j)
 	} else {
-		res, shatter, report, name, slack, err = s.runBackend(j)
+		o.resp, o.err = s.runBackend(j)
 	}
-	if err == nil {
-		// Every pipeline is re-verified against its own declared palette: the
-		// paper pipelines at Δ, the greedy wire algorithm (sharded runs, the
-		// greedy backend) at Δ + its PaletteSlack of 1.
-		err = deltacoloring.VerifyWithin(j.g, res.Colors, j.g.MaxDegree()+slack)
-	}
-	out <- runOutcome{res: res, shatter: shatter, report: report, sharded: sharded, backend: name, err: err}
+	out <- o
 }
 
 // runSharded executes one ?shards= attempt: the greedy wire algorithm
@@ -611,7 +589,7 @@ func (s *Server) runAttempt(j *job, out chan<- runOutcome) {
 // addresses (or the test seam). Checked runs attach the conformance harness
 // to the coordinator's network and cross-check the merged coloring against
 // the sequential oracle at the wire algorithm's Δ+1 palette.
-func (s *Server) runSharded(j *job) (*deltacoloring.Result, *deltacoloring.CheckReport, *shard.Result, error) {
+func (s *Server) runSharded(j *job) (*ColorResponse, *shard.Traffic, error) {
 	session := "svc-" + j.id
 	var tr shard.Transport
 	switch {
@@ -620,7 +598,7 @@ func (s *Server) runSharded(j *job) (*deltacoloring.Result, *deltacoloring.Check
 	case len(s.cfg.ShardAddrs) > 0:
 		var err error
 		if tr, err = shard.NewHTTPTransport(s.cfg.ShardAddrs, session, nil); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	cfg := shard.Config{
@@ -636,18 +614,17 @@ func (s *Server) runSharded(j *job) (*deltacoloring.Result, *deltacoloring.Check
 	}
 	sres, err := shard.Run(j.ctx, j.g, cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	res := &deltacoloring.Result{
-		Colors: sres.Colors,
-		Rounds: sres.Rounds,
-		Spans:  sres.Spans,
-	}
-	report, err := oracleReport(j.g, h, res.Colors, 1)
+	// The wire algorithm is the greedy backend's: a Δ+1 coloring.
+	resp, err := runResponse(j.g, h, "greedy", 1, &backend.Result{Colors: sres.Colors, Rounds: sres.Rounds, Spans: sres.Spans})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return res, report, sres, nil
+	resp.Shards = sres.K
+	resp.CutEdges = sres.Traffic.CutEdges
+	resp.BoundaryUpdates = sres.Traffic.BoundaryUpdates
+	return resp, &sres.Traffic, nil
 }
 
 // runBackend executes one attempt through the backend registry: the request
@@ -657,7 +634,7 @@ func (s *Server) runSharded(j *job) (*deltacoloring.Result, *deltacoloring.Check
 // response are those of the historical entry points. Checked runs attach
 // the conformance harness through the backend's NetHook seam and
 // cross-check the final coloring against the sequential oracle.
-func (s *Server) runBackend(j *job) (*deltacoloring.Result, *deltacoloring.RandStats, *deltacoloring.CheckReport, string, int, error) {
+func (s *Server) runBackend(j *job) (*ColorResponse, error) {
 	p := backend.Params{
 		Det:  deltacoloring.ScaledParams(),
 		Rand: deltacoloring.ScaledRandomizedParams(),
@@ -678,47 +655,20 @@ func (s *Server) runBackend(j *job) (*deltacoloring.Result, *deltacoloring.RandS
 	} else {
 		var err error
 		if b, err = backend.Get(name); err != nil {
-			return nil, nil, nil, name, 0, err
+			return nil, err
 		}
 	}
-	slack := b.Caps().PaletteSlack
 	opts := &backend.RunOptions{SpanHook: s.met.addSpan}
 	var h *invariant.Harness
 	if j.req.Check {
 		h = invariant.NewHarness(j.g)
 		opts.NetHook = h.Attach
 	}
-	bres, err := b.Color(j.ctx, j.g, p, opts)
+	res, err := b.Color(j.ctx, j.g, p, opts)
 	if err != nil {
-		return nil, nil, nil, b.Name(), slack, err
+		return nil, err
 	}
-	res := &deltacoloring.Result{
-		Colors:   bres.Colors,
-		Rounds:   bres.Rounds,
-		Spans:    bres.Spans,
-		Frontier: bres.Frontier,
-		Stats:    bres.Stats,
-	}
-	report, err := oracleReport(j.g, h, res.Colors, slack)
-	if err != nil {
-		return nil, nil, nil, b.Name(), slack, err
-	}
-	return res, bres.Rand, report, b.Name(), slack, nil
-}
-
-// oracleReport finishes a checked run (h non-nil; unchecked runs get a nil
-// report): the final coloring is cross-checked against the sequential oracle
-// at Δ plus the producing pipeline's palette slack — the bound runAttempt
-// re-verifies at — and the oracle pass is folded into the report as one
-// extra check.
-func oracleReport(g *graph.Graph, h *invariant.Harness, colors []int, slack int) (*deltacoloring.CheckReport, error) {
-	if h == nil {
-		return nil, nil
-	}
-	if err := invariant.ReferenceComplete(g, colors, g.MaxDegree()+slack); err != nil {
-		return nil, fmt.Errorf("differential oracle rejected the final coloring: %w", err)
-	}
-	return &deltacoloring.CheckReport{Checks: h.Checks() + 1, Phases: append(h.Phases(), "oracle")}, nil
+	return runResponse(j.g, h, b.Name(), b.Caps().PaletteSlack, res)
 }
 
 // retryableFailure reports whether an attempt's failure is worth re-running:

@@ -88,24 +88,14 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config) (res *Result, err erro
 	}
 	net := local.New(g)
 	defer net.Close()
-	if ctx.Done() != nil {
-		net.SetInterrupt(func() error { return ctx.Err() })
-	}
+	net.InterruptOn(ctx)
 	if cfg.SpanHook != nil {
 		net.SetSpanHook(cfg.SpanHook)
 	}
 	if cfg.NetHook != nil {
 		cfg.NetHook(net)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			ip, ok := r.(local.Interrupt)
-			if !ok {
-				panic(r)
-			}
-			res, err = nil, ip.Err
-		}
-	}()
+	defer local.RecoverInterrupt(&err)
 
 	endPart := net.Phase("shard/partition")
 	p, err := BuildPartition(g, k)
