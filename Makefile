@@ -31,7 +31,7 @@ race:
 # detector. DELTA_CHAOS_ITERS scales the soak (default 3 fault seeds per
 # case; CI uses the default, nightly soaks can raise it).
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestPanic|TestQuarantine|TestWatchdog|TestBreaker|TestServerSideRetry|TestIdempotency|TestClientColorRetry|TestHardening|TestServiceChaos' . ./internal/service/
+	$(GO) test -race -count=1 -run 'TestChaos|TestPanic|TestQuarantine|TestWatchdog|TestBreaker|TestServerSideRetry|TestIdempotency|TestClientColorRetry|TestHardening|TestServiceChaos|TestRetention' . ./internal/service/
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/repair/
 
 # Sharded-cluster chaos (DESIGN.md §15): seeded worker kill/hang/corrupt
@@ -118,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundsRequest -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzRoundsResponse -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 30s ./internal/graph/
+	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/graphio/
 	$(GO) test -fuzz FuzzColorRequest -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzWALPayload -fuzztime 30s ./internal/durable/
 	$(GO) test -fuzz FuzzCheckpointState -fuzztime 30s ./internal/durable/

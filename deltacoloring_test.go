@@ -2,7 +2,12 @@ package deltacoloring
 
 import (
 	"errors"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
+
+	"deltacoloring/internal/graph"
 )
 
 func TestPublicDeterministic(t *testing.T) {
@@ -83,5 +88,47 @@ func TestPublicVerifyRejects(t *testing.T) {
 	}
 	if err := Verify(g, bad[:3]); err == nil {
 		t.Fatal("short color slice accepted")
+	}
+}
+
+// A pinned Theorem 2 failure: HardCliqueBipartite(16,16) relabeled by the
+// permutation in testdata, with this seed, once drew T-node proposals that
+// share a vertex, and the spacing filter kept two of them ("T-node pair
+// coloring improper", edge (59,283) monochromatic).
+func TestRandomizedSharedTNodeVertexRegression(t *testing.T) {
+	raw, err := os.ReadFile("testdata/tnode_shared_vertex_perm.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perm []int
+	for _, f := range strings.Fields(string(raw)) {
+		v, err := strconv.Atoi(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm = append(perm, v)
+	}
+	base, _ := graph.HardCliqueBipartite(16, 16)
+	if len(perm) != base.N() {
+		t.Fatalf("permutation has %d entries, want %d", len(perm), base.N())
+	}
+	var edges [][2]int
+	for v := 0; v < base.N(); v++ {
+		for _, w := range base.Neighbors(v) {
+			if v < int(w) {
+				edges = append(edges, [2]int{perm[v], perm[w]})
+			}
+		}
+	}
+	g, err := NewGraph(base.N(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Randomized(g, ScaledRandomizedParams(), 6852509263569950322)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(g, res.Colors); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -219,18 +219,19 @@ type tnodePlacement struct {
 	kept     []Triad
 }
 
+// tnodeProposal is one sampled T-node and its random priority.
+type tnodeProposal struct {
+	tr   Triad
+	rank uint64
+}
+
 // placeTNodes samples one T-node proposal per hard clique with probability
 // TProb and keeps a subset that is pairwise at distance >= Spacing, by
 // local-maxima filtering on random priorities.
 func placeTNodes(g *graph.Graph, a *acd.ACD, cl *loophole.Classification,
 	hardOf []int, rp RandomizedParams, rng *rand.Rand) tnodePlacement {
 	var pl tnodePlacement
-	type proposal struct {
-		tr   Triad
-		rank uint64
-	}
-	var props []proposal
-	at := make(map[int]int) // vertex -> proposal index
+	var props []tnodeProposal
 	for ci, members := range a.Cliques {
 		if cl.Easy[ci] || rng.Float64() >= rp.TProb {
 			continue
@@ -265,11 +266,21 @@ func placeTNodes(g *graph.Graph, a *acd.ACD, cl *loophole.Classification,
 			continue // defensive; Lemma 9.3 should rule this out
 		}
 		pl.proposed++
-		props = append(props, proposal{tr: tr, rank: rng.Uint64()})
+		props = append(props, tnodeProposal{tr: tr, rank: rng.Uint64()})
 	}
+	pl.kept = spacedTNodes(g, props, rp.Spacing)
+	return pl
+}
+
+// spacedTNodes keeps a subset of the proposals whose vertices are pairwise
+// more than spacing hops apart. Proposals may share vertices (one's PairOut
+// can lie in another's clique), so every vertex maps to all the proposals
+// containing it; that keeps the conflict relation symmetric.
+func spacedTNodes(g *graph.Graph, props []tnodeProposal, spacing int) []Triad {
+	at := make(map[int][]int32) // vertex -> indices of the proposals containing it
 	for i, p := range props {
 		for _, v := range [3]int{p.tr.Slack, p.tr.PairIn, p.tr.PairOut} {
-			at[v] = i
+			at[v] = append(at[v], int32(i))
 		}
 	}
 	// Iterated local-maxima filtering (Luby-style, constant iterations):
@@ -293,10 +304,12 @@ func placeTNodes(g *graph.Graph, a *acd.ACD, cl *loophole.Classification,
 		for _, v := range [3]int{p.tr.Slack, p.tr.PairIn, p.tr.PairOut} {
 			// Unsorted ball: the hits are sorted below anyway, so the
 			// per-vertex sort.Ints inside NeighborsWithin was pure overhead.
-			ball = g.AppendBall(ball[:0], v, rp.Spacing)
+			ball = g.AppendBall(ball[:0], v, spacing)
 			for _, w := range ball {
-				if j, ok := at[w]; ok && j != i {
-					scratch = append(scratch, int32(j))
+				for _, j := range at[w] {
+					if int(j) != i {
+						scratch = append(scratch, j)
+					}
 				}
 			}
 		}
@@ -346,12 +359,13 @@ func placeTNodes(g *graph.Graph, a *acd.ACD, cl *loophole.Classification,
 			}
 		}
 	}
+	var kept []Triad
 	for i, p := range props {
 		if state[i] == 1 {
-			pl.kept = append(pl.kept, p.tr)
+			kept = append(kept, p.tr)
 		}
 	}
-	return pl
+	return kept
 }
 
 // colorHappyLayers colors the set-aside layers around T-node slack

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -127,6 +128,126 @@ func TestTNodeSpacing(t *testing.T) {
 		if g.HasEdge(tr.PairIn, tr.PairOut) {
 			t.Fatalf("T-node %+v pair adjacent", tr)
 		}
+	}
+}
+
+// keptSpacingViolation checks the RandomizedParams.Spacing promise with its
+// own BFS: from every kept triad's three vertices, no other kept triad has a
+// vertex closer than spacing hops. It returns a description of the first
+// violation, or "".
+func keptSpacingViolation(g *graph.Graph, kept []Triad, spacing int) string {
+	owner := make(map[int]int) // vertex -> a kept triad containing it
+	for i, tr := range kept {
+		for _, v := range [3]int{tr.Slack, tr.PairIn, tr.PairOut} {
+			if j, ok := owner[v]; ok && j != i {
+				return fmt.Sprintf("kept triads %d and %d share vertex %d", j, i, v)
+			}
+			owner[v] = i
+		}
+	}
+	dist := make([]int, g.N())
+	for i, tr := range kept {
+		for v := range dist {
+			dist[v] = -1
+		}
+		queue := []int{tr.Slack, tr.PairIn, tr.PairOut}
+		for _, v := range queue {
+			dist[v] = 0
+		}
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			if j, ok := owner[v]; ok && j != i {
+				return fmt.Sprintf("kept triads %d and %d at distance %d < %d", i, j, dist[v], spacing)
+			}
+			if dist[v] == spacing-1 {
+				continue
+			}
+			for _, w := range g.Neighbors(v) {
+				if dist[w] < 0 {
+					dist[w] = dist[v] + 1
+					queue = append(queue, int(w))
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// Proposals that share vertices: A's three vertices each also lie in a
+// later proposal. A vertex -> proposal map that keeps only the last
+// proposal per vertex hides A from B, C and D, and A and B then both
+// survive although they share vertex 0.
+func TestSpacedTNodesSharedVertex(t *testing.T) {
+	b := graph.NewBuilder(9)
+	for v := 0; v < 8; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	props := []tnodeProposal{
+		{tr: Triad{Slack: 1, PairIn: 0, PairOut: 2}, rank: 4},
+		{tr: Triad{Slack: 0, PairIn: 3, PairOut: 4}, rank: 3},
+		{tr: Triad{Slack: 1, PairIn: 5, PairOut: 6}, rank: 2},
+		{tr: Triad{Slack: 2, PairIn: 7, PairOut: 8}, rank: 1},
+	}
+	kept := spacedTNodes(g, props, 4)
+	if msg := keptSpacingViolation(g, kept, 4); msg != "" {
+		t.Fatalf("%s: kept %+v", msg, kept)
+	}
+	if len(kept) != 1 || kept[0] != props[0].tr {
+		t.Fatalf("kept %+v, want only the top-ranked proposal %+v", kept, props[0].tr)
+	}
+}
+
+// relabel returns g with vertex v renamed perm[v].
+func relabel(t *testing.T, g *graph.Graph, perm []int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(g.N())
+	for v := 0; v < g.N(); v++ {
+		for _, w := range g.Neighbors(v) {
+			if v < int(w) {
+				b.AddEdge(perm[v], perm[w])
+			}
+		}
+	}
+	out, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// The Spacing promise as a property: over a seed sweep of relabeled graphs
+// from the four families of the color_mix benchmark workload, the kept
+// T-nodes are pairwise at least Spacing apart by an independent BFS.
+func TestTNodeSpacingProperty(t *testing.T) {
+	h16, _ := graph.HardCliqueBipartite(16, 16)
+	h24, _ := graph.HardCliqueBipartite(24, 16)
+	m20, _ := graph.HardWithEasyPatch(20, 16)
+	e48, _ := graph.EasyCliqueRing(48, 16)
+	seeds := 24
+	if testing.Short() {
+		seeds = 4
+	}
+	rp := TestRandomizedParams()
+	kept := 0
+	for fi, base := range []*graph.Graph{h16, h24, m20, e48} {
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			g := relabel(t, base, rng.Perm(base.N()))
+			a, cl, hardOf := classifyForTest(t, local.New(g))
+			pl := placeTNodes(g, a, cl, hardOf, rp, rng)
+			if msg := keptSpacingViolation(g, pl.kept, rp.Spacing); msg != "" {
+				t.Fatalf("family %d seed %d: %s", fi, seed, msg)
+			}
+			kept += len(pl.kept)
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no T-node kept over the whole sweep")
 	}
 }
 

@@ -61,6 +61,9 @@ func NewCSRView(offsets, edges []int32, ids []uint64) (*Graph, error) {
 		if offsets[v] > offsets[v+1] {
 			return nil, fmt.Errorf("graph: offsets not monotone at %d", v)
 		}
+		if int(offsets[v+1]) > len(edges) {
+			return nil, fmt.Errorf("graph: offset %d of vertex %d past the %d-entry edge array", offsets[v+1], v+1, len(edges))
+		}
 		prev := int32(-1)
 		for _, w := range edges[offsets[v]:offsets[v+1]] {
 			if w < 0 || int(w) >= n {

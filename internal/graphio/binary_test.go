@@ -12,7 +12,7 @@ import (
 	"deltacoloring/internal/graph"
 )
 
-func testGraph(t *testing.T, n, d int) *graph.Graph {
+func testGraph(t testing.TB, n, d int) *graph.Graph {
 	t.Helper()
 	// Circulant: v ~ v±1..v±d/2 mod n — connected, d-regular for even d.
 	g, err := graph.FromStream(n, 1, func(emit func(u, v int)) error {

@@ -8,6 +8,6 @@ import (
 	"deltacoloring/internal/graph"
 )
 
-func openBinaryMmap(path string) (*graph.Graph, io.Closer, error) {
+func openBinaryMmap(path string, minBytes int64) (*graph.Graph, io.Closer, error) {
 	return nil, nil, errMmapUnsupported
 }

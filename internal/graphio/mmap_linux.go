@@ -12,18 +12,13 @@ import (
 	"deltacoloring/internal/graph"
 )
 
-// mmapMinBytes gates the mapping path: tiny files cost more in mmap/munmap
-// syscalls and page granularity than a buffered read, and tests exercise the
-// portable loader through it.
-const mmapMinBytes = 1 << 16
-
 // openBinaryMmap maps path read-only and adopts the CSR arrays in place via
 // unsafe.Slice casts. This is only correct because the layout guarantees the
 // int32 sections start 4-aligned and the ids section 8-aligned within the
 // (page-aligned) mapping, and the gated platforms are little-endian like the
-// file. The returned closer unmaps; the graph aliases the mapping and must
-// not outlive it.
-func openBinaryMmap(path string) (*graph.Graph, io.Closer, error) {
+// file. Files below minBytes are left to the buffered reader. The returned
+// closer unmaps; the graph aliases the mapping and must not outlive it.
+func openBinaryMmap(path string, minBytes int64) (*graph.Graph, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -34,7 +29,7 @@ func openBinaryMmap(path string) (*graph.Graph, io.Closer, error) {
 		return nil, nil, err
 	}
 	size := st.Size()
-	if size < mmapMinBytes {
+	if size < minBytes {
 		return nil, nil, errMmapUnsupported // small file: buffered read is cheaper
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
@@ -51,6 +46,9 @@ func openBinaryMmap(path string) (*graph.Graph, io.Closer, error) {
 
 // adoptMapped builds a graph view over the mapped bytes.
 func adoptMapped(data []byte, size int64) (*graph.Graph, error) {
+	if size < binaryHeaderLen {
+		return nil, fmt.Errorf("graphio: binary header: %w", io.ErrUnexpectedEOF)
+	}
 	n, ne, err := parseBinaryHeader(data[:binaryHeaderLen], size)
 	if err != nil {
 		return nil, err

@@ -45,6 +45,10 @@ func Matrix() []Workload {
 	patch, _ := graph.HardWithEasyPatch(16, 16)
 	delta63, _ := graph.HardCliqueBipartite(63, 63)
 	return []Workload{
+		// The missing edge makes the one clique easy, which the simple
+		// backend refuses by design, as on clique-ring.
+		{Name: "near-critical", Graph: nearCritical(16), Params: scaled, Det: true, Rand: true, Ruling: true, Seed: 34},
+		{Name: "tiny-near-critical", Graph: nearCritical(10), Primitive: true, Brute: true, Seed: 18},
 		{Name: "clique-ring", Graph: ring, Params: scaled, Det: true, Rand: true, Ruling: true, Seed: 32},
 		{Name: "dense-blocks", Graph: blocks, Params: scaled, Det: true, Ruling: true, Seed: 7},
 		{Name: "hard-bipartite", Graph: hardBip, Params: scaled, Det: true, Simple: true, Rand: true, Ruling: true, Seed: 31, PermRounds: true},
@@ -73,4 +77,23 @@ func QuickMatrix() []Workload {
 		}
 	}
 	return out
+}
+
+// nearCritical is K_{Δ+1} minus one edge: one short of the Brooks
+// obstruction. Its only Δ-colorings give the two ends of the missing edge
+// the same color.
+func nearCritical(delta int) *graph.Graph {
+	b := graph.NewBuilder(delta + 1)
+	for u := 0; u <= delta; u++ {
+		for v := u + 1; v <= delta; v++ {
+			if u != 0 || v != delta {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

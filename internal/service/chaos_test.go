@@ -40,7 +40,7 @@ func TestServiceChaosNeverServesInvalid(t *testing.T) {
 		BreakerCooldown:  20 * time.Millisecond,
 		WatchdogGrace:    20 * time.Millisecond,
 	}
-	cfg.runHook = func(j *job) {
+	cfg.runHook = func(work) {
 		mu.Lock()
 		roll := rng.Float64()
 		mu.Unlock()

@@ -25,7 +25,7 @@ func apiErr(t *testing.T, err error) *APIError {
 // pollable, and count the quarantine in /healthz.
 func TestPanicQuarantinesJob(t *testing.T) {
 	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: -1}
-	cfg.runHook = func(*job) { panic("injected fault") }
+	cfg.runHook = func(work) { panic("injected fault") }
 	svc, cl, _ := newTestServer(t, cfg)
 
 	req := easyReq(4)
@@ -64,7 +64,7 @@ func TestQuarantineSurvivesEviction(t *testing.T) {
 	var failFirst atomic.Bool
 	failFirst.Store(true)
 	cfg := Config{Workers: 1, MaxJobs: 4, MaxRetries: -1, BreakerThreshold: -1}
-	cfg.runHook = func(*job) {
+	cfg.runHook = func(work) {
 		if failFirst.CompareAndSwap(true, false) {
 			panic("quarantine me")
 		}
@@ -110,7 +110,7 @@ func TestWatchdogConvertsHungRunTo504(t *testing.T) {
 	var hang atomic.Bool
 	hang.Store(true)
 	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: -1, WatchdogGrace: 30 * time.Millisecond}
-	cfg.runHook = func(*job) {
+	cfg.runHook = func(work) {
 		if hang.CompareAndSwap(true, false) {
 			<-release // ignores ctx: simulates a hung run
 		}
@@ -149,7 +149,7 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond}
-	cfg.runHook = func(*job) {
+	cfg.runHook = func(work) {
 		if failing.Load() {
 			panic("unhealthy")
 		}
@@ -197,7 +197,7 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 func TestServerSideRetryMasksTransientPanic(t *testing.T) {
 	var attempts atomic.Int64
 	cfg := Config{Workers: 1, MaxRetries: 2, RetryBaseBackoff: time.Millisecond, BreakerThreshold: -1}
-	cfg.runHook = func(*job) {
+	cfg.runHook = func(work) {
 		if attempts.Add(1) == 1 {
 			panic("transient")
 		}
@@ -228,7 +228,7 @@ func TestIdempotencyKeyDeduplicates(t *testing.T) {
 	gate := make(chan struct{})
 	var runs atomic.Int64
 	cfg := Config{Workers: 2, BreakerThreshold: -1}
-	cfg.runHook = func(*job) { runs.Add(1); <-gate }
+	cfg.runHook = func(work) { runs.Add(1); <-gate }
 	_, cl, _ := newTestServer(t, cfg)
 
 	req := easyReq(4)
@@ -275,8 +275,8 @@ func TestIdempotencyKeyDeduplicates(t *testing.T) {
 func TestClientColorRetry(t *testing.T) {
 	var attempts atomic.Int64
 	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: -1}
-	cfg.runHook = func(j *job) {
-		if j.idemKey == "" {
+	cfg.runHook = func(w work) {
+		if w.job.idemKey == "" {
 			panic("request reached the server without an idempotency key")
 		}
 		if attempts.Add(1) == 1 {
@@ -319,7 +319,7 @@ func TestClientColorRetry(t *testing.T) {
 // counters in /metrics and breaker + quarantine info in /healthz.
 func TestHardeningObservability(t *testing.T) {
 	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute}
-	cfg.runHook = func(*job) { panic("boom") }
+	cfg.runHook = func(work) { panic("boom") }
 	_, cl, _ := newTestServer(t, cfg)
 
 	r := easyReq(4)

@@ -181,10 +181,10 @@ func escapeLabel(v string) string {
 }
 
 // writeTo renders the registry in Prometheus text exposition format.
-// Gauges that live outside the registry (queue depth, worker count) and the
-// durability counters (aggregated across stores) are passed in by the
-// server at scrape time.
-func (m *metrics) writeTo(w io.Writer, queueDepth, workers, breakerState, dynGraphs int, wal durable.WALStats, rec recoverySummary) {
+// Gauges that live outside the registry (queue depth, worker count, what
+// the job table and cache retain) and the durability counters (aggregated
+// across stores) are passed in by the server at scrape time.
+func (m *metrics) writeTo(w io.Writer, queueDepth, workers, breakerState, retainedJobs int, retainedBytes int64, dynGraphs int, wal durable.WALStats, rec recoverySummary) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -214,6 +214,8 @@ func (m *metrics) writeTo(w io.Writer, queueDepth, workers, breakerState, dynGra
 	fmt.Fprintf(w, "# HELP deltaserved_queue_depth Jobs currently waiting in the FIFO queue.\n# TYPE deltaserved_queue_depth gauge\ndeltaserved_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "# HELP deltaserved_workers Size of the worker pool.\n# TYPE deltaserved_workers gauge\ndeltaserved_workers %d\n", workers)
 	fmt.Fprintf(w, "# HELP deltaserved_breaker_state Circuit breaker state (0 closed, 1 open, 2 half-open).\n# TYPE deltaserved_breaker_state gauge\ndeltaserved_breaker_state %d\n", breakerState)
+	fmt.Fprintf(w, "# HELP deltaserved_jobs_retained Job records held for polling and idempotency.\n# TYPE deltaserved_jobs_retained gauge\ndeltaserved_jobs_retained %d\n", retainedJobs)
+	fmt.Fprintf(w, "# HELP deltaserved_retained_bytes Bytes of the responses the job table and the result cache hold, each counted once.\n# TYPE deltaserved_retained_bytes gauge\ndeltaserved_retained_bytes %d\n", retainedBytes)
 
 	counter("deltaserved_dynamic_mutations_total", "Mutations applied to live dynamic graphs.", m.dynMutations)
 	counter("deltaserved_dynamic_recolored_total", "Vertices recolored by dynamic maintenance.", m.dynRecolored)
