@@ -109,7 +109,7 @@ func E19(s Scale) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"each workload ran once per engine; round counts matched exactly (the run fails otherwise), so the occupancy figures come with a result-preservation certificate",
-		"'engine rounds' counts state-engine evaluation rounds (Step/Iterate/Sweep), a subset of the LOCAL rounds charged; 'sparse' is the fraction executed on the frontier path",
+		"'engine rounds' counts state-engine evaluation rounds (Step/Run/Sweep), a subset of the LOCAL rounds charged; 'sparse' is the fraction executed on the frontier path",
 		"'skipped' counts vertex evaluations the activation set proved redundant (closed neighborhood unchanged); class sweeps (Linial reduction, MIS, slot coloring) dominate the skips",
 		"rounds carrying fault views, and the round after, always run dense by design — see DESIGN.md, 'Frontier scheduling contract'")
 	return t, nil

@@ -151,14 +151,6 @@ func (p *Palette) Fill(k int) {
 	p.words[nw-1] = last
 }
 
-// Clear empties the palette, keeping its storage for reuse.
-func (p *Palette) Clear() {
-	for i := range p.words {
-		p.words[i] = 0
-	}
-	p.words = p.words[:0]
-}
-
 // Add inserts color x, growing the word storage in a single resize when x
 // lies beyond the current capacity (not one appended word at a time).
 func (p *Palette) Add(x int) {

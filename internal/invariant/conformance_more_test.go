@@ -199,7 +199,7 @@ func TestCorruptRemainingArtifacts(t *testing.T) {
 	// Orientation: all out-edges of one vertex are flipped, starving it. The
 	// verifier only constrains vertices of degree >= 3k, so use a clique.
 	k4 := graph.Complete(4)
-	orient, err := sinkless.Orient(local.New(k4))
+	orient, err := sinkless.OrientKOut(local.New(k4), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package invariant
 import (
 	"strings"
 	"testing"
+
+	"deltacoloring/internal/graph"
 )
 
 func TestMatrixShape(t *testing.T) {
@@ -130,5 +132,18 @@ func TestRunMatrixSkipNegative(t *testing.T) {
 		if s.Suite == "negative" {
 			t.Fatal("negative suite ran despite SkipNegative")
 		}
+	}
+}
+
+// TestOracleSuiteEdgeless: on an edgeless miniature (Δ = 0) the brute-force
+// branch still needs one color, and both verifiers accept it.
+func TestOracleSuiteEdgeless(t *testing.T) {
+	w := Workload{Name: "edgeless", Graph: graph.NewBuilder(3).MustBuild(), Brute: true}
+	s := oracleSuite(w)
+	if s.Err != nil {
+		t.Fatal(s.Err)
+	}
+	if s.Detail != "greedy+brute ok (Δ-colorable)" {
+		t.Fatalf("detail %q", s.Detail)
 	}
 }

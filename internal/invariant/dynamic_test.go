@@ -68,3 +68,22 @@ func TestDynamicSnapshotChecker(t *testing.T) {
 		t.Fatal("corrupted snapshot passed the checker")
 	}
 }
+
+// TestContainsMut pins the duplicate guard the stream suite uses when it
+// wires an appended vertex: only an add of exactly (u, v) counts.
+func TestContainsMut(t *testing.T) {
+	batch := []dynamic.Mutation{
+		{Op: dynamic.OpAddVertex},
+		{Op: dynamic.OpAddEdge, U: 2, V: 5},
+		{Op: dynamic.OpRemoveEdge, U: 3, V: 5},
+	}
+	if !containsMut(batch, 2, 5) {
+		t.Fatal("queued add (2,5) not found")
+	}
+	if containsMut(batch, 3, 5) {
+		t.Fatal("a removal counted as an add")
+	}
+	if containsMut(batch, 5, 2) {
+		t.Fatal("reversed pair counted as the queued add")
+	}
+}

@@ -232,3 +232,56 @@ func TestCheckedRunRecordsPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestHarnessOracle closes a checked run with the sequential oracle: a
+// proper Δ-coloring yields a Report counting the oracle pass, while an
+// improper coloring and an out-of-palette color are both refused.
+func TestHarnessOracle(t *testing.T) {
+	g := graph.Cycle(6) // Δ = 2
+	h := NewHarness(g)
+	c := coloring.NewPartial(g.N())
+	for v := range c.Colors {
+		c.Colors[v] = v % 2
+	}
+	if err := h.Observe("final", &core.CkptColoring{C: c, NumColors: 2, Complete: true}); err != nil {
+		t.Fatalf("valid coloring rejected: %v", err)
+	}
+
+	rep, err := h.Oracle(c.Colors, g.MaxDegree())
+	if err != nil {
+		t.Fatalf("proper Δ-coloring rejected: %v", err)
+	}
+	if rep.Checks != h.Checks()+1 {
+		t.Fatalf("report counts %d checks, want %d", rep.Checks, h.Checks()+1)
+	}
+	if want := []string{"final", "oracle"}; !sameStrings(rep.Phases, want) {
+		t.Fatalf("report phases %v, want %v", rep.Phases, want)
+	}
+
+	improper := append([]int(nil), c.Colors...)
+	improper[1] = improper[0]
+	if _, err := h.Oracle(improper, g.MaxDegree()); err == nil ||
+		!strings.Contains(err.Error(), "differential oracle") {
+		t.Fatalf("improper coloring: err = %v", err)
+	}
+	outside := append([]int(nil), c.Colors...)
+	outside[3] = g.MaxDegree() // palette is {0, ..., Δ-1}
+	if _, err := h.Oracle(outside, g.MaxDegree()); err == nil {
+		t.Fatal("out-of-palette color accepted")
+	}
+}
+
+// TestCheckersIgnoreForeignArtifacts publishes artifacts of the wrong type
+// under phases that typed checkers subscribe to: each checker must decline
+// rather than fail, so nothing is recorded.
+func TestCheckersIgnoreForeignArtifacts(t *testing.T) {
+	h := NewHarness(graph.Cycle(6))
+	for _, phase := range []string{"shard/partition", "dynamic/maintain", "repair"} {
+		if err := h.Observe(phase, "not an artifact"); err != nil {
+			t.Fatalf("%s: foreign artifact errored: %v", phase, err)
+		}
+	}
+	if h.Checks() != 0 {
+		t.Fatalf("foreign artifacts recorded %d checks", h.Checks())
+	}
+}

@@ -157,7 +157,7 @@ func runEngine(t *testing.T, g *graph.Graph, init []int, budget, workers int, fr
 	closePhase := net.Phase("engine")
 	cur := make([]int, len(init))
 	copy(cur, init)
-	states, rounds, err := Iterate(net, cur, budget, f, done)
+	states, rounds, err := NewRunner(net, cur).Run(budget, f, done)
 	closePhase()
 	res := engineResult{states: states, rounds: rounds, total: net.Rounds(),
 		spans: net.Spans(), fstats: net.FrontierStats()}

@@ -6,7 +6,7 @@
 //
 // # Execution model and round accounting
 //
-// The primary engine is Exchange: one call runs one synchronous round in
+// The one engine is Exchange: one call runs one synchronous round in
 // which every node computes its next state from its own state and the full
 // current states of its neighbors (legitimate in LOCAL because message size
 // is unbounded). Rounds are counted automatically.
@@ -69,7 +69,6 @@ type Network struct {
 type counter struct {
 	mu        sync.Mutex
 	rounds    int
-	messages  int
 	spans     []Span
 	open      []int // indices into spans of currently open phases
 	interrupt func() error
@@ -81,8 +80,8 @@ type counter struct {
 
 // workerPool is a persistent chunked executor shared by a network and all
 // its Virtual children: a fixed set of goroutines parked on a job channel,
-// started once and reused by every subsequent Exchange/Iterate/RunProcs
-// round instead of spawning fresh goroutines per round.
+// started once and reused by every subsequent Exchange/Runner round
+// instead of spawning fresh goroutines per round.
 type workerPool struct {
 	jobs chan poolJob
 	stop sync.Once
@@ -309,14 +308,6 @@ func (n *Network) SetCheckHook(hook func(phase string, artifact any) error) {
 	n.counter.checkHook = hook
 }
 
-// Checking reports whether a check hook is installed, so pipelines can skip
-// building artifacts nobody will consume.
-func (n *Network) Checking() bool {
-	n.counter.mu.Lock()
-	defer n.counter.mu.Unlock()
-	return n.counter.checkHook != nil
-}
-
 // Checkpoint publishes an intermediate artifact under a phase tag to the
 // installed check hook, returning the hook's verdict. With no hook installed
 // it is a no-op, so pipelines call it unconditionally at span boundaries.
@@ -328,23 +319,6 @@ func (n *Network) Checkpoint(phase string, artifact any) error {
 		return nil
 	}
 	return hook(phase, artifact)
-}
-
-// CountMessages adds n to the message counter (used by the message-passing
-// engine; the state engine conceptually sends one message per edge per
-// round but does not count them).
-func (n *Network) CountMessages(msgs int) {
-	n.counter.mu.Lock()
-	defer n.counter.mu.Unlock()
-	n.counter.messages += msgs
-}
-
-// Messages returns the number of messages recorded by the message-passing
-// engine.
-func (n *Network) Messages() int {
-	n.counter.mu.Lock()
-	defer n.counter.mu.Unlock()
-	return n.counter.messages
 }
 
 // Virtual returns a network over vg whose rounds are charged to this
@@ -433,7 +407,7 @@ const interruptStride = 1 << 10
 // exchangeInto runs one synchronous round from cur into next (which must be
 // distinct slices of equal length). When done is non-nil it is evaluated on
 // each next state as it is produced, and the number of not-yet-done vertices
-// is returned — fused into the same pass so Iterate needs no O(n) rescan.
+// is returned — fused into the same pass so Runner.Run needs no O(n) rescan.
 //
 // If a fault hook is installed the round first obtains its RoundFaults view
 // and applies crash/drop/duplicate/corrupt semantics (see faults.go); a nil
@@ -645,14 +619,4 @@ func (r *Runner[S]) finish(maxRounds, notDone int, done func(v int, s S) bool) (
 		}
 	}
 	return r.cur, maxRounds, nil
-}
-
-// Iterate runs Exchange until done reports true for every vertex or
-// maxRounds is exhausted, returning the final states and the number of
-// rounds executed. It returns an error if the round budget runs out, which
-// algorithm packages treat as a logic bug. Iterate double-buffers through a
-// Runner, so it owns cur from the call on; the caller must not retain it.
-func Iterate[S comparable](n *Network, cur []S, maxRounds int,
-	f func(v int, self S, nbrs Nbrs[S]) S, done func(v int, s S) bool) ([]S, int, error) {
-	return NewRunner(n, cur).Run(maxRounds, f, done)
 }

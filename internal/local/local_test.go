@@ -122,7 +122,7 @@ func TestIterate(t *testing.T) {
 		dist[v] = -1
 	}
 	dist[0] = 0
-	final, rounds, err := Iterate(net, dist, 100,
+	final, rounds, err := NewRunner(net, dist).Run(100,
 		func(v int, self int, nbrs Nbrs[int]) int {
 			if self >= 0 {
 				return self
@@ -136,7 +136,7 @@ func TestIterate(t *testing.T) {
 		},
 		func(v int, s int) bool { return s >= 0 })
 	if err != nil {
-		t.Fatalf("Iterate: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if rounds != 9 {
 		t.Fatalf("rounds = %d, want 9", rounds)
@@ -151,156 +151,10 @@ func TestIterate(t *testing.T) {
 func TestIterateBudgetExhausted(t *testing.T) {
 	net := New(graph.Path(10))
 	st := make([]int, 10)
-	_, _, err := Iterate(net, st, 3,
+	_, _, err := NewRunner(net, st).Run(3,
 		func(v int, s int, nb Nbrs[int]) int { return s },
 		func(v int, s int) bool { return false })
 	if err == nil {
 		t.Fatal("expected budget-exhausted error")
-	}
-}
-
-// flood is a Proc that floods a token from vertex 0 and terminates when it
-// has seen the token; it mirrors bfsByExchange on the message engine.
-type flood struct {
-	v    int
-	g    *graph.Graph
-	seen bool
-	dist int
-}
-
-func (f *flood) Init(v int, net *Network) []Outgoing {
-	f.v = v
-	f.g = net.Graph()
-	if v == 0 {
-		f.seen = true
-		return f.broadcast(0)
-	}
-	return nil
-}
-
-func (f *flood) broadcast(d int) []Outgoing {
-	outs := make([]Outgoing, 0, f.g.Degree(f.v))
-	for _, w := range f.g.Neighbors(f.v) {
-		outs = append(outs, Outgoing{To: int(w), Payload: d + 1})
-	}
-	return outs
-}
-
-func (f *flood) Step(round int, inbox []Message) ([]Outgoing, bool) {
-	if f.seen {
-		return nil, true
-	}
-	for _, m := range inbox {
-		d, ok := m.Payload.(int)
-		if !ok {
-			continue
-		}
-		f.seen = true
-		f.dist = d
-		return f.broadcast(d), true
-	}
-	return nil, false
-}
-
-func TestRunProcsFlood(t *testing.T) {
-	g := graph.Cycle(12)
-	net := New(g)
-	procs := make([]Proc, g.N())
-	fs := make([]*flood, g.N())
-	for v := range procs {
-		fs[v] = &flood{}
-		procs[v] = fs[v]
-	}
-	if err := RunProcs(net, procs, 100); err != nil {
-		t.Fatalf("RunProcs: %v", err)
-	}
-	for v := 1; v < g.N(); v++ {
-		if want := g.Dist(0, v); fs[v].dist != want {
-			t.Fatalf("proc dist[%d] = %d, want %d", v, fs[v].dist, want)
-		}
-	}
-}
-
-// badSender sends to a non-neighbor to exercise the model check.
-type badSender struct{}
-
-func (badSender) Init(v int, net *Network) []Outgoing {
-	if v == 0 {
-		return []Outgoing{{To: 2, Payload: nil}} // 0 and 2 non-adjacent in P4
-	}
-	return nil
-}
-
-func (badSender) Step(round int, inbox []Message) ([]Outgoing, bool) { return nil, true }
-
-func TestRunProcsRejectsNonNeighborSend(t *testing.T) {
-	g := graph.Path(4)
-	net := New(g)
-	procs := make([]Proc, g.N())
-	for v := range procs {
-		procs[v] = badSender{}
-	}
-	if err := RunProcs(net, procs, 10); err == nil {
-		t.Fatal("expected non-neighbor send to be rejected")
-	}
-}
-
-type never struct{}
-
-func (never) Init(v int, net *Network) []Outgoing         { return nil }
-func (never) Step(r int, in []Message) ([]Outgoing, bool) { return nil, false }
-
-func TestRunProcsRoundLimit(t *testing.T) {
-	g := graph.Path(3)
-	procs := []Proc{never{}, never{}, never{}}
-	if err := RunProcs(New(g), procs, 5); err == nil {
-		t.Fatal("expected round-limit error")
-	}
-}
-
-func TestRunProcsParallelMatchesSequential(t *testing.T) {
-	// A graph big enough (>= 256 nodes) to trigger the worker-pool path.
-	g := graph.Torus(20, 20)
-	runFlood := func(workers int) []int {
-		net := New(g)
-		net.SetWorkers(workers)
-		procs := make([]Proc, g.N())
-		fs := make([]*flood, g.N())
-		for v := range procs {
-			fs[v] = &flood{}
-			procs[v] = fs[v]
-		}
-		if err := RunProcs(net, procs, 200); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		out := make([]int, g.N())
-		for v := range fs {
-			out[v] = fs[v].dist
-		}
-		return out
-	}
-	seq := runFlood(1)
-	par := runFlood(8)
-	for v := range seq {
-		if seq[v] != par[v] {
-			t.Fatalf("parallel proc engine diverged at %d: %d vs %d", v, seq[v], par[v])
-		}
-	}
-}
-
-func TestMessageCounting(t *testing.T) {
-	net := New(graph.Cycle(4))
-	if net.Messages() != 0 {
-		t.Fatal("fresh network has messages")
-	}
-	net.CountMessages(7)
-	if net.Messages() != 7 {
-		t.Fatalf("messages = %d", net.Messages())
-	}
-	// Virtual networks share the counter.
-	vnet := net.Virtual(graph.Cycle(3), 2)
-	vnet.CountMessages(3)
-	if net.Messages() != 10 {
-		t.Fatalf("messages = %d, want 10", net.Messages())
 	}
 }

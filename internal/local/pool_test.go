@@ -86,7 +86,7 @@ func TestPoolConcurrentNetworks(t *testing.T) {
 			net := New(g)
 			net.SetWorkers(4)
 			defer net.Close()
-			st, _, err := Iterate(net, make([]int, g.N()), 50,
+			st, _, err := NewRunner(net, make([]int, g.N())).Run(50,
 				func(v int, self int, nbrs Nbrs[int]) int { return self + 1 },
 				func(v int, s int) bool { return s >= 10 },
 			)

@@ -214,10 +214,7 @@ func TestServerSideRetryMasksTransientPanic(t *testing.T) {
 	if got := attempts.Load(); got != 2 {
 		t.Fatalf("attempts %d, want 2", got)
 	}
-	svc.met.mu.Lock()
-	retries := svc.met.jobsRetried
-	svc.met.mu.Unlock()
-	if retries != 1 {
+	if retries := svc.met.jobsRetried.Load(); retries != 1 {
 		t.Fatalf("retries metric %d, want 1", retries)
 	}
 }

@@ -174,10 +174,16 @@ func (s *Server) applyLoop(gs *graphStore) {
 			// Validation rejections (the client's fault, store untouched)
 			// answer 400 and are not maintenance failures.
 			if maintenanceFailure(err) {
-				s.met.dynFailure()
+				s.met.dynFailures.Add(1)
 			}
 		} else {
-			s.met.dynBatch(res, time.Since(start))
+			s.met.dynMutations.Add(uint64(res.Mutations))
+			s.met.dynRecolored.Add(uint64(res.Recolored))
+			if res.Fallback {
+				s.met.dynFallbacks.Add(1)
+			}
+			s.met.dynBatches.add(res.Mode, 1)
+			s.met.dynRecolor.observe(time.Since(start))
 		}
 		j.reply <- mutReply{res: res, err: err}
 	}
@@ -385,7 +391,7 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 	j := &mutJob{batch: req.Mutations, reply: make(chan mutReply, 1)}
 	if err := gs.submit(j); err != nil {
 		if errors.Is(err, errQueueFull) {
-			s.met.dynRejected()
+			s.met.dynRejects.Add(1)
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "mutation queue for %s is full", gs.id)
 			return
@@ -449,7 +455,7 @@ func (s *Server) handleGraphColoring(w http.ResponseWriter, r *http.Request) {
 	if check {
 		if err := invariant.ReferenceComplete(snap.G, snap.Colors, snap.NumColors); err != nil {
 			// The valid-or-unhealthy contract just failed; refuse to serve.
-			s.met.dynCheckFailed()
+			s.met.dynCheckFails.Add(1)
 			writeError(w, http.StatusInternalServerError, "coloring failed the oracle: %v", err)
 			return
 		}

@@ -285,7 +285,7 @@ func TestMutationQueueBackpressure(t *testing.T) {
 	if cr.Version != 4 || cr.Stale {
 		t.Fatalf("after drain: %+v", cr)
 	}
-	if st := svc.met.snapshotDynRejects(); st == 0 {
+	if st := svc.met.dynRejects.Load(); st == 0 {
 		t.Fatal("429s were served but not counted")
 	}
 }

@@ -316,7 +316,7 @@ func New(cfg Config) *Server {
 		mux:       http.NewServeMux(),
 		met:       newMetrics(),
 		breaker:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		shardHost: shard.NewHost(cfg.ShardSessionTTL),
+		shardHost: shard.NewHost(cfg.ShardSessionTTL, cfg.MaxVertices),
 		queue:     make(chan work, cfg.QueueDepth),
 		jobs:      make(map[string]*job),
 		idem:      make(map[string]*job),
@@ -550,7 +550,7 @@ type runOutcome struct {
 // clean 504 and abandoned, returning the worker to the pool.
 func (s *Server) runJob(w work) {
 	j := w.job
-	s.met.jobStarted()
+	s.met.jobsStarted.Add(1)
 	j.setState("running")
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
@@ -568,8 +568,8 @@ func (s *Server) runJob(w work) {
 			case o = <-out:
 				grace.Stop()
 			case <-grace.C:
-				s.met.watchdogFired()
-				s.met.jobFailed()
+				s.met.watchdogTimeouts.Add(1)
+				s.met.jobsFailed.Add(1)
 				s.breaker.failure()
 				s.finishJob(j, &ColorResponse{JobID: j.id, State: "failed",
 					Error: "watchdog: run exceeded its deadline and did not unwind"},
@@ -583,16 +583,20 @@ func (s *Server) runJob(w work) {
 			resp.JobID = j.id
 			resp.ElapsedMS = float64(elapsed.Microseconds()) / 1000
 			if o.traffic != nil {
-				s.met.shardRun(o.traffic.CutEdges, o.traffic.BoundaryUpdates, o.traffic.StepCalls)
+				s.met.shardRuns.Add(1)
+				s.met.shardCutEdges.Add(uint64(o.traffic.CutEdges))
+				s.met.shardBoundaryUpdates.Add(uint64(o.traffic.BoundaryUpdates))
+				s.met.shardStepCalls.Add(uint64(o.traffic.StepCalls))
 			}
-			s.met.jobCompleted(elapsed)
-			s.met.backendJob(resp.Backend)
+			s.met.jobsCompleted.Add(1)
+			s.met.jobDuration.observe(elapsed)
+			s.met.backendJobs.add(resp.Backend, 1)
 			s.breaker.success()
 			s.finishJob(j, resp, http.StatusOK, !w.req.NoCache)
 			return
 		}
 		if retryableFailure(o) && attempt < s.cfg.MaxRetries && j.ctx.Err() == nil {
-			s.met.jobRetried()
+			s.met.jobsRetried.Add(1)
 			if sleepBackoff(j.ctx, s.cfg.RetryBaseBackoff, attempt) {
 				continue
 			}
@@ -601,7 +605,7 @@ func (s *Server) runJob(w work) {
 		}
 		if o.panicked {
 			j.quarantine()
-			s.met.jobQuarantined()
+			s.met.jobsQuarantined.Add(1)
 		}
 		s.failJob(j, o.err, o.panicked)
 		return
@@ -761,7 +765,7 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
 // Server-side failures (500s, timeouts of our own making) feed the circuit
 // breaker; client-attributable ones do not.
 func (s *Server) failJob(j *job, err error, panicked bool) {
-	s.met.jobFailed()
+	s.met.jobsFailed.Add(1)
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -860,20 +864,20 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	key := cacheKey(g, req)
 	if !req.NoCache {
 		if resp, ok := s.cacheGet(key); ok {
-			s.met.cacheHit()
+			s.met.cacheHits.Add(1)
 			hit := *resp
 			hit.JobID = ""
 			hit.Cached = true
 			writeJSON(w, http.StatusOK, &hit)
 			return
 		}
-		s.met.cacheMiss()
+		s.met.cacheMisses.Add(1)
 	}
 
 	// The breaker guards fresh work only: cache hits above never reach it,
 	// and joining an existing idempotent job adds no load either.
 	if ok, retryAfter := s.breaker.allow(); !ok {
-		s.met.jobShed()
+		s.met.jobsShed.Add(1)
 		secs := int(retryAfter/time.Second) + 1
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeError(w, http.StatusServiceUnavailable, "circuit breaker open, retry in %ds", secs)
@@ -907,7 +911,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 		// A retried POST: join the job already doing (or done with) this
 		// work instead of recomputing it.
 		cancel()
-		s.met.idemJoin()
+		s.met.idemJoins.Add(1)
 		if req.Async {
 			resp, _ := existing.snapshot()
 			writeJSON(w, http.StatusAccepted, resp)
@@ -927,7 +931,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 		cancel()
 		s.unregisterJob(j)
 		if errors.Is(err, errQueueFull) {
-			s.met.jobRejected()
+			s.met.jobsRejected.Add(1)
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "%v", err)
 			return
@@ -969,14 +973,7 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 // error (400, text).
 func (s *Server) handleShardRounds(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	shard.ServeRounds(w, r, func(req *shard.RoundsRequest) *shard.RoundsResponse {
-		if req.Op == "init" && req.ParentN > s.cfg.MaxVertices {
-			return &shard.RoundsResponse{
-				Error: fmt.Sprintf("shard parent graph has n=%d, above the %d-vertex limit", req.ParentN, s.cfg.MaxVertices),
-			}
-		}
-		return s.shardHost.Handle(req)
-	})
+	shard.ServeRounds(w, r, s.shardHost.Handle)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -1091,7 +1088,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	bState, _ := s.breaker.snapshot()
-	jobs, bytes := s.retained()
-	s.met.writeTo(w, len(s.queue), s.cfg.Workers, bState, jobs, bytes, s.graphCount(), s.walTotals(), s.recoveryTotals())
+	sc := &scrape{queueDepth: len(s.queue), workers: s.cfg.Workers, dynGraphs: s.graphCount(),
+		wal: s.walTotals(), rec: s.recoveryTotals()}
+	sc.breakerState, _ = s.breaker.snapshot()
+	sc.retainedJobs, sc.retainedBytes = s.retained()
+	s.met.writeTo(w, sc)
 }

@@ -48,7 +48,6 @@ type ChaosTransport struct {
 	mu    sync.Mutex
 	rng   uint64
 	fired bool
-	calls int
 }
 
 // NewChaosTransport wraps inner with the plan's fault schedule.
@@ -64,13 +63,6 @@ func (t *ChaosTransport) Fired() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.fired
-}
-
-// Calls reports the transport calls observed (for test diagnostics).
-func (t *ChaosTransport) Calls() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.calls
 }
 
 // splitmix64 advances the deterministic stream; t.mu must be held.
@@ -90,7 +82,6 @@ func (t *ChaosTransport) roll(mode string) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.calls++
 	if t.fired {
 		return false
 	}

@@ -121,7 +121,7 @@ func FuzzRoundsRequest(f *testing.F) {
 			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
 		}
 		if req.ParentN <= 1<<12 {
-			host := NewHost(0)
+			host := NewHost(0, 0)
 			if resp := host.Handle(req); resp.OK && req.Op == "init" {
 				host.Handle(&RoundsRequest{Op: "step", Session: req.Session, Shard: req.Shard})
 				host.Handle(&RoundsRequest{Op: "finish", Session: req.Session, Shard: req.Shard})

@@ -94,7 +94,7 @@ func newTestCluster(t *testing.T, count int) []string {
 	t.Helper()
 	addrs := make([]string, count)
 	for i := 0; i < count; i++ {
-		srv := httptest.NewServer(NewHost(0))
+		srv := httptest.NewServer(NewHost(0, 0))
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.URL
 	}
@@ -167,7 +167,7 @@ func TestHostSessionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := NewHost(0)
+	host := NewHost(0, 0)
 	initReq := func(s int) *RoundsRequest {
 		part := &p.Parts[s]
 		var req RoundsRequest
@@ -195,6 +195,47 @@ func TestHostSessionLifecycle(t *testing.T) {
 	host.Handle(&RoundsRequest{Op: "abort", Session: "t", Shard: 1})
 	if host.Sessions() != 0 {
 		t.Fatalf("Sessions = %d after aborts, want 0", host.Sessions())
+	}
+}
+
+// TestHostRefusesOverCapInit: a bare Host served over HTTP refuses an init
+// announcing a parent graph above its vertex cap, inside a 200 response
+// frame and before the announced size allocates anything; an init at the
+// cap passes admission and fails only on its (empty) subgraph.
+func TestHostRefusesOverCapInit(t *testing.T) {
+	srv := httptest.NewServer(NewHost(0, 100))
+	defer srv.Close()
+	post := func(parentN int) *RoundsResponse {
+		t.Helper()
+		body, err := EncodeRequest(&RoundsRequest{Op: "init", Session: "big", ParentN: parentN})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hresp, err := http.Post(srv.URL+RoundsPath, frameContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hresp.Body.Close()
+		raw := new(bytes.Buffer)
+		if _, err := raw.ReadFrom(hresp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if hresp.StatusCode != http.StatusOK {
+			t.Fatalf("n=%d: status %d, want 200", parentN, hresp.StatusCode)
+		}
+		resp, err := DecodeResponse(raw.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	over := post(101)
+	if want := "shard parent graph has n=101, above the 100-vertex limit"; over.OK || over.Error != want {
+		t.Fatalf("over-cap init: %+v, want error %q", over, want)
+	}
+	at := post(100)
+	if at.OK || strings.Contains(at.Error, "vertex limit") || !strings.Contains(at.Error, "bad shard graph") {
+		t.Fatalf("at-cap init: %+v, want only the empty subgraph refused", at)
 	}
 }
 

@@ -64,21 +64,27 @@ type hostSession struct {
 // session/shard. It is the server half of the protocol: ServeRounds decodes
 // each request frame and hands it to Handle, and a Host served directly as
 // an http.Handler does exactly that. Sessions idle past the TTL are reaped
-// on the next call.
+// on the next call, and an init whose parent graph exceeds the vertex cap
+// is refused before anything is sized by it.
 type Host struct {
 	mu       sync.Mutex
 	sessions map[string]*hostSession
 	ttl      time.Duration
+	maxN     int
 	now      func() time.Time
 }
 
 // NewHost returns a Host reaping sessions idle longer than ttl
-// (default 5m).
-func NewHost(ttl time.Duration) *Host {
+// (default 5m) and refusing parent graphs of more than maxN vertices
+// (default 1<<20).
+func NewHost(ttl time.Duration, maxN int) *Host {
 	if ttl <= 0 {
 		ttl = 5 * time.Minute
 	}
-	return &Host{sessions: make(map[string]*hostSession), ttl: ttl, now: time.Now}
+	if maxN <= 0 {
+		maxN = 1 << 20
+	}
+	return &Host{sessions: make(map[string]*hostSession), ttl: ttl, maxN: maxN, now: time.Now}
 }
 
 // Sessions reports the live worker count.
@@ -88,7 +94,8 @@ func (h *Host) Sessions() int {
 	return len(h.sessions)
 }
 
-// ServeHTTP serves the /v1/shard/rounds wire with no admission limits.
+// ServeHTTP serves the /v1/shard/rounds wire; request body limits are the
+// caller's to set.
 func (h *Host) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ServeRounds(w, r, h.Handle)
 }
@@ -114,6 +121,11 @@ func (h *Host) Handle(req *RoundsRequest) *RoundsResponse {
 }
 
 func (h *Host) handleInit(req *RoundsRequest) *RoundsResponse {
+	if req.ParentN > h.maxN {
+		return &RoundsResponse{
+			Error: fmt.Sprintf("shard parent graph has n=%d, above the %d-vertex limit", req.ParentN, h.maxN),
+		}
+	}
 	sub, err := graph.DecodeBinary(bytes.NewReader(req.Graph))
 	if err != nil {
 		return &RoundsResponse{Error: fmt.Sprintf("bad shard graph: %v", err)}

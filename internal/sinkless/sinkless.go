@@ -6,10 +6,11 @@
 // each degree-≥3 vertex must grab a private incident edge, which it orients
 // outward (rank 2, minimum degree ≥ 3 > 1.1·2).
 //
-// OrientTwoOut implements the paper's vertex-splitting trick: splitting
-// every vertex of degree ≥ 6 into two virtual halves guarantees two
-// outgoing edges per such vertex — exactly the device Algorithm 2 uses at
-// clique granularity to reserve two slack-triad edges per clique.
+// OrientKOut implements the paper's vertex-splitting trick: splitting
+// every vertex of degree ≥ 3k into k virtual parts guarantees k outgoing
+// edges per such vertex (k=1 is plain sinkless orientation). k=2 is
+// exactly the device Algorithm 2 uses at clique granularity to reserve two
+// slack-triad edges per clique.
 package sinkless
 
 import (
@@ -26,50 +27,6 @@ import (
 type Orientation struct {
 	Edges []graph.Edge
 	Tail  []int
-}
-
-// Orient computes a sinkless orientation of net's graph. Vertices of degree
-// less than 3 may be sinks, per the problem definition.
-func Orient(net *local.Network) (*Orientation, error) {
-	g := net.Graph()
-	edges := g.Edges()
-	hyper := make([][]int, len(edges))
-	for i, e := range edges {
-		var verts []int
-		if g.Degree(e.U) >= 3 {
-			verts = append(verts, e.U)
-		}
-		if g.Degree(e.V) >= 3 {
-			verts = append(verts, e.V)
-		}
-		if len(verts) == 0 {
-			verts = []int{e.U} // placeholder member; rank stays <= 2
-		}
-		hyper[i] = verts
-	}
-	// Restrict the HEG instance to the participating vertices.
-	participating := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		participating[v] = g.Degree(v) >= 3
-	}
-	grab, err := solveRestricted(net, g.N(), participating, hyper)
-	if err != nil {
-		return nil, fmt.Errorf("sinkless: %w", err)
-	}
-	o := &Orientation{Edges: edges, Tail: make([]int, len(edges))}
-	for i, e := range edges {
-		// Default: orient toward the smaller endpoint.
-		o.Tail[i] = e.V
-		if g.ID(e.U) > g.ID(e.V) {
-			o.Tail[i] = e.U
-		}
-	}
-	for v, e := range grab {
-		if e >= 0 {
-			o.Tail[e] = v
-		}
-	}
-	return o, nil
 }
 
 // solveRestricted runs HEG over only the participating vertices by
@@ -118,36 +75,6 @@ func solveRestricted(net *local.Network, n int, participating []bool, edges [][]
 		grab[back[cv]] = edgeBack[e]
 	}
 	return grab, nil
-}
-
-// Verify checks the sinkless property: every vertex of degree >= 3 has an
-// outgoing edge and every tail is an endpoint.
-func Verify(g *graph.Graph, o *Orientation) error {
-	if len(o.Tail) != len(o.Edges) {
-		return fmt.Errorf("sinkless: %d tails for %d edges", len(o.Tail), len(o.Edges))
-	}
-	hasOut := make([]bool, g.N())
-	for i, e := range o.Edges {
-		t := o.Tail[i]
-		if t != e.U && t != e.V {
-			return fmt.Errorf("sinkless: edge (%d,%d): tail %d is not an endpoint", e.U, e.V, t)
-		}
-		hasOut[t] = true
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) >= 3 && !hasOut[v] {
-			return fmt.Errorf("sinkless: vertex %d: sink at degree %d >= 3", v, g.Degree(v))
-		}
-	}
-	return nil
-}
-
-// OrientTwoOut orients the edges so that every vertex of degree >= 6 has at
-// least two outgoing edges, via the splitting trick: each such vertex is
-// represented by two virtual halves, each owning half its incident edges
-// and each grabbing one edge to orient outward.
-func OrientTwoOut(net *local.Network) (*Orientation, error) {
-	return OrientKOut(net, 2)
 }
 
 // OrientKOut generalizes the splitting trick: every vertex of degree at
@@ -233,10 +160,4 @@ func VerifyKOut(g *graph.Graph, o *Orientation, k int) error {
 		}
 	}
 	return nil
-}
-
-// VerifyTwoOut checks that every vertex of degree >= 6 has at least two
-// outgoing edges.
-func VerifyTwoOut(g *graph.Graph, o *Orientation) error {
-	return VerifyKOut(g, o, 2)
 }

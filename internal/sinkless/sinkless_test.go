@@ -23,11 +23,11 @@ func TestOrientRegularGraphs(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			net := local.New(c.g)
-			o, err := Orient(net)
+			o, err := OrientKOut(net, 1)
 			if err != nil {
-				t.Fatalf("Orient: %v", err)
+				t.Fatalf("OrientKOut: %v", err)
 			}
-			if err := Verify(c.g, o); err != nil {
+			if err := VerifyKOut(c.g, o, 1); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -37,11 +37,11 @@ func TestOrientRegularGraphs(t *testing.T) {
 func TestOrientLowDegreeVerticesMayBeSinks(t *testing.T) {
 	// A cycle has max degree 2; any orientation is sinkless by definition.
 	g := graph.Cycle(7)
-	o, err := Orient(local.New(g))
+	o, err := OrientKOut(local.New(g), 1)
 	if err != nil {
-		t.Fatalf("Orient: %v", err)
+		t.Fatalf("OrientKOut: %v", err)
 	}
-	if err := Verify(g, o); err != nil {
+	if err := VerifyKOut(g, o, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,11 +58,11 @@ func TestOrientMixedDegrees(t *testing.T) {
 	b.AddEdge(4, 5)
 	b.AddEdge(5, 6)
 	g := b.MustBuild()
-	o, err := Orient(local.New(g))
+	o, err := OrientKOut(local.New(g), 1)
 	if err != nil {
-		t.Fatalf("Orient: %v", err)
+		t.Fatalf("OrientKOut: %v", err)
 	}
-	if err := Verify(g, o); err != nil {
+	if err := VerifyKOut(g, o, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -71,14 +71,14 @@ func TestOrientTwoOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, d := range []int{6, 8, 10} {
 		g := graph.RandomRegular(40, d, rng)
-		o, err := OrientTwoOut(local.New(g))
+		o, err := OrientKOut(local.New(g), 2)
 		if err != nil {
-			t.Fatalf("d=%d: OrientTwoOut: %v", d, err)
+			t.Fatalf("d=%d: OrientKOut: %v", d, err)
 		}
-		if err := VerifyTwoOut(g, o); err != nil {
+		if err := VerifyKOut(g, o, 2); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		if err := Verify(g, o); err != nil {
+		if err := VerifyKOut(g, o, 1); err != nil {
 			t.Fatalf("d=%d: two-out orientation not sinkless: %v", d, err)
 		}
 	}
@@ -92,7 +92,7 @@ func TestVerifyCatchesSink(t *testing.T) {
 	for i, e := range o.Edges {
 		o.Tail[i] = e.U // tails: 0,0,0,1,1,2 -> vertex 3 is a sink
 	}
-	if err := Verify(g, o); err == nil {
+	if err := VerifyKOut(g, o, 1); err == nil {
 		t.Fatal("sink not detected")
 	}
 }
@@ -100,7 +100,7 @@ func TestVerifyCatchesSink(t *testing.T) {
 func TestVerifyCatchesBadTail(t *testing.T) {
 	g := graph.Path(3)
 	o := &Orientation{Edges: g.Edges(), Tail: []int{2, 1}}
-	if err := Verify(g, o); err == nil {
+	if err := VerifyKOut(g, o, 1); err == nil {
 		t.Fatal("non-endpoint tail accepted")
 	}
 }
@@ -110,7 +110,7 @@ func TestOrientRoundsLogarithmic(t *testing.T) {
 	for _, n := range []int{100, 1000} {
 		g := graph.RandomRegular(n, 3, rng)
 		net := local.New(g)
-		if _, err := Orient(net); err != nil {
+		if _, err := OrientKOut(net, 1); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if net.Rounds() > 300 {
@@ -128,11 +128,11 @@ func TestOrientProperty(t *testing.T) {
 			n++
 		}
 		g := graph.RandomRegular(n, d, rng)
-		o, err := Orient(local.New(g))
+		o, err := OrientKOut(local.New(g), 1)
 		if err != nil {
 			return false
 		}
-		return Verify(g, o) == nil
+		return VerifyKOut(g, o, 1) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -192,14 +192,6 @@ func TestVerifyKOutBranches(t *testing.T) {
 	}
 	if err := VerifyKOut(g, starved, 2); err == nil {
 		t.Fatal("under-k vertex accepted")
-	}
-
-	// VerifyTwoOut is the k=2 specialization and must agree.
-	if err := VerifyTwoOut(g, o); err != nil {
-		t.Fatalf("VerifyTwoOut rejected a valid 2-out orientation: %v", err)
-	}
-	if err := VerifyTwoOut(g, starved); err == nil {
-		t.Fatal("VerifyTwoOut accepted an under-2 orientation")
 	}
 }
 

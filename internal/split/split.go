@@ -17,6 +17,9 @@
 //     offsets. Offsets are chosen deterministically per trail and the
 //     result is verified against the ε·d(v)+4 bound; on violation the
 //     offsets are rotated and the step retried (each retry charges rounds).
+//     An odd closed trail always leaves two same-colored edges at its
+//     start, so once maxRetries offset retries have failed, the retries
+//     also rotate where each closed trail starts.
 //
 // Splitting into 2^i parts recurses i times. The final assignment satisfies
 // Corollary 22's band (verified by VerifyParts and by the E6 bench).
@@ -31,7 +34,8 @@ import (
 	"deltacoloring/internal/local"
 )
 
-// maxRetries bounds the verify-and-retry loop of one split level.
+// maxRetries bounds the offset retries of one split level; split2 follows
+// them with as many retries that also move the closed trails' starts.
 const maxRetries = 32
 
 // Split partitions the given edge list (parallel edges allowed; endpoints
@@ -114,14 +118,14 @@ func split2(net *local.Network, n int, edges []graph.Edge, eps float64) ([]int, 
 	for m := n; m > 0; m >>= 1 {
 		logN++
 	}
-	for attempt := 0; attempt < maxRetries; attempt++ {
+	for attempt := 0; attempt < 2*maxRetries; attempt++ {
 		net.Charge(segLen + 6 + logN)
 		color := colorTrails(trails, len(edges), segLen, attempt)
 		if maxViolation(n, edges, color, deg, eps) < 0 {
 			return color, nil
 		}
 	}
-	return nil, fmt.Errorf("split: discrepancy bound eps*d+4 not met after %d offset retries", maxRetries)
+	return nil, fmt.Errorf("split: discrepancy bound eps*d+4 not met after %d retries", 2*maxRetries)
 }
 
 // maxViolation returns a violating vertex, or -1 if the eps*d+4 bound holds
@@ -220,17 +224,25 @@ func buildTrails(n int, edges []graph.Edge) []trail {
 
 // colorTrails assigns 0/1 to each edge: trails are cut into segments of
 // length segLen with a per-trail, per-attempt offset, and each segment is
-// colored alternately from 0.
+// colored alternately from 0. A closed trail's first and last edges meet
+// at its start vertex, which takes the odd cycle's defect; from attempt
+// maxRetries on, each closed trail starts at a per-trail, per-attempt
+// rotation instead, so the defects of several odd trails stop piling on
+// one vertex.
 func colorTrails(trails []trail, numEdges, segLen, attempt int) []int {
 	color := make([]int, numEdges)
 	for ti, t := range trails {
 		offset := (ti*31 + attempt*17 + attempt*attempt*7) % segLen
+		rot := 0
+		if t.cycle && attempt >= maxRetries {
+			rot = (ti*13 + attempt*attempt*5) % len(t.edges)
+		}
 		pos := 0
-		for j, e := range t.edges {
+		for j := range t.edges {
 			if j > 0 && (j+offset)%segLen == 0 {
 				pos = 0 // segment boundary: restart alternation
 			}
-			color[e] = pos % 2
+			color[t.edges[(j+rot)%len(t.edges)]] = pos % 2
 			pos++
 		}
 	}

@@ -153,28 +153,44 @@ func TestVerifyPartsCatchesSkew(t *testing.T) {
 	}
 }
 
+// splitPropertyCase draws one TestSplitProperty instance from seed: a
+// random d-regular graph, a level count and an eps, split and checked
+// against the Corollary 22 band.
+func splitPropertyCase(seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	d := 4 + 2*rng.Intn(5)
+	n := 40 + rng.Intn(60)
+	if n*d%2 == 1 {
+		n++
+	}
+	g := graph.RandomRegular(n, d, rng)
+	i := 1 + rng.Intn(2)
+	eps := 0.1 + rng.Float64()*0.3
+	edges := g.Edges()
+	part, err := Split(local.New(g), g.N(), edges, i, eps)
+	if err != nil {
+		return err
+	}
+	return VerifyParts(g.N(), edges, part, i, eps)
+}
+
 // Property: splitting random regular graphs at various eps always meets the
 // Corollary 22 band.
 func TestSplitProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d := 4 + 2*rng.Intn(5)
-		n := 40 + rng.Intn(60)
-		if n*d%2 == 1 {
-			n++
-		}
-		g := graph.RandomRegular(n, d, rng)
-		i := 1 + rng.Intn(2)
-		eps := 0.1 + rng.Float64()*0.3
-		edges := g.Edges()
-		part, err := Split(local.New(g), g.N(), edges, i, eps)
-		if err != nil {
-			return false
-		}
-		return VerifyParts(g.N(), edges, part, i, eps) == nil
-	}
+	f := func(seed int64) bool { return splitPropertyCase(seed) == nil }
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitPropertyOddClosedTrails pins seeds on which the property used
+// to fail every time: vertex 0 anchors two or three odd closed trails, and
+// each puts its two same-colored edges there on every offset retry.
+func TestSplitPropertyOddClosedTrails(t *testing.T) {
+	for _, seed := range []int64{195, 473, 556, 1155} {
+		if err := splitPropertyCase(seed); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }
 
