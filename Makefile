@@ -35,11 +35,12 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/repair/
 
 # Sharded-cluster chaos (DESIGN.md §15): seeded worker kill/hang/corrupt
-# plans through the coordinator and its transports, plus the service-level
-# guarantee that a damaged cluster never answers 200 with an invalid or
-# partial coloring. DELTA_CHAOS_ITERS scales the root soak.
+# plans through the coordinator and its transports, the HTTP stream's
+# lifecycle (hung, killed and refusing workers, cut streams, aborts), plus
+# the service-level guarantee that a damaged cluster never answers 200 with
+# an invalid or partial coloring. DELTA_CHAOS_ITERS scales the root soak.
 chaos-shard:
-	$(GO) test -race -count=1 -run 'TestChaos' ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestChaos|TestStream|TestHTTPTransportRefusesForeignWire' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestChaosShard' .
 	$(GO) test -race -count=1 -run 'TestShardChaosNeverServesBadColoring|TestShardWorkerEndpointRoundTrip|TestColorShardedConcurrent' ./internal/service/
 
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPartition -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzRoundsRequest -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzRoundsResponse -fuzztime 30s ./internal/shard/
+	$(GO) test -fuzz FuzzRoundsStream -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzDecodeBinary -fuzztime 30s ./internal/graph/
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 30s ./internal/graphio/
 	$(GO) test -fuzz FuzzColorRequest -fuzztime 30s ./internal/service/

@@ -16,10 +16,10 @@
 // are confined to the directory.
 //
 // With -workers-addrs, sharded ?shards= color requests fan their cross-cut
-// LOCAL rounds out to the listed worker instances over POST /v1/shard/rounds
-// (each instance serves the endpoint itself, so plain deltaserved processes
-// form the cluster); without it, shards run in-process. -shards caps the
-// per-request shard count.
+// LOCAL rounds out to the listed worker instances over one POST
+// /v1/shard/stream per run and instance (each instance serves the endpoint
+// itself, so plain deltaserved processes form the cluster); without it,
+// shards run in-process. -shards caps the per-request shard count.
 //
 // With -data-dir, every dynamic graph is durable: mutation batches are
 // written to a per-graph WAL before they are acknowledged, checkpoints bound

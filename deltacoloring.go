@@ -69,6 +69,9 @@ var (
 	ErrNotDense = core.ErrNotDense
 	// ErrBrooks marks the Brooks exception: a (Δ+1)-clique exists.
 	ErrBrooks = core.ErrBrooks
+	// ErrLemmaViolated marks a deterministic refusal of the hard-clique
+	// pipeline: a Lemma 10–17 bound fails at the chosen parameters.
+	ErrLemmaViolated = core.ErrLemmaViolated
 )
 
 // DefaultParams returns the paper's exact parameterization (ε = 1/63,

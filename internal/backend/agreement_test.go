@@ -18,9 +18,9 @@ import (
 // refuses an out-of-scope instance with a structural error, or produces a
 // coloring that the phase checkpoints and the differential oracle both
 // accept. Backends never disagree on what a valid answer is. Which cells
-// refuse, and how many colors each completed cell spends, are pinned to the
-// backend arena snapshot (BENCH_arena.json), at the arena's seed and one
-// other.
+// refuse, and how many colors each completed cell spends, are pinned below
+// to the values the retired backend arena snapshot recorded (EXPERIMENTS.md
+// E22), at the arena's seed and one other.
 func TestCrossBackendAgreement(t *testing.T) {
 	type instance struct {
 		name string

@@ -98,8 +98,8 @@ func (p Params) Validate(delta int) error {
 		proposals := (float64(delta) - p.Eps*float64(delta)) / float64(p.Subcliques)
 		rank := 2 * p.Eps * float64(delta)
 		if rank >= 1 && proposals <= HEGSlack*rank {
-			return fmt.Errorf("core: Lemma 11 slack violated: %d sub-cliques give %.2f proposals vs rank %.2f",
-				p.Subcliques, proposals, rank)
+			return refuse(fmt.Errorf("core: Lemma 11 slack violated: %d sub-cliques give %.2f proposals vs rank %.2f",
+				p.Subcliques, proposals, rank))
 		}
 	}
 	return nil
@@ -120,4 +120,18 @@ var (
 	// ErrBrooks is returned for Brooks exceptions: the graph contains a
 	// (Δ+1)-clique and admits no Δ-coloring.
 	ErrBrooks = errors.New("core: graph contains a (Δ+1)-clique; no Δ-coloring exists")
+	// ErrLemmaViolated marks a deterministic refusal: a bound of Lemmas
+	// 10–17 does not hold for these parameters on this instance (the
+	// scaled presets' constants are looser than the paper's). The same
+	// input and parameters refuse the same way every time; each refusal
+	// keeps its own message naming the lemma.
+	ErrLemmaViolated = errors.New("core: a lemma's bound does not hold at these parameters")
 )
+
+// refuse marks err, a failed Lemma 10–17 bound, as ErrLemmaViolated
+// without changing its message.
+func refuse(err error) error { return lemmaError{err} }
+
+type lemmaError struct{ error }
+
+func (e lemmaError) Unwrap() []error { return []error{e.error, ErrLemmaViolated} }

@@ -51,7 +51,7 @@ type ColorRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 	// Shards > 0 runs the greedy wire algorithm sharded across this many
 	// workers with cross-cut LOCAL rounds (in-process by default, over the
-	// cluster's /v1/shard/rounds workers when the server was started with
+	// cluster's /v1/shard/stream workers when the server was started with
 	// -workers-addrs). The merged coloring is bit-identical to the
 	// single-process greedy run at any shard count. ?shards= on the URL is
 	// an equivalent spelling. Incompatible with algo=rand and with any

@@ -52,7 +52,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request-supplied timeouts (default 5m).
 	MaxTimeout time.Duration
-	// MaxBodyBytes bounds the request body (default 32 MiB).
+	// MaxBodyBytes bounds the request body (default 32 MiB), and each
+	// record of a shard stream.
 	MaxBodyBytes int64
 	// MaxVertices bounds the vertex count of any requested graph, keeping
 	// a few header bytes from committing the server to a giant allocation
@@ -109,14 +110,15 @@ type Config struct {
 	CheckpointEvery int
 	// ShardAddrs lists worker base URLs (e.g. "http://10.0.0.2:8081") for
 	// sharded ?shards= runs: shard s is served by ShardAddrs[s mod len] over
-	// POST /v1/shard/rounds. Empty runs every shard in-process. Every
-	// deltaserved instance also serves /v1/shard/rounds itself, so any
-	// instance can be another's worker.
+	// one POST /v1/shard/stream per run and host. Empty runs every shard
+	// in-process. Every deltaserved instance also serves /v1/shard/stream
+	// itself, so any instance can be another's worker.
 	ShardAddrs []string
 	// MaxShards caps the per-request shard count (default 16).
 	MaxShards int
 	// ShardSessionTTL reaps worker-host sessions idle past it — state left
-	// behind by a coordinator that died mid-run (default 5m).
+	// behind by a coordinator that died mid-run (default 5m) — and closes a
+	// shard stream idle as long.
 	ShardSessionTTL time.Duration
 
 	// runHook, when set, runs on the attempt goroutine just before a job's
@@ -324,7 +326,7 @@ func New(cfg Config) *Server {
 	}
 	s.cache = newLRU(cfg.CacheSize, &s.led)
 	s.mux.HandleFunc("POST /v1/color", s.handleColor)
-	s.mux.HandleFunc("POST "+shard.RoundsPath, s.handleShardRounds)
+	s.mux.HandleFunc("POST "+shard.StreamPath, s.handleShardStream)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	s.mux.HandleFunc("POST /v1/graphs", s.handleGraphCreate)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleGraphList)
@@ -740,7 +742,8 @@ func retryableFailure(o runOutcome) bool {
 	case errors.Is(o.err, context.DeadlineExceeded),
 		errors.Is(o.err, context.Canceled),
 		errors.Is(o.err, deltacoloring.ErrNotDense),
-		errors.Is(o.err, deltacoloring.ErrBrooks):
+		errors.Is(o.err, deltacoloring.ErrBrooks),
+		errors.Is(o.err, deltacoloring.ErrLemmaViolated):
 		return false
 	}
 	return true
@@ -772,7 +775,8 @@ func (s *Server) failJob(j *job, err error, panicked bool) {
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		status = 499 // client closed request (nginx convention)
-	case errors.Is(err, deltacoloring.ErrNotDense), errors.Is(err, deltacoloring.ErrBrooks):
+	case errors.Is(err, deltacoloring.ErrNotDense), errors.Is(err, deltacoloring.ErrBrooks),
+		errors.Is(err, deltacoloring.ErrLemmaViolated):
 		status = http.StatusUnprocessableEntity
 	}
 	if status == http.StatusInternalServerError {
@@ -965,15 +969,15 @@ func (s *Server) handleColor(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleShardRounds serves the worker half of the sharded protocol: a
-// coordinator (possibly this same process in a cluster of peers) posts one
-// init/step/finish/abort frame per shard per round. Protocol failures
-// travel inside a 200 response frame so the coordinator can reconstruct the
-// named violation type; only an undecodable or oversized body is an HTTP
-// error (400, text).
-func (s *Server) handleShardRounds(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	shard.ServeRounds(w, r, s.shardHost.Handle)
+// handleShardStream serves the worker half of the sharded protocol: a
+// coordinator (possibly this same process in a cluster of peers) holds one
+// stream per run to this host and writes one init/step/finish/abort record
+// per shard per round. Protocol failures travel inside a 200 response frame
+// so the coordinator can reconstruct the named violation type; only a first
+// record that does not decode or exceeds MaxBodyBytes is an HTTP error
+// (400, text).
+func (s *Server) handleShardStream(w http.ResponseWriter, r *http.Request) {
+	s.shardHost.ServeRounds(w, r, s.cfg.MaxBodyBytes)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

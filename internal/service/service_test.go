@@ -263,6 +263,38 @@ func TestNotDenseMapsTo422(t *testing.T) {
 	}
 }
 
+// TestLemmaRefusalMapsTo422: the deterministic pipeline refuses
+// HardCliqueBipartite(48,48) under the scaled preset (Lemma 13's incoming
+// bound fails). The refusal recurs identically, so every request answers
+// 422 after one attempt, and the breaker, which counts server faults, stays
+// closed however often it is asked.
+func TestLemmaRefusalMapsTo422(t *testing.T) {
+	var attempts atomic.Int64
+	cfg := Config{Workers: 1, MaxRetries: 2, RetryBaseBackoff: time.Millisecond, BreakerThreshold: 2}
+	cfg.runHook = func(work) { attempts.Add(1) }
+	svc, cl, _ := newTestServer(t, cfg)
+	const requests = 3
+	for i := 1; i <= requests; i++ {
+		_, err := cl.Color(context.Background(), &ColorRequest{Gen: &GenSpec{Family: "hard", M: 48, Delta: 48}, Algo: "det", NoCache: true})
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("request %d: want 422 APIError, got %v", i, err)
+		}
+		if apiErr.Resp == nil || !strings.Contains(apiErr.Resp.Error, "Lemma 13 violated") {
+			t.Fatalf("request %d: error body %+v, want the Lemma 13 refusal", i, apiErr.Resp)
+		}
+		if got := attempts.Load(); got != int64(i) {
+			t.Fatalf("request %d: %d attempts in all, want one per request", i, got)
+		}
+	}
+	if state, opens := svc.breaker.snapshot(); state != breakerClosed || opens != 0 {
+		t.Fatalf("breaker state %d after %d opens, want closed and never opened", state, opens)
+	}
+	if retries := svc.met.jobsRetried.Load(); retries != 0 {
+		t.Fatalf("retries metric %d, want 0", retries)
+	}
+}
+
 func TestAsyncJobLifecycle(t *testing.T) {
 	_, cl, _ := newTestServer(t, Config{Workers: 2})
 	req := easyReq(6)

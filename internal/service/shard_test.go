@@ -169,7 +169,7 @@ func TestColorShardedConcurrent(t *testing.T) {
 }
 
 // TestShardWorkerEndpointRoundTrip: one server acts as the worker fleet for
-// another over POST /v1/shard/rounds — the full HTTP protocol path. The
+// another over POST /v1/shard/stream — the full HTTP protocol path. The
 // worker host must end the run with no leaked sessions.
 func TestShardWorkerEndpointRoundTrip(t *testing.T) {
 	workerSrv, workerCl, _ := newTestServer(t, Config{Workers: 1})
@@ -282,13 +282,15 @@ func TestShardChaosNeverServesBadColoring(t *testing.T) {
 // TestShardRoundsEndpointRefusesGarbage: the worker endpoint answers
 // protocol failures inside a 200 response frame (so coordinators can
 // reconstruct typed violations), refuses oversized graphs the same way, and
-// answers every frame that does not decode — including a JSON body from a
-// coordinator of another wire version — with 400 and a text body.
+// answers every first record that does not decode — including a JSON body
+// from a coordinator of another wire version — or that exceeds
+// MaxBodyBytes with 400 and a text body. Each body is one record on a
+// stream; post strips the record envelope from a 200 answer.
 func TestShardRoundsEndpointRefusesGarbage(t *testing.T) {
 	_, cl, _ := newTestServer(t, Config{Workers: 1, MaxVertices: 100})
-	post := func(body []byte) (int, string, []byte) {
+	postRaw := func(body []byte) (int, string, []byte) {
 		t.Helper()
-		hr, err := http.Post(cl.BaseURL+shard.RoundsPath, "application/octet-stream", bytes.NewReader(body))
+		hr, err := http.Post(cl.BaseURL+shard.StreamPath, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,6 +300,18 @@ func TestShardRoundsEndpointRefusesGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 		return hr.StatusCode, hr.Header.Get("Content-Type"), raw
+	}
+	post := func(frame []byte) (int, string, []byte) {
+		t.Helper()
+		status, ctype, raw := postRaw(append(binary.AppendUvarint(nil, uint64(len(frame))), frame...))
+		if status == http.StatusOK {
+			n, k := binary.Uvarint(raw)
+			if k <= 0 || uint64(len(raw)-k) != n {
+				t.Fatalf("answer %x is not one record", raw)
+			}
+			raw = raw[k:]
+		}
+		return status, ctype, raw
 	}
 	frame := func(req *shard.RoundsRequest) []byte {
 		t.Helper()
@@ -328,6 +342,13 @@ func TestShardRoundsEndpointRefusesGarbage(t *testing.T) {
 		if status != http.StatusBadRequest || !strings.HasPrefix(ctype, "text/plain") || !bytes.Contains(raw, []byte("shard:")) {
 			t.Errorf("%s: status %d, %s body %q; want 400 with a text body", name, status, ctype, raw)
 		}
+	}
+	// A record declaring more than MaxBodyBytes is refused on its length
+	// alone, before its bytes are read or allocated.
+	overLimit := binary.AppendUvarint(nil, 32<<20+1)
+	if status, ctype, raw := postRaw(overLimit); status != http.StatusBadRequest ||
+		!strings.HasPrefix(ctype, "text/plain") || !bytes.Contains(raw, []byte("exceeds the 33554432-byte limit")) {
+		t.Errorf("over-limit record: status %d, %s body %q; want 400 naming the limit", status, ctype, raw)
 	}
 
 	// Unknown session: a protocol error inside a 200.

@@ -14,7 +14,7 @@ import (
 
 // Transport moves the protocol between the coordinator and one shard's
 // worker. Implementations: InProcess (direct calls), HTTPTransport (the
-// service's /v1/shard/rounds endpoint), and ChaosTransport (seeded fault
+// service's /v1/shard/stream endpoint), and ChaosTransport (seeded fault
 // injection around either). Step and Finish honor ctx's deadline; a
 // transport error fails the whole run — the coordinator never merges a
 // partial coloring.

@@ -1,16 +1,19 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 )
 
-// The /v1/shard/rounds wire: one binary frame per request and one per
-// response, all integers little-endian or unsigned varints.
+// The /v1/shard/stream wire: one long-lived, full-duplex HTTP/1.1 request
+// per worker host per run. The request body is a sequence of records, each
+// a uvarint length followed by one request frame; the response body is the
+// same sequence of response frames, one per request frame, in request
+// order. All integers are little-endian or unsigned varints.
 //
 // Request frame:
 //
@@ -40,9 +43,11 @@ import (
 // every frame that decodes re-encodes to exactly its own bytes. They do not
 // judge the payload: vertex and color values, the graph image and the
 // parent mapping are the worker's to validate (the exchange contract, the
-// CSR decoder, NewPartFromWire). A server answers an undecodable request
-// with HTTP 400 and a text body, so a coordinator and a worker built from
-// different wire versions fail cleanly instead of misreading each other.
+// CSR decoder, NewPartFromWire). A record's length is checked against the
+// reader's limit before anything is allocated for it. A server answers a
+// first record that does not decode with HTTP 400 and a text body, so a
+// coordinator and a worker built from different wire versions fail cleanly
+// instead of misreading each other; a later bad record ends the stream.
 
 // frameVersion leads every frame; bump it on any layout change.
 const frameVersion = 1
@@ -50,7 +55,8 @@ const frameVersion = 1
 // frameContentType labels both frame kinds on the wire.
 const frameContentType = "application/octet-stream"
 
-// maxPrealloc caps the body buffer sized from an untrusted Content-Length.
+// maxPrealloc caps the record buffer sized from an untrusted length: past
+// it, the buffer grows only with the bytes that actually arrive.
 const maxPrealloc = 4 << 20
 
 // opNames maps the op byte to RoundsRequest.Op; index 0 is no op.
@@ -68,6 +74,25 @@ func opCode(op string) (byte, bool) {
 // EncodeRequest serializes one request frame. Only the payload of req.Op is
 // written; the other op's fields are ignored.
 func EncodeRequest(req *RoundsRequest) ([]byte, error) {
+	return encodeRequest(req, 0)
+}
+
+// encodeRecord serializes req as one stream record, the frame's uvarint
+// length before it, without copying the frame.
+func encodeRecord(req *RoundsRequest) ([]byte, error) {
+	b, err := encodeRequest(req, binary.MaxVarintLen64)
+	if err != nil {
+		return nil, err
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(b)-len(hdr)))
+	start := len(hdr) - n
+	copy(b[start:], hdr[:n])
+	return b[start:], nil
+}
+
+// encodeRequest writes the frame after reserve zero bytes.
+func encodeRequest(req *RoundsRequest, reserve int) ([]byte, error) {
 	op, ok := opCode(req.Op)
 	if !ok {
 		return nil, fmt.Errorf("shard: encode: unknown op %q", req.Op)
@@ -75,7 +100,7 @@ func EncodeRequest(req *RoundsRequest) ([]byte, error) {
 	if min(req.Shard, req.ParentN, req.Delta) < 0 || max(req.Shard, req.ParentN, req.Delta) > math.MaxInt32 {
 		return nil, fmt.Errorf("shard: encode: shard %d, parent n %d or delta %d out of range", req.Shard, req.ParentN, req.Delta)
 	}
-	b := make([]byte, 0, 8*binary.MaxVarintLen64+len(req.Session)+len(req.Graph)+
+	b := make([]byte, reserve, reserve+8*binary.MaxVarintLen64+len(req.Session)+len(req.Graph)+
 		4*(len(req.ToParent)+len(req.Locals))+8*len(req.Updates))
 	b = append(b, frameVersion, op)
 	b = appendString(b, req.Session)
@@ -166,34 +191,26 @@ func DecodeResponse(b []byte) (*RoundsResponse, error) {
 	return resp, nil
 }
 
-// ServeRounds is the server half of the wire, shared by every worker host:
-// it reads one request frame from r's body, answers a frame that does not
-// decode with 400 and a text body, and writes handle's reply as a response
-// frame otherwise. A caller that must bound the body wraps r.Body first.
-func ServeRounds(w http.ResponseWriter, r *http.Request, handle func(*RoundsRequest) *RoundsResponse) {
-	body, err := readBody(r.Body, r.ContentLength)
+// readRecord reads one record into buf's storage: a uvarint length, then
+// that many frame bytes. A length above limit is refused before anything is
+// allocated for it. io.EOF means the stream ended cleanly between records;
+// a record cut short is io.ErrUnexpectedEOF.
+func readRecord(r *bufio.Reader, limit int64, buf []byte) ([]byte, error) {
+	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("shard: read request: %v", err), http.StatusBadRequest)
-		return
-	}
-	req, err := DecodeRequest(body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", frameContentType)
-	_, _ = w.Write(EncodeResponse(handle(req)))
-}
-
-// readBody reads a whole body, sizing the buffer from its declared length
-// (-1 when unknown) up to maxPrealloc.
-func readBody(r io.Reader, length int64) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(int(min(max(length, 0), maxPrealloc)) + bytes.MinRead)
-	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	if n > uint64(limit) {
+		return nil, fmt.Errorf("record of %d bytes exceeds the %d-byte limit", n, limit)
+	}
+	b := bytes.NewBuffer(buf[:0])
+	// MinRead of headroom lets ReadFrom see EOF without growing the buffer.
+	b.Grow(int(min(n, maxPrealloc)) + bytes.MinRead)
+	got, err := b.ReadFrom(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(got) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	return b.Bytes(), err
 }
 
 func appendString(b []byte, s string) []byte {

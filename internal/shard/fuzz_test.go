@@ -1,9 +1,17 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"deltacoloring/internal/graph"
@@ -101,7 +109,8 @@ func wireSeeds(f *testing.F) [][]byte {
 
 // FuzzRoundsRequest feeds arbitrary bytes to the request decoder every
 // worker host runs on untrusted input. Every input must yield an error or a
-// request that re-encodes to exactly its bytes; a decoded request of modest
+// request that re-encodes to exactly its bytes, alone and as a stream
+// record; a decoded request of modest
 // parent size must then go through Host.Handle without a panic.
 func FuzzRoundsRequest(f *testing.F) {
 	for _, b := range wireSeeds(f) {
@@ -119,6 +128,9 @@ func FuzzRoundsRequest(f *testing.F) {
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
+		}
+		if rec, err := encodeRecord(req); err != nil || !bytes.Equal(rec, appendRecord(nil, data)) {
+			t.Fatalf("encodeRecord = %x, %v; want the frame as one record", rec, err)
 		}
 		if req.ParentN <= 1<<12 {
 			host := NewHost(0, 0)
@@ -149,6 +161,109 @@ func FuzzRoundsResponse(f *testing.F) {
 		}
 		if again := EncodeResponse(resp); !bytes.Equal(again, data) {
 			t.Fatalf("re-encoding differs:\n got %x\nwant %x", again, data)
+		}
+	})
+}
+
+// appendRecord appends frame as one stream record.
+func appendRecord(b, frame []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(frame)))
+	return append(b, frame...)
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzRoundsStream feeds arbitrary bytes to the stream server as a request
+// body. The server must never panic. It must answer exactly one response
+// frame per request record that decodes, up to the first bad record, which
+// is a 400 with a text body when it is the first. It must drop every
+// session the stream opened. And it must refuse an over-limit record on its
+// length: reading stops within one read-ahead buffer past the length, so
+// nothing was read, let alone allocated, for the record itself.
+func FuzzRoundsStream(f *testing.F) {
+	const limit = 1 << 12
+	const readAhead = 4096 // bufio.NewReader's buffer
+	seeds := wireSeeds(f)
+	var all []byte
+	for _, b := range seeds {
+		f.Add(appendRecord(nil, b))
+		all = appendRecord(all, b)
+	}
+	f.Add(all)
+	f.Add(append(bytes.Clone(all), 0))
+	over := binary.AppendUvarint(appendRecord(nil, seeds[1]), limit+1)
+	f.Add(append(over, make([]byte, 3*limit)...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The oracle walks the records on its own: the frames that decode
+		// before the first bad record, and where an over-limit length ends.
+		good, overEnd := 0, -1
+		for rest := data; ; {
+			n, k := binary.Uvarint(rest)
+			if k <= 0 {
+				break
+			}
+			if n > limit {
+				overEnd = len(data) - len(rest) + k
+				break
+			}
+			if uint64(len(rest)-k) < n {
+				break
+			}
+			if _, err := DecodeRequest(rest[k : k+int(n)]); err != nil {
+				break
+			}
+			good++
+			rest = rest[k+int(n):]
+		}
+
+		host := NewHost(0, 1<<12)
+		body := &countingReader{r: bytes.NewReader(data)}
+		rec := httptest.NewRecorder()
+		host.ServeRounds(rec, httptest.NewRequest(http.MethodPost, StreamPath, body), limit)
+
+		if good == 0 {
+			if rec.Code != http.StatusBadRequest || !strings.HasPrefix(rec.Header().Get("Content-Type"), "text/plain") {
+				t.Fatalf("no good record: status %d, %q; want 400 with a text body", rec.Code, rec.Header().Get("Content-Type"))
+			}
+		} else {
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d after %d good records", rec.Code, good)
+			}
+			br := bufio.NewReader(rec.Body)
+			answered := 0
+			for {
+				frame, err := readRecord(br, math.MaxInt64, nil)
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("answer %d: %v", answered, err)
+				}
+				if _, err := DecodeResponse(frame); err != nil {
+					t.Fatalf("answer %d: %v", answered, err)
+				}
+				answered++
+			}
+			if answered != good {
+				t.Fatalf("%d answers to %d good records", answered, good)
+			}
+		}
+		if overEnd >= 0 && body.n > overEnd+readAhead {
+			t.Fatalf("read %d bytes past an over-limit length ending at %d", body.n, overEnd)
+		}
+		if n := host.Sessions(); n != 0 {
+			t.Fatalf("the ended stream left %d sessions", n)
 		}
 	})
 }

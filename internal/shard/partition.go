@@ -1,7 +1,7 @@
 // Package shard is the horizontal scale-out engine: it edge-cut partitions
 // a CSR graph into k shards with ghost (halo) vertices along the cut, fans
 // the shards out to workers — in-process or across processes over the
-// service's /v1/shard/rounds endpoint — and runs true message-passing LOCAL
+// service's /v1/shard/stream endpoint — and runs true message-passing LOCAL
 // rounds across the cut: each round, workers exchange only the boundary
 // vertices that changed, routed through the coordinator, and quiet
 // boundaries cost nothing. The merged coloring is bit-identical — same
