@@ -18,6 +18,7 @@
 package listcolor
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -34,6 +35,11 @@ import (
 // allocation-free.
 var palPool = sync.Pool{New: func() any { return new(coloring.Palette) }}
 
+// ErrListTooShort marks a failed deg+1 precondition: an active vertex's list
+// has no more colors than it has active neighbors. Solve's other failures
+// are broken invariants, not bad instances.
+var ErrListTooShort = errors.New("list not longer than active degree")
+
 // Instance is one deg+1-list-coloring instance on a subset of vertices.
 type Instance struct {
 	// Active flags the vertices to color.
@@ -44,8 +50,8 @@ type Instance struct {
 }
 
 // Solve colors every active vertex with a color from its list, writing into
-// out, and returns an error if the deg+1 precondition fails or internal
-// invariants break. Already-colored active vertices are an error.
+// out, and returns an error if the deg+1 precondition fails (matching
+// ErrListTooShort) or internal invariants break. Already-colored active vertices are an error.
 func Solve(net *local.Network, inst Instance, out *coloring.Partial) error {
 	g := net.Graph()
 	if len(inst.Active) != g.N() || len(inst.Lists) != g.N() {
@@ -67,8 +73,8 @@ func Solve(net *local.Network, inst Instance, out *coloring.Partial) error {
 	sub := graph.Induced(g, activeVerts)
 	for i, p := range sub.ToParent {
 		if inst.Lists[p].Size() < sub.G.Degree(i)+1 {
-			return fmt.Errorf("listcolor: vertex %d has %d colors for active degree %d",
-				p, inst.Lists[p].Size(), sub.G.Degree(i))
+			return fmt.Errorf("listcolor: vertex %d has %d colors for active degree %d: %w",
+				p, inst.Lists[p].Size(), sub.G.Degree(i), ErrListTooShort)
 		}
 	}
 	snet := net.Virtual(sub.G, 1)
