@@ -84,11 +84,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # CPU and heap profiles of the deterministic pipeline on a permuted clique
-# ring (BenchmarkEasyRing): where its time and allocations go at large n.
-# Writes cpu.out, mem.out and the core.test binary pprof needs to read
-# them: `go tool pprof -top core.test cpu.out`.
+# ring (BenchmarkEasyRing at GOMAXPROCS workers, the parallel path that
+# ring_scale's main operation runs): where its time and allocations go at
+# large n. Writes cpu.out, mem.out and the core.test binary pprof needs to
+# read them: `go tool pprof -top core.test cpu.out`.
 profile-ring:
-	$(GO) test -run '^$$' -bench '^BenchmarkEasyRing$$' -benchmem -benchtime 20x -cpuprofile cpu.out -memprofile mem.out -o core.test ./internal/core/
+	$(GO) test -run '^$$' -bench '^BenchmarkEasyRing$$/^workers=max$$' -benchmem -benchtime 20x -cpuprofile cpu.out -memprofile mem.out -o core.test ./internal/core/
 
 # The evaluation tables of EXPERIMENTS.md (E1-E16, E18 and E19; standard
 # scale, a few minutes).

@@ -22,7 +22,6 @@ package acd
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"deltacoloring/internal/arena"
 	"deltacoloring/internal/graph"
@@ -74,88 +73,138 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 	// endpoint w count marks along N(w) — a linear scan of loads and adds in
 	// place of the per-edge sorted-merge (graph.CommonNeighbors) that
 	// dominated the dense-phase CPU profile.
+	//
+	// The count is independent per vertex, so it runs on the network's
+	// workers, each chunk with its own marks. A friendship is recorded as a
+	// flag on both of its half-edges: friend[hoff[v]+j] for v's j-th
+	// neighbor. The lower endpoint sets both flags, so every flag has one
+	// writer, and the friend graph below comes out the same for any chunking.
 	net.Charge(2)
 	friendThreshold := int(math.Ceil((1 - internalEta) * float64(delta)))
-	var fpairs []int32
-	mark := ar.Bools(n)
+	hoff := ar.Int32s(n + 1)
 	for v := 0; v < n; v++ {
-		nv := g.Neighbors(v)
-		for _, w := range nv {
-			mark[w] = true
-		}
-		for _, nw := range nv {
-			w := int(nw)
-			if w <= v {
-				continue
+		hoff[v+1] = hoff[v] + int32(g.Degree(v))
+	}
+	friend := ar.Bools(int(hoff[n]))
+	marks := make([][]bool, net.Workers())
+	for ci := range marks {
+		marks[ci] = ar.Bools(n)
+	}
+	net.ForVertexChunks(func(ci, lo, hi int) {
+		mark := marks[ci]
+		for v := lo; v < hi; v++ {
+			nv := g.Neighbors(v)
+			for _, w := range nv {
+				mark[w] = true
 			}
-			cnt := 0
-			for _, x := range g.Neighbors(w) {
-				if mark[x] {
-					cnt++
+			for j, nw := range nv {
+				w := int(nw)
+				if w <= v {
+					continue
+				}
+				// back counts N(w)'s members below v, which is v's index
+				// in the sorted N(w): the position of the reverse half-edge.
+				cnt, back := 0, int32(0)
+				for _, x := range g.Neighbors(w) {
+					if mark[x] {
+						cnt++
+					}
+					back += int32(uint32(x-int32(v)) >> 31)
+				}
+				if cnt >= friendThreshold {
+					friend[hoff[v]+int32(j)] = true
+					friend[hoff[w]+back] = true
 				}
 			}
-			if cnt >= friendThreshold {
-				fpairs = append(fpairs, int32(v), int32(w))
+			for _, w := range nv {
+				mark[w] = false
 			}
 		}
-		for _, w := range nv {
-			mark[w] = false
-		}
-	}
-	// Counting-sort the friendship pairs into a CSR adjacency (mirrors the
-	// graph builder): fadj[foff[v]:foff[v+1]] lists v's friends.
+	})
+	// The friend graph in CSR form: fadj[foff[v]:foff[v+1]] lists v's
+	// friends in ascending order (adjacency is sorted). Counting and filling
+	// are per vertex, so they run chunked too, around a sequential prefix
+	// sum.
 	foff := ar.Int32s(n + 1)
-	for _, v := range fpairs {
-		foff[v+1]++
-	}
+	net.ForVertexChunks(func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			d := int32(0)
+			for _, f := range friend[hoff[v]:hoff[v+1]] {
+				if f {
+					d++
+				}
+			}
+			foff[v+1] = d
+		}
+	})
 	for v := 0; v < n; v++ {
 		foff[v+1] += foff[v]
 	}
-	fadj := ar.Int32s(len(fpairs))
-	fcur := ar.Int32s(n)
-	copy(fcur, foff[:n])
-	for i := 0; i < len(fpairs); i += 2 {
-		u, w := fpairs[i], fpairs[i+1]
-		fadj[fcur[u]] = w
-		fcur[u]++
-		fadj[fcur[w]] = u
-		fcur[w]++
-	}
+	fadj := ar.Int32s(int(foff[n]))
 	dense := ar.Bools(n)
-	for v := 0; v < n; v++ {
-		dense[v] = int(foff[v+1]-foff[v]) >= friendThreshold
-	}
+	net.ForVertexChunks(func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			at := foff[v]
+			for j, w := range g.Neighbors(v) {
+				if friend[hoff[v]+int32(j)] {
+					fadj[at] = w
+					at++
+				}
+			}
+			dense[v] = int(foff[v+1]-foff[v]) >= friendThreshold
+		}
+	})
 
 	// Components of the friend graph among dense vertices. The theory
 	// guarantees constant diameter, so this is O(1) rounds; we charge a
 	// fixed 6 and demote any component whose friend-diameter exceeds 4
-	// (impossible for genuine almost cliques, defensive otherwise).
+	// (impossible for genuine almost cliques, defensive otherwise). The
+	// components' member lists are consecutive runs of one arena buffer,
+	// in BFS order; root[id] is the smallest member, where the BFS started.
 	net.Charge(6)
 	comp := ar.IntsFill(n, Sparse)
-	var comps [][]int
+	order := ar.Int32s(n)[:0]
+	var comps [][]int32
+	var root []int32
 	for s := 0; s < n; s++ {
 		if !dense[s] || comp[s] != Sparse {
 			continue
 		}
 		id := len(comps)
-		queue := []int{s}
+		start := len(order)
+		order = append(order, int32(s))
 		comp[s] = id
-		for q := 0; q < len(queue); q++ {
-			v := queue[q]
+		for q := start; q < len(order); q++ {
+			v := order[q]
 			for _, w := range fadj[foff[v]:foff[v+1]] {
 				if dense[w] && comp[w] == Sparse {
 					comp[w] = id
-					queue = append(queue, int(w))
+					order = append(order, w)
 				}
 			}
 		}
-		sort.Ints(queue)
-		comps = append(comps, queue)
+		comps = append(comps, order[start:len(order):len(order)])
+		root = append(root, int32(s))
 	}
-	dist := ar.Int32sFill(n, -1)
-	for i, members := range comps {
-		if friendDiameterExceeds(foff, fadj, comp, i, members, dist, 4) {
-			for _, v := range members {
+	// The diameter checks are independent per component: each runs in the
+	// chunk holding its root, with that chunk's BFS scratch, and only flags
+	// the component; the demotions follow sequentially.
+	dissolve := ar.Bools(len(comps))
+	dists := make([][]int32, net.Workers())
+	for ci := range dists {
+		dists[ci] = ar.Int32sFill(n, -1)
+	}
+	net.ForVertexChunks(func(ci, lo, hi int) {
+		var queue []int32
+		for v := lo; v < hi; v++ {
+			if id := comp[v]; id != Sparse && root[id] == int32(v) {
+				dissolve[id] = friendDiameterExceeds(foff, fadj, comp, id, comps[id], dists[ci], &queue, 4)
+			}
+		}
+	})
+	for i, d := range dissolve {
+		if d {
+			for _, v := range comps[i] {
 				comp[v] = Sparse
 			}
 			comps[i] = nil
@@ -172,19 +221,16 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 		changed := false
 		// (ii): demote members with too few internal neighbors (snapshot
 		// semantics: all demotions of one iteration use the same view).
-		clear(demote)
-		for v := 0; v < n; v++ {
-			if comp[v] == Sparse {
-				continue
+		// The counts only read comp, so they run chunked.
+		net.ForVertexChunks(func(_, lo, hi int) {
+			for v := lo; v < hi; v++ {
+				demote[v] = comp[v] != Sparse && insideCount(g, comp, v, comp[v]) < minInside
 			}
-			if insideCount(g, comp, v, comp[v]) < minInside {
-				demote[v] = true
-				changed = true
-			}
-		}
+		})
 		for v, d := range demote {
 			if d {
 				comp[v] = Sparse
+				changed = true
 			}
 		}
 		// (iii): absorb outsiders with too many neighbors in one clique.
@@ -221,7 +267,7 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 
 	// Final defensive sweep: dissolve any clique still violating (iii).
 	for iter := 0; iter < 3; iter++ {
-		bad := violatingClique(g, comp, absorbAbove)
+		bad := violatingClique(net, comp, absorbAbove)
 		if bad == Sparse {
 			break
 		}
@@ -254,21 +300,22 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 
 // friendDiameterExceeds reports whether the diameter of the friend graph
 // (foff/fadj CSR) restricted to component id exceeds bound, or the component
-// is disconnected in it. dist is an n-sized scratch array that must be all -1
-// on entry; it is restored to -1 before returning.
+// is disconnected in it; the verdict does not depend on the order of
+// members. dist is an n-sized scratch array that must be all -1 on entry; it
+// is restored to -1 before returning. *queue is BFS scratch, grown as needed
+// and kept for the next call.
 //
 // One eccentricity BFS from an arbitrary member usually decides the question:
 // ecc(s) <= diameter <= 2*ecc(s), so ecc > bound proves excess and
 // 2*ecc <= bound proves the opposite (genuine almost cliques have friend
 // diameter 1-2, hitting this path). Only the ambiguous band falls back to the
 // all-sources sweep the fast path replaced.
-func friendDiameterExceeds(foff, fadj []int32, comp []int, id int, members []int, dist []int32, bound int) bool {
-	queue := make([]int32, 0, len(members))
-	bfs := func(s int) (ecc, visited int) {
-		queue = append(queue[:0], int32(s))
+func friendDiameterExceeds(foff, fadj []int32, comp []int, id int, members []int32, dist []int32, queue *[]int32, bound int) bool {
+	bfs := func(s int32) (ecc, visited int) {
+		q := append((*queue)[:0], s)
 		dist[s] = 0
-		for q := 0; q < len(queue); q++ {
-			v := queue[q]
+		for i := 0; i < len(q); i++ {
+			v := q[i]
 			d := dist[v] + 1
 			for _, w := range fadj[foff[v]:foff[v+1]] {
 				if comp[w] == id && dist[w] < 0 {
@@ -276,14 +323,15 @@ func friendDiameterExceeds(foff, fadj []int32, comp []int, id int, members []int
 					if int(d) > ecc {
 						ecc = int(d)
 					}
-					queue = append(queue, w)
+					q = append(q, w)
 				}
 			}
 		}
-		visited = len(queue)
-		for _, v := range queue {
+		visited = len(q)
+		for _, v := range q {
 			dist[v] = -1
 		}
+		*queue = q
 		return ecc, visited
 	}
 	ecc, visited := bfs(members[0])
@@ -353,9 +401,25 @@ func insideCount(g *graph.Graph, comp []int, v, c int) int {
 	return n
 }
 
-func violatingClique(g *graph.Graph, comp []int, absorbAbove float64) int {
-	for v := 0; v < g.N(); v++ {
-		if c := majorityClique(g, comp, v, comp[v], absorbAbove); c != Sparse {
+// violatingClique returns the clique that the lowest vertex violating (iii)
+// has too many neighbors in, or Sparse. Each chunk stops at its own first
+// violation, and the lowest chunk with one holds the lowest vertex.
+func violatingClique(net *local.Network, comp []int, absorbAbove float64) int {
+	g := net.Graph()
+	found := make([]int, net.Workers())
+	for ci := range found {
+		found[ci] = Sparse
+	}
+	net.ForVertexChunks(func(ci, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			if c := majorityClique(g, comp, v, comp[v], absorbAbove); c != Sparse {
+				found[ci] = c
+				return
+			}
+		}
+	})
+	for _, c := range found {
+		if c != Sparse {
 			return c
 		}
 	}

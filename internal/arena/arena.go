@@ -24,37 +24,41 @@ package arena
 
 import "sync"
 
-// slab is one typed bump allocator.
+// slab is one typed bump allocator. A take that does not fit the current
+// buffer gets a fresh buffer sized for that take alone (at least 1024
+// elements), so a cold slab allocates what its takes need and nothing more;
+// the slices already handed out keep the earlier buffers alive. reset then
+// folds the cycle into one buffer: if the cycle's takes spread over several
+// buffers, they are dropped and the next cycle's first take allocates one
+// buffer for all of them, so a phase that repeats its takes runs
+// allocation-free from its second cycle on.
 type slab[T any] struct {
-	buf []T
-	off int
+	buf  []T
+	off  int
+	used int // elements taken since the last reset, over every buffer
+	want int // size of the next buffer, set by a reset that consolidates
 }
 
 // take returns a zeroed slice of length n from the slab, growing it as
-// needed. Growth abandons the current buffer to the GC and starts a larger
-// one; steady-state callers hit the fast path with no allocation.
+// needed.
 func (s *slab[T]) take(n int) []T {
 	if s.off+n > len(s.buf) {
-		size := 2 * len(s.buf)
-		if size < s.off+n {
-			size = s.off + n
-		}
-		if size < 1024 {
-			size = 1024
-		}
-		fresh := make([]T, size)
-		// Retain already-handed-out prefixes by keeping the old buffer
-		// referenced from the returned slices only; the slab moves on.
-		s.buf = fresh
-		s.off = 0
+		s.buf = make([]T, max(n, s.want, 1024))
+		s.off, s.want = 0, 0
 	}
 	out := s.buf[s.off : s.off+n : s.off+n]
 	s.off += n
+	s.used += n
 	clear(out)
 	return out
 }
 
-func (s *slab[T]) reset() { s.off = 0 }
+func (s *slab[T]) reset() {
+	if s.used > len(s.buf) {
+		s.buf, s.want = nil, s.used
+	}
+	s.off, s.used = 0, 0
+}
 
 // Arena is a bundle of typed slabs covering the element types the hot paths
 // need. The zero value is ready to use.

@@ -77,3 +77,31 @@ func TestPoolRoundTrip(t *testing.T) {
 	}
 	Put(b)
 }
+
+// TestColdTakesAreExactAndResetConsolidates pins the growth policy: a take
+// that overflows gets a buffer of its own size rather than a doubled one,
+// and after a reset the same takes come from one buffer, back to back.
+func TestColdTakesAreExactAndResetConsolidates(t *testing.T) {
+	var a Arena
+	sizes := []int{3000, 5000, 70000}
+	for _, n := range sizes {
+		if s := a.Int32s(n); cap(s) != n {
+			t.Fatalf("take of %d: cap %d", n, cap(s))
+		}
+	}
+	if got := len(a.i32s.buf); got != sizes[2] {
+		t.Fatalf("cold overflow allocated a %d-element buffer, want %d", got, sizes[2])
+	}
+	a.Reset()
+	off := 0
+	for _, n := range sizes {
+		s := a.Int32s(n)
+		if &s[0] != &a.i32s.buf[off] {
+			t.Fatalf("take of %d after reset is not at offset %d of one buffer", n, off)
+		}
+		off += n
+	}
+	if got := len(a.i32s.buf); got != off {
+		t.Fatalf("consolidated buffer has %d elements, want %d", got, off)
+	}
+}

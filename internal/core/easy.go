@@ -125,20 +125,28 @@ func (ec *easyColorer) run() error {
 	hp.stats.Layers = len(layers) - 1
 
 	// Color layers outside-in; every layer-i vertex has an uncolored
-	// neighbor in layer i-1 (its BFS parent), hence slack. One instance
-	// serves every layer: only the current layer's members are active and
-	// have their lists rebuilt, so a layer costs O(its members + their
-	// edges), not O(n).
-	var slab coloring.ListSlab
-	inst := listcolor.Instance{Active: make([]bool, g.N()), Lists: slab.Take(g.N(), delta)}
+	// neighbor in layer i-1 (its BFS parent), hence slack. A layer's plan
+	// (its induced subgraph and Linial slots) depends only on its members,
+	// so the planner makes upcoming layers' plans ahead on other goroutines
+	// when the network has more than one worker, while this goroutine sweeps
+	// the current layer. Only the swept layer's lists are rebuilt, so a
+	// layer costs O(its members + their edges), not O(n).
+	outsideIn := make([][]int, 0, len(layers)-1)
 	for depth := len(layers) - 1; depth >= 1; depth-- {
-		for _, v := range layers[depth] {
-			inst.Active[v] = true
-			coloring.AvailableInto(&inst.Lists[v], g, out, v, delta)
+		outsideIn = append(outsideIn, layers[depth])
+	}
+	planner := listcolor.NewPlanner(net, outsideIn)
+	defer planner.Close()
+	var slab coloring.ListSlab
+	lists := slab.Take(g.N(), delta)
+	for i, members := range outsideIn {
+		depth := len(layers) - 1 - i
+		for _, v := range members {
+			coloring.AvailableInto(&lists[v], g, out, v, delta)
 		}
-		err := listcolor.Solve(net, inst, out)
-		for _, v := range layers[depth] {
-			inst.Active[v] = false
+		plan, err := planner.Next()
+		if err == nil {
+			err = plan.Sweep(net, lists, out)
 		}
 		if err != nil {
 			return fmt.Errorf("core: layer %d: %w", depth, err)

@@ -91,12 +91,39 @@ func isPrime(n uint64) bool {
 	return true
 }
 
+// modulus divides by a fixed q in [1, 2³²) with one 64×64→128-bit
+// multiplication (Barrett reduction) in place of a hardware division. The
+// Linial round reduces every neighbor's color modulo its step's q, so the
+// division sat on the hottest loop of the algorithm.
+type modulus struct{ q, m uint64 }
+
+// newModulus precomputes m = ⌊(2⁶⁴−1)/q⌋.
+func newModulus(q uint64) modulus { return modulus{q: q, m: ^uint64(0) / q} }
+
+// divmod returns c/q and c%q. The estimate ⌊c·m/2⁶⁴⌋ undershoots c/q by at
+// most one, so one conditional correction makes both exact.
+func (md modulus) divmod(c uint64) (uint64, uint64) {
+	qt, _ := bits.Mul64(c, md.m)
+	r := c - qt*md.q
+	if r >= md.q {
+		r -= md.q
+		qt++
+	}
+	return qt, r
+}
+
+// mod returns c%q.
+func (md modulus) mod(c uint64) uint64 {
+	_, r := md.divmod(c)
+	return r
+}
+
 // powersInto fills pw with x^0, ..., x^(len(pw)-1) mod q and returns it.
-func powersInto(pw []uint64, x, q uint64) []uint64 {
+func powersInto(pw []uint64, x uint64, q modulus) []uint64 {
 	xp := uint64(1)
 	for i := range pw {
 		pw[i] = xp
-		xp = xp * x % q
+		xp = q.mod(xp * x)
 	}
 	return pw
 }
@@ -107,14 +134,15 @@ func powersInto(pw []uint64, x, q uint64) []uint64 {
 // coefficient slice is built, and the sum is carried in 128 bits and
 // reduced once; the value is the one Horner's rule gives. Each term is
 // below q², which fits a uint64 for q < 2³².
-func polyAt(c, q uint64, pw []uint64) uint64 {
+func polyAt(c uint64, q modulus, pw []uint64) uint64 {
 	var hi, lo, carry uint64
 	for _, xp := range pw {
-		lo, carry = bits.Add64(lo, c%q*xp, 0)
+		var digit uint64
+		c, digit = q.divmod(c)
+		lo, carry = bits.Add64(lo, digit*xp, 0)
 		hi += carry
-		c /= q
 	}
-	return bits.Rem64(hi, lo, q)
+	return bits.Rem64(hi, lo, q.q)
 }
 
 // Color computes a proper coloring of net's graph with at most
@@ -172,13 +200,14 @@ func toInts(cur []uint64) []int {
 // Each vertex adopts the first x in F_q where its polynomial differs from
 // every neighbor's, as (x, p_c(x)). The round allocates nothing.
 func linialRound(run *local.Runner[uint64], s step) []uint64 {
+	q := newModulus(s.q)
 	return run.Step(func(v int, self uint64, nbrs local.Nbrs[uint64]) uint64 {
 		// x = 0 first, where p_c(0) is c's lowest digit; most vertices stop
 		// here. A neighbor equal to self (an improper input) fails every x.
-		y := self % s.q
+		y := q.mod(self)
 		ok := true
 		for i := 0; i < nbrs.Len(); i++ {
-			if nbrs.State(i)%s.q == y {
+			if q.mod(nbrs.State(i)) == y {
 				ok = false
 				break
 			}
@@ -188,11 +217,11 @@ func linialRound(run *local.Runner[uint64], s step) []uint64 {
 		}
 		var buf [maxDegree + 1]uint64
 		for x := uint64(1); x < s.q; x++ {
-			pw := powersInto(buf[:s.d+1], x, s.q)
-			y := polyAt(self, s.q, pw)
+			pw := powersInto(buf[:s.d+1], x, q)
+			y := polyAt(self, q, pw)
 			ok := true
 			for i := 0; i < nbrs.Len(); i++ {
-				if other := nbrs.State(i); other == self || polyAt(other, s.q, pw) == y {
+				if other := nbrs.State(i); other == self || polyAt(other, q, pw) == y {
 					ok = false
 					break
 				}
@@ -237,43 +266,45 @@ func Reduce(net *local.Network, cur []int, m, target int) ([]int, error) {
 		}
 		// One halving retires tops firstTop..target as a frontier-scheduled
 		// sweep. Seeding by the in-block slot at the halving's start is
-		// exact: a vertex recolors only in its own slot's round and lands
-		// strictly below target, so it can never match a later top; every
-		// other state change is a reaction to a neighbor recoloring, which
-		// the frontier tracks.
+		// exact (local.ExactSeed): a vertex recolors only in its own slot's
+		// round and lands strictly below target, so it can never match a
+		// later top, and no vertex changes in reaction to a neighbor.
+		bs := newModulus(uint64(blockSize))
 		states := run.States()
 		buckets := make([][]int32, blockSize)
 		for v, c := range states {
-			if slot := c % blockSize; slot >= target {
+			if slot := int(bs.mod(uint64(c))); slot >= target {
 				buckets[slot] = append(buckets[slot], int32(v))
 			}
 		}
-		out = run.Sweep(firstTop-target+1, func(r int, mark func(int)) {
+		out = run.Sweep(firstTop-target+1, local.ExactSeed, func(r int, mark func(int)) {
 			for _, v := range buckets[firstTop-r] {
 				mark(int(v))
 			}
 		}, func(r, v int, self int, nbrs local.Nbrs[int]) int {
-			top := firstTop - r
-			if self%blockSize != top {
+			block, slot := bs.divmod(uint64(self))
+			if int(slot) != firstTop-r {
 				return self
 			}
 			// The smallest in-block slot below target that no neighbor
 			// holds, searched one 64-slot window at a time with a mask and a
 			// trailing-zeros count, so a recolor allocates nothing. Fewer
 			// than target neighbors leave a free slot by the window holding
-			// slot deg.
-			block := self / blockSize
+			// slot deg. A window lies inside the block (base+width <=
+			// target < blockSize), so a neighbor's offset from the window's
+			// first color decides both block and slot without a division.
+			blockStart := int(block) * blockSize
 			for base := 0; base < target; base += 64 {
 				width := min(64, target-base)
+				lo := blockStart + base
 				var used uint64
 				for i := 0; i < nbrs.Len(); i++ {
-					nc := nbrs.State(i)
-					if slot := nc%blockSize - base; nc/blockSize == block && slot >= 0 && slot < width {
-						used |= 1 << slot
+					if off := nbrs.State(i) - lo; uint(off) < uint(width) {
+						used |= 1 << off
 					}
 				}
 				if free := ^used & (1<<width - 1); free != 0 {
-					return block*blockSize + base + bits.TrailingZeros64(free)
+					return lo + bits.TrailingZeros64(free)
 				}
 			}
 			panic("linial: no free slot during reduction (degree invariant violated)")
@@ -281,7 +312,8 @@ func Reduce(net *local.Network, cur []int, m, target int) ([]int, error) {
 		// Compact: every color now has slot < target within its block.
 		numBlocks := (m + blockSize - 1) / blockSize
 		for v, c := range out {
-			out[v] = (c/blockSize)*target + c%blockSize
+			block, slot := bs.divmod(uint64(c))
+			out[v] = int(block)*target + int(slot)
 		}
 		m = numBlocks * target
 	}

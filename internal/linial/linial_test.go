@@ -246,7 +246,7 @@ func TestPolyEval(t *testing.T) {
 		if got := evalPoly(coeffs, uint64(x), 5); got != w {
 			t.Fatalf("p(%d) = %d, want %d", x, got, w)
 		}
-		if got := polyAt(3+2*5+1*25, 5, powersInto(make([]uint64, 3), uint64(x), 5)); got != w {
+		if got := polyAt(3+2*5+1*25, newModulus(5), powersInto(make([]uint64, 3), uint64(x), newModulus(5))); got != w {
 			t.Fatalf("polyAt(%d) = %d, want %d", x, got, w)
 		}
 	}
@@ -260,7 +260,8 @@ func TestPolyEval(t *testing.T) {
 	for _, s := range []step{{1, 17}, {2, 127}, {3, 65537}, {7, 4294967291}, {maxDegree, 4294967291}} {
 		for i := 0; i < 200; i++ {
 			c, x := rng.Uint64(), rng.Uint64()%s.q
-			if got, want := polyAt(c, s.q, powersInto(make([]uint64, s.d+1), x, s.q)), evalPoly(digitsBaseQ(c, s.q, s.d), x, s.q); got != want {
+			q := newModulus(s.q)
+			if got, want := polyAt(c, q, powersInto(make([]uint64, s.d+1), x, q)), evalPoly(digitsBaseQ(c, s.q, s.d), x, s.q); got != want {
 				t.Fatalf("step %+v c=%d x=%d: polyAt %d, Horner %d", s, c, x, got, want)
 			}
 		}
@@ -362,5 +363,27 @@ func TestColorProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestModulusMatchesDivision checks the Barrett quotient and remainder
+// against the hardware division at the edges of both operands' ranges.
+func TestModulusMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	qs := []uint64{1, 2, 3, 17, 34, 149, 1 << 16, 65537, 1<<32 - 1, 4294967291}
+	for i := 0; i < 20; i++ {
+		qs = append(qs, 1+rng.Uint64()%(1<<32-1))
+	}
+	for _, q := range qs {
+		md := newModulus(q)
+		cs := []uint64{0, 1, q - 1, q, q + 1, 2*q - 1, q * q, ^uint64(0), ^uint64(0) - 1}
+		for i := 0; i < 200; i++ {
+			cs = append(cs, rng.Uint64(), rng.Uint64()>>uint(rng.Intn(64)))
+		}
+		for _, c := range cs {
+			if qt, r := md.divmod(c); qt != c/q || r != c%q {
+				t.Fatalf("q=%d c=%d: divmod (%d, %d), want (%d, %d)", q, c, qt, r, c/q, c%q)
+			}
+		}
 	}
 }

@@ -51,7 +51,8 @@ type Instance struct {
 
 // Solve colors every active vertex with a color from its list, writing into
 // out, and returns an error if the deg+1 precondition fails (matching
-// ErrListTooShort) or internal invariants break. Already-colored active vertices are an error.
+// ErrListTooShort) or internal invariants break. Already-colored active
+// vertices are an error. It is NewPlan followed by Plan.Sweep.
 func Solve(net *local.Network, inst Instance, out *coloring.Partial) error {
 	g := net.Graph()
 	if len(inst.Active) != g.N() || len(inst.Lists) != g.N() {
@@ -59,29 +60,60 @@ func Solve(net *local.Network, inst Instance, out *coloring.Partial) error {
 	}
 	var activeVerts []int
 	for v, a := range inst.Active {
-		if !a {
-			continue
+		if a {
+			activeVerts = append(activeVerts, v)
 		}
-		if out.Colored(v) {
-			return fmt.Errorf("listcolor: active vertex %d already colored", v)
-		}
-		activeVerts = append(activeVerts, v)
 	}
 	if len(activeVerts) == 0 {
 		return nil
 	}
-	sub := graph.Induced(g, activeVerts)
-	for i, p := range sub.ToParent {
-		if inst.Lists[p].Size() < sub.G.Degree(i)+1 {
-			return fmt.Errorf("listcolor: vertex %d has %d colors for active degree %d: %w",
-				p, inst.Lists[p].Size(), sub.G.Degree(i), ErrListTooShort)
-		}
-	}
-	snet := net.Virtual(sub.G, 1)
-	k := sub.G.MaxDegree() + 1
-	slots, err := linial.Color(snet, k)
+	plan, err := NewPlan(net, activeVerts)
 	if err != nil {
-		return fmt.Errorf("listcolor: %w", err)
+		return err
+	}
+	return plan.Sweep(net, inst.Lists, out)
+}
+
+// Plan is the color-independent half of one instance: the subgraph induced
+// by its active vertices and a Linial coloring of it with Δ'+1 slots. Both
+// depend only on which vertices are active, never on colors or lists, so a
+// caller that knows several instances' active sets in advance (Algorithm 3's
+// layers) can plan them early, on other goroutines (see Planner).
+type Plan struct {
+	sub   *graph.Sub
+	slots []int
+	k     int
+}
+
+// NewPlan plans the instance whose active vertices are members (any order,
+// duplicates ignored) on net's graph, charging the Linial rounds to net.
+func NewPlan(net *local.Network, members []int) (*Plan, error) {
+	sub := graph.Induced(net.Graph(), members)
+	k := sub.G.MaxDegree() + 1
+	slots, err := linial.Color(net.Virtual(sub.G, 1), k)
+	if err != nil {
+		return nil, fmt.Errorf("listcolor: %w", err)
+	}
+	return &Plan{sub: sub, slots: slots, k: k}, nil
+}
+
+// Sweep colors the plan's vertices from lists (indexed by net's vertices),
+// writing into out: it checks the deg+1 precondition, then sweeps the slot
+// classes. net must be the network the plan was made for, or one over the
+// same graph; the sweep runs at net's worker count. The errors are Solve's.
+func (pl *Plan) Sweep(net *local.Network, lists []coloring.Palette, out *coloring.Partial) error {
+	sub := pl.sub
+	if len(lists) != net.Graph().N() {
+		return fmt.Errorf("listcolor: instance size mismatch (n=%d)", net.Graph().N())
+	}
+	for i, p := range sub.ToParent {
+		if out.Colored(p) {
+			return fmt.Errorf("listcolor: active vertex %d already colored", p)
+		}
+		if lists[p].Size() < sub.G.Degree(i)+1 {
+			return fmt.Errorf("listcolor: vertex %d has %d colors for active degree %d: %w",
+				p, lists[p].Size(), sub.G.Degree(i), ErrListTooShort)
+		}
 	}
 
 	type state struct {
@@ -90,16 +122,17 @@ func Solve(net *local.Network, inst Instance, out *coloring.Partial) error {
 	}
 	st := make([]state, sub.G.N())
 	for i := range st {
-		st[i] = state{slot: slots[i], color: coloring.None}
+		st[i] = state{slot: pl.slots[i], color: coloring.None}
 	}
 	// Frontier-scheduled slot sweep: a vertex acts only in its own slot's
-	// round (the seed); all other rounds return self unchanged.
-	buckets := make([][]int32, k)
-	for i, s := range slots {
+	// round and otherwise returns self whatever its neighbors hold, so the
+	// slot class is an exact seed.
+	buckets := make([][]int32, pl.k)
+	for i, s := range pl.slots {
 		buckets[s] = append(buckets[s], int32(i))
 	}
-	run := local.NewRunner(snet, st)
-	st = run.Sweep(k, func(c int, mark func(int)) {
+	run := local.NewRunner(net.Virtual(sub.G, 1), st)
+	st = run.Sweep(pl.k, local.ExactSeed, func(c int, mark func(int)) {
 		for _, i := range buckets[c] {
 			mark(int(i))
 		}
@@ -108,7 +141,7 @@ func Solve(net *local.Network, inst Instance, out *coloring.Partial) error {
 			return self
 		}
 		p := palPool.Get().(*coloring.Palette)
-		p.CopyFrom(inst.Lists[sub.ToParent[i]])
+		p.CopyFrom(lists[sub.ToParent[i]])
 		for j := 0; j < nbrs.Len(); j++ {
 			if nc := nbrs.State(j).color; nc != coloring.None {
 				p.Remove(nc)

@@ -12,6 +12,19 @@
 // marks every vertex whose output could change for non-neighborhood reasons
 // (e.g. its color class coming up in a class sweep).
 //
+// # Seed contracts
+//
+// A Sweep's caller states how far its seed reaches. Under ReactiveSeed (the
+// MIS and maximal-matching sweeps) an unseeded vertex may still change in
+// reaction to a neighbor's change — a neighbor joined, so it is blocked — and
+// the engine wakes every neighbor of every changed vertex, as Run does. Under
+// ExactSeed (the list-coloring slot sweep and Linial's class reduction) only
+// seeded vertices can change in a round, whatever their neighbors did, so the
+// engine re-marks only each changed vertex itself: it must run once more so
+// that its new state reaches the other buffer (the skip invariant below),
+// but its neighbors have nothing to react to. Both contracts share one round
+// body; they differ only in the post-pass's marking.
+//
 // # Direction switching and fallbacks
 //
 // Each round the engine extracts the activation bitmap into a sorted int32
@@ -214,10 +227,12 @@ func (fr *frontier) sizeChunks(chunks int) {
 // trackedRound runs one engine round from r.cur into r.next with activation
 // tracking, choosing the sparse or dense path per the package comment. done
 // may be nil (Sweep); when non-nil the frontier's done bitmap is updated
-// incrementally and the new notDone count returned. The caller flips the
-// buffers afterwards.
+// incrementally and the new notDone count returned. wakeNbrs selects the
+// post-pass's marking: every changed vertex and its neighbors (Run and
+// ReactiveSeed sweeps), or the changed vertex alone (ExactSeed sweeps). The
+// caller flips the buffers afterwards.
 func (r *Runner[S]) trackedRound(f func(v int, self S, nbrs Nbrs[S]) S,
-	done func(v int, s S) bool, notDone int) int {
+	done func(v int, s S) bool, notDone int, wakeNbrs bool) int {
 	n := r.net
 	fr := r.fr
 	g := n.g
@@ -356,8 +371,9 @@ func (r *Runner[S]) trackedRound(f func(v int, self S, nbrs Nbrs[S]) S,
 		panic(*ip) // re-raise on the calling goroutine, like exchangeInto
 	}
 
-	// Sequential post-pass: activate every changed vertex and its neighbors
-	// for the next round, and fold the per-chunk done deltas.
+	// Sequential post-pass: activate every changed vertex (and, unless the
+	// seed is exact, its neighbors) for the next round, and fold the
+	// per-chunk done deltas.
 	chunkLo := 0
 	for ci := range fr.counts {
 		if bounds != nil {
@@ -366,14 +382,31 @@ func (r *Runner[S]) trackedRound(f func(v int, self S, nbrs Nbrs[S]) S,
 		for k := int32(0); k < fr.counts[ci]; k++ {
 			v := int(fr.changed[chunkLo+int(k)])
 			fr.mark(v)
-			for _, u := range g.Neighbors(v) {
-				fr.mark(int(u))
+			if wakeNbrs {
+				for _, u := range g.Neighbors(v) {
+					fr.mark(int(u))
+				}
 			}
 		}
 		notDone += int(fr.deltas[ci])
 	}
 	return notDone
 }
+
+// SeedContract states how far a Sweep's seed reaches; see the package
+// comment's "Seed contracts".
+type SeedContract uint8
+
+const (
+	// ReactiveSeed: the seed marks every vertex whose output might change
+	// with an unchanged neighborhood, and any other vertex may change in
+	// reaction to a neighbor's change in the previous round.
+	ReactiveSeed SeedContract = iota
+	// ExactSeed: the seed marks every vertex whose output might change in
+	// the round at all; an unseeded vertex returns its own state whatever
+	// its neighbors hold.
+	ExactSeed
+)
 
 // Sweep runs exactly rounds synchronous rounds of the round-indexed state
 // function f, frontier-scheduled, and returns the final states. It is the
@@ -385,11 +418,13 @@ func (r *Runner[S]) trackedRound(f func(v int, self S, nbrs Nbrs[S]) S,
 // seed encodes those reasons: it is called at the start of each round and
 // must mark every vertex whose f(round, ...) output might differ from its
 // current state even with an unchanged neighborhood (for a class sweep, the
-// members of round's class). Vertices that are neither seeded nor near a
-// recent change are skipped; the contract makes that bit-identical to calling
-// Step rounds times, which the dense path (SetFrontier(false)) does verbatim.
-// One call charges exactly rounds rounds.
-func (r *Runner[S]) Sweep(rounds int, seed func(round int, mark func(v int)),
+// members of round's class). contract says whether that is all (ExactSeed)
+// or whether vertices also react to neighbors' changes (ReactiveSeed), which
+// the engine then tracks. Vertices that are neither seeded nor woken are
+// skipped; the contract makes that bit-identical to calling Step rounds
+// times, which the dense path (SetFrontier(false)) does verbatim. One call
+// charges exactly rounds rounds.
+func (r *Runner[S]) Sweep(rounds int, contract SeedContract, seed func(round int, mark func(v int)),
 	f func(round, v int, self S, nbrs Nbrs[S]) S) []S {
 	if r.net.noFrontier {
 		for round := 0; round < rounds; round++ {
@@ -413,7 +448,7 @@ func (r *Runner[S]) Sweep(rounds int, seed func(round int, mark func(v int)),
 		rr := round
 		r.trackedRound(func(v int, self S, nbrs Nbrs[S]) S {
 			return f(rr, v, self, nbrs)
-		}, nil, 0)
+		}, nil, 0, contract == ReactiveSeed)
 		r.cur, r.next = r.next, r.cur
 	}
 	return r.cur

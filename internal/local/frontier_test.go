@@ -337,7 +337,7 @@ func sweepOnce(t *testing.T, g *graph.Graph, cls []int, init []int, classes, wor
 		buckets[c] = append(buckets[c], v)
 	}
 	r := NewRunner(net, append([]int(nil), init...))
-	out := r.Sweep(classes, func(round int, mark func(int)) {
+	out := r.Sweep(classes, ReactiveSeed, func(round int, mark func(int)) {
 		for _, v := range buckets[round] {
 			mark(v)
 		}

@@ -144,6 +144,15 @@ func (n *Network) run(total int, fn func(ci, lo, hi int)) {
 	n.runBounds(n.chunkBounds(total, w), fn)
 }
 
+// ForVertexChunks runs fn over the vertex range [0, N) in the chunks an
+// exchange round uses: one edge-balanced chunk per worker on the persistent
+// pool, or the single chunk [0, N) when the network runs one worker or the
+// graph is small. It returns when every chunk has finished. Chunk indices
+// are below Workers() and ascend with the vertex range, so per-chunk results
+// read in chunk order are in vertex order; fn must write only to per-chunk
+// or per-vertex data. Call it from the algorithm's goroutine.
+func (n *Network) ForVertexChunks(fn func(ci, lo, hi int)) { n.run(n.g.N(), fn) }
+
 // chunkBounds returns (and caches) parts+1 chunk boundaries over [0, total).
 // Work shaped like the graph — one unit per vertex plus one per incident
 // edge, which is what every exchange round costs — is cut on the CSR offset
@@ -341,6 +350,9 @@ func (n *Network) SetWorkers(w int) {
 	}
 	n.workers = w
 }
+
+// Workers returns the worker count set by SetWorkers (1 by default).
+func (n *Network) Workers() int { return n.workers }
 
 // Phase opens a named accounting span; the returned func closes it.
 // Typical use: defer net.Phase("matching")().
@@ -602,7 +614,7 @@ func (r *Runner[S]) runRounds(maxRounds, notDone int,
 		if notDone == 0 {
 			return r.cur, round, nil
 		}
-		notDone = r.trackedRound(f, done, notDone)
+		notDone = r.trackedRound(f, done, notDone, true)
 		r.cur, r.next = r.next, r.cur
 	}
 	return r.finish(maxRounds, notDone, done)

@@ -65,7 +65,7 @@ func MaximalOn(net *local.Network, edges []graph.Edge) ([]graph.Edge, error) {
 		buckets[c] = append(buckets[c], int32(i))
 	}
 	run := local.NewRunner(lnet, st)
-	st = run.Sweep(classes, func(c int, mark func(int)) {
+	st = run.Sweep(classes, local.ReactiveSeed, func(c int, mark func(int)) {
 		for _, v := range buckets[c] {
 			mark(int(v))
 		}

@@ -53,7 +53,7 @@ func MIS(net *local.Network) ([]bool, error) {
 		buckets[c] = append(buckets[c], int32(v))
 	}
 	run := local.NewRunner(net, st)
-	st = run.Sweep(k, func(c int, mark func(int)) {
+	st = run.Sweep(k, local.ReactiveSeed, func(c int, mark func(int)) {
 		for _, v := range buckets[c] {
 			mark(int(v))
 		}
