@@ -160,10 +160,12 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 	// fixed 6 and demote any component whose friend-diameter exceeds 4
 	// (impossible for genuine almost cliques, defensive otherwise). The
 	// components' member lists are consecutive runs of one arena buffer,
-	// in BFS order; root[id] is the smallest member, where the BFS started.
+	// in BFS order; pos[v] is v's index in its run, and root[id] is the
+	// smallest member, where the BFS started.
 	net.Charge(6)
 	comp := ar.IntsFill(n, Sparse)
 	order := ar.Int32s(n)[:0]
+	pos := ar.Int32s(n)
 	var comps [][]int32
 	var root []int32
 	for s := 0; s < n; s++ {
@@ -179,6 +181,7 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 			for _, w := range fadj[foff[v]:foff[v+1]] {
 				if dense[w] && comp[w] == Sparse {
 					comp[w] = id
+					pos[w] = int32(len(order) - start)
 					order = append(order, w)
 				}
 			}
@@ -190,15 +193,11 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 	// chunk holding its root, with that chunk's BFS scratch, and only flags
 	// the component; the demotions follow sequentially.
 	dissolve := ar.Bools(len(comps))
-	dists := make([][]int32, net.Workers())
-	for ci := range dists {
-		dists[ci] = ar.Int32sFill(n, -1)
-	}
-	net.ForVertexChunks(func(ci, lo, hi int) {
-		var queue []int32
+	net.ForVertexChunks(func(_, lo, hi int) {
+		var sc bfsScratch
 		for v := lo; v < hi; v++ {
 			if id := comp[v]; id != Sparse && root[id] == int32(v) {
-				dissolve[id] = friendDiameterExceeds(foff, fadj, comp, id, comps[id], dists[ci], &queue, 4)
+				dissolve[id] = friendDiameterExceeds(foff, fadj, comp, pos, id, comps[id], &sc, 4)
 			}
 		}
 	})
@@ -298,28 +297,36 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 	return a, nil
 }
 
+// bfsScratch is friendDiameterExceeds's reusable scratch: dist, indexed by
+// a member's position in its component, is all -1 between calls.
+type bfsScratch struct {
+	dist, queue []int32
+}
+
 // friendDiameterExceeds reports whether the diameter of the friend graph
 // (foff/fadj CSR) restricted to component id exceeds bound, or the component
 // is disconnected in it; the verdict does not depend on the order of
-// members. dist is an n-sized scratch array that must be all -1 on entry; it
-// is restored to -1 before returning. *queue is BFS scratch, grown as needed
-// and kept for the next call.
+// members. pos maps each member to its index in members.
 //
 // One eccentricity BFS from an arbitrary member usually decides the question:
 // ecc(s) <= diameter <= 2*ecc(s), so ecc > bound proves excess and
 // 2*ecc <= bound proves the opposite (genuine almost cliques have friend
 // diameter 1-2, hitting this path). Only the ambiguous band falls back to the
 // all-sources sweep the fast path replaced.
-func friendDiameterExceeds(foff, fadj []int32, comp []int, id int, members []int32, dist []int32, queue *[]int32, bound int) bool {
+func friendDiameterExceeds(foff, fadj []int32, comp []int, pos []int32, id int, members []int32, sc *bfsScratch, bound int) bool {
+	for len(sc.dist) < len(members) {
+		sc.dist = append(sc.dist, -1)
+	}
+	dist := sc.dist
 	bfs := func(s int32) (ecc, visited int) {
-		q := append((*queue)[:0], s)
-		dist[s] = 0
+		q := append(sc.queue[:0], s)
+		dist[pos[s]] = 0
 		for i := 0; i < len(q); i++ {
 			v := q[i]
-			d := dist[v] + 1
+			d := dist[pos[v]] + 1
 			for _, w := range fadj[foff[v]:foff[v+1]] {
-				if comp[w] == id && dist[w] < 0 {
-					dist[w] = d
+				if comp[w] == id && dist[pos[w]] < 0 {
+					dist[pos[w]] = d
 					if int(d) > ecc {
 						ecc = int(d)
 					}
@@ -329,9 +336,9 @@ func friendDiameterExceeds(foff, fadj []int32, comp []int, id int, members []int
 		}
 		visited = len(q)
 		for _, v := range q {
-			dist[v] = -1
+			dist[pos[v]] = -1
 		}
-		*queue = q
+		sc.queue = q
 		return ecc, visited
 	}
 	ecc, visited := bfs(members[0])

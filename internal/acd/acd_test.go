@@ -194,3 +194,71 @@ func TestPermutedIDsSameDecomposition(t *testing.T) {
 	}
 	requireGroundTruth(t, p, part, a)
 }
+
+// TestFriendDiameterExceedsMatchesAllPairs checks the eccentricity-bound
+// diameter test against an all-pairs BFS on random small graphs taken as
+// one component, in every member order, through all three of its verdict
+// paths: ecc > bound, 2·ecc <= bound, and the all-sources fallback.
+func TestFriendDiameterExceedsMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	paths := map[string]int{}
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(12)
+		g := graph.ErdosRenyi(n, 0.1+0.5*rng.Float64(), rng)
+		foff := make([]int32, n+1)
+		var fadj []int32
+		for v := 0; v < n; v++ {
+			fadj = append(fadj, g.Neighbors(v)...)
+			foff[v+1] = int32(len(fadj))
+		}
+		diam := 0
+		for s := 0; s < n && diam >= 0; s++ {
+			for w := 0; w < n; w++ {
+				d := g.Dist(s, w)
+				if d < 0 {
+					diam = -1
+					break
+				}
+				diam = max(diam, d)
+			}
+		}
+		comp := make([]int, n)
+		pos := make([]int32, n)
+		members := make([]int32, n)
+		for i, v := range rng.Perm(n) {
+			members[i] = int32(v)
+			pos[v] = int32(i)
+		}
+		for _, bound := range []int{1, 2, 3, 4} {
+			want := diam < 0 || diam > bound
+			var sc bfsScratch
+			if got := friendDiameterExceeds(foff, fadj, comp, pos, 0, members, &sc, bound); got != want {
+				t.Fatalf("trial %d bound %d: exceeds %v, diameter %d", trial, bound, got, diam)
+			}
+			for _, d := range sc.dist {
+				if d != -1 {
+					t.Fatalf("trial %d: scratch not restored: %v", trial, sc.dist)
+				}
+			}
+			ecc := 0
+			for _, w := range members {
+				ecc = max(ecc, g.Dist(int(members[0]), int(w)))
+			}
+			switch {
+			case diam < 0:
+				paths["disconnected"]++
+			case ecc > bound:
+				paths["ecc"]++
+			case 2*ecc <= bound:
+				paths["2ecc"]++
+			default:
+				paths["fallback"]++
+			}
+		}
+	}
+	for _, p := range []string{"disconnected", "ecc", "2ecc", "fallback"} {
+		if paths[p] == 0 {
+			t.Fatalf("no case took the %s path: %v", p, paths)
+		}
+	}
+}

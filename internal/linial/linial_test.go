@@ -134,6 +134,69 @@ func TestReduceWideTarget(t *testing.T) {
 	}
 }
 
+// TestReduceFrontierMatchesDense cross-checks Reduce's exact-seed sweeps
+// against the dense engine, from spread-out proper colorings over several
+// halvings and targets both below and above one 64-slot window.
+func TestReduceFrontierMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 10; trial++ {
+		var g *graph.Graph
+		if trial%3 == 2 {
+			g = graph.Complete(66 + rng.Intn(20))
+		} else {
+			g = graph.ErdosRenyi(150+rng.Intn(250), 0.02+0.05*rng.Float64(), rng)
+		}
+		target := g.MaxDegree() + 1 + rng.Intn(4)
+		m := target * (4 + rng.Intn(40))
+		// A proper coloring in [0, m): greedy over a random order, each
+		// vertex taking a random free color.
+		cur := make([]int, g.N())
+		for v := range cur {
+			cur[v] = -1
+		}
+		for _, v := range rng.Perm(g.N()) {
+			for {
+				c := rng.Intn(m)
+				ok := true
+				for _, w := range g.Neighbors(v) {
+					if cur[w] == c {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					cur[v] = c
+					break
+				}
+			}
+		}
+		run := func(workers int, frontier bool) ([]int, int) {
+			net := local.New(g)
+			defer net.Close()
+			net.SetWorkers(workers)
+			net.SetFrontier(frontier)
+			out, err := Reduce(net, append([]int(nil), cur...), m, target)
+			if err != nil {
+				t.Fatalf("trial %d workers=%d frontier=%v: %v", trial, workers, frontier, err)
+			}
+			return out, net.Rounds()
+		}
+		want, wantRounds := run(1, false)
+		properIntColoring(t, g, want, target)
+		for _, w := range []int{1, 4} {
+			got, rounds := run(w, true)
+			if rounds != wantRounds {
+				t.Fatalf("trial %d workers=%d: rounds %d, dense %d", trial, w, rounds, wantRounds)
+			}
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("trial %d workers=%d: vertex %d got %d, dense %d", trial, w, v, got[v], want[v])
+				}
+			}
+		}
+	}
+}
+
 func TestReduceRejectsBadInput(t *testing.T) {
 	g := graph.Complete(4)
 	net := local.New(g)

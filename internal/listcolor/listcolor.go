@@ -11,6 +11,15 @@
 // [MT20] achieves O(√(Δ log Δ) + log* n); the substitution is recorded in
 // DESIGN.md and only affects the Δ-dependence of the round counts.
 //
+// Solve is two halves. A Plan (the induced subgraph and its slots) depends
+// only on which vertices are active; Plan.Sweep checks the lists and sweeps
+// the slot classes, the one sweep body. The slot class is an exact seed
+// (local.ExactSeed): a vertex acts only in its own slot's round. A caller
+// that knows a sequence of instances' active sets in advance, as Algorithm
+// 3 knows its layers, hands them to a Planner (planner.go), which on a
+// network with several workers makes upcoming plans on other goroutines
+// while the caller sweeps.
+//
 // GreedyRule (greedy.go) is the repository's one greedy round rule over the
 // same Instance type, with ID-local-max symmetry breaking instead of slots:
 // the sharded wire algorithm, the greedy backend, and the dynamic store's

@@ -5,10 +5,11 @@ import "deltacoloring/internal/local"
 // Planner hands out, in order, the plans of a sequence of instances whose
 // active sets are all known up front. On a network with one worker each plan
 // is made by Next on the calling goroutine, exactly as Solve would make it.
-// With w > 1 workers, up to w upcoming plans are made ahead, each on its own
-// goroutine and a one-worker view of the network, while the caller sweeps
-// the current instance on the network's own workers. The window bounds both
-// the goroutines and the plans held at once.
+// With w > 1 workers, up to w−1 upcoming plans are made ahead, each on its
+// own goroutine and a one-worker view of the network, while the caller
+// sweeps the current instance on the network's workers, so about w
+// goroutines stay busy. The window bounds both the goroutines and the plans
+// held at once: planning further ahead buys no core and costs peak memory.
 //
 // Rounds are charged to the shared counter from whichever goroutine plans,
 // so totals and per-phase spans match the sequential order; only the wall
@@ -37,7 +38,7 @@ type planned struct {
 // sets[0], sets[1], ... on net's graph. Nothing is planned until Next.
 func NewPlanner(net *local.Network, sets [][]int) *Planner {
 	pl := &Planner{net: net, sets: sets, ahead: net.Workers() - 1}
-	if pl.ahead >= 1 {
+	if pl.ahead > 0 {
 		pl.done = make([]chan planned, len(sets))
 	}
 	return pl

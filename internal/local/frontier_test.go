@@ -2,6 +2,7 @@ package local
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -420,6 +421,183 @@ func TestSweepChargesExactRoundsAndGoesSparse(t *testing.T) {
 	}
 	if st.SparseRounds == 0 || st.SkippedVertices == 0 {
 		t.Fatalf("class sweep on a path should run sparse: %+v", st)
+	}
+}
+
+// Seed contracts: the shipped class sweeps, in the shape their packages
+// run them, checked round by round against the dense engine. A contract
+// that claims too much shows as a divergence of some prefix of the sweep,
+// even where the final states happen to agree.
+
+// ruleState covers the states of all three sweep shapes below.
+type ruleState struct {
+	class, color int
+	in, blocked  bool
+}
+
+type seedRule struct {
+	name     string
+	contract SeedContract
+	rounds   int
+	init     func(g *graph.Graph, rng *rand.Rand) []ruleState
+	f        func(round, v int, self ruleState, nbrs Nbrs[ruleState]) ruleState
+}
+
+// greedyClasses gives a proper coloring with classes in [0, k), k > Δ,
+// visiting vertices in random order and taking a random free class.
+func greedyClasses(g *graph.Graph, k int, rng *rand.Rand) []int {
+	cls := make([]int, g.N())
+	for v := range cls {
+		cls[v] = -1
+	}
+	for _, v := range rng.Perm(g.N()) {
+		used := map[int]bool{}
+		for _, w := range g.Neighbors(v) {
+			used[cls[w]] = true
+		}
+		for {
+			if c := rng.Intn(k); !used[c] {
+				cls[v] = c
+				break
+			}
+		}
+	}
+	return cls
+}
+
+// seedRules are listcolor's slot sweep and one halving of linial.Reduce
+// (ExactSeed), and rulingset.MIS's class sweep (ReactiveSeed), each with
+// class = the round its vertex acts in.
+func seedRules(delta int) []seedRule {
+	k := delta + 1
+	slot := seedRule{name: "listcolor-slots", contract: ExactSeed, rounds: k,
+		init: func(g *graph.Graph, rng *rand.Rand) []ruleState {
+			st := make([]ruleState, g.N())
+			for v, c := range greedyClasses(g, k, rng) {
+				st[v] = ruleState{class: c, color: -1}
+			}
+			return st
+		},
+		f: func(round, v int, self ruleState, nbrs Nbrs[ruleState]) ruleState {
+			if self.color >= 0 || self.class != round {
+				return self
+			}
+			used := uint64(0)
+			for i := 0; i < nbrs.Len(); i++ {
+				if c := nbrs.State(i).color; c >= 0 {
+					used |= 1 << c
+				}
+			}
+			self.color = bits.TrailingZeros64(^used)
+			return self
+		}}
+	// Reduce retires tops 2k-1..k of blocks of 2k colors: round r recolors
+	// the vertices whose slot is 2k-1-r into a free slot below k.
+	bs := 2 * k
+	reduce := seedRule{name: "linial-reduce", contract: ExactSeed, rounds: k,
+		init: func(g *graph.Graph, rng *rand.Rand) []ruleState {
+			st := make([]ruleState, g.N())
+			for v, c := range greedyClasses(g, 3*bs, rng) {
+				st[v] = ruleState{class: bs - 1 - c%bs, color: c}
+			}
+			return st
+		},
+		f: func(round, v int, self ruleState, nbrs Nbrs[ruleState]) ruleState {
+			if self.color%bs != bs-1-round {
+				return self
+			}
+			block := self.color / bs
+			used := uint64(0)
+			for i := 0; i < nbrs.Len(); i++ {
+				if nc := nbrs.State(i).color; nc/bs == block && nc%bs < k {
+					used |= 1 << (nc % bs)
+				}
+			}
+			self.color = block*bs + bits.TrailingZeros64(^used)
+			return self
+		}}
+	mis := seedRule{name: "rulingset-mis", contract: ReactiveSeed, rounds: k,
+		init: func(g *graph.Graph, rng *rand.Rand) []ruleState {
+			st := make([]ruleState, g.N())
+			for v, c := range greedyClasses(g, k, rng) {
+				st[v] = ruleState{class: c}
+			}
+			return st
+		},
+		f: func(round, v int, self ruleState, nbrs Nbrs[ruleState]) ruleState {
+			if self.in || self.blocked {
+				return self
+			}
+			for i := 0; i < nbrs.Len(); i++ {
+				if nbrs.State(i).in {
+					self.blocked = true
+					return self
+				}
+			}
+			if self.class == round {
+				self.in = true
+			}
+			return self
+		}}
+	return []seedRule{slot, reduce, mis}
+}
+
+// sweepPrefixMismatch runs every prefix of rule's sweep on the frontier
+// engine under contract and on the dense engine, and describes the first
+// state that differs ("" when none does).
+func sweepPrefixMismatch(g *graph.Graph, init []ruleState, rule seedRule, contract SeedContract, workers int) string {
+	buckets := make([][]int, rule.rounds)
+	for v, s := range init {
+		if s.class >= 0 && s.class < rule.rounds {
+			buckets[s.class] = append(buckets[s.class], v)
+		}
+	}
+	run := func(rounds int, frontierOn bool) []ruleState {
+		net := New(g)
+		defer net.Close()
+		net.SetWorkers(workers)
+		net.SetFrontier(frontierOn)
+		r := NewRunner(net, append([]ruleState(nil), init...))
+		return append([]ruleState(nil), r.Sweep(rounds, contract, func(round int, mark func(int)) {
+			for _, v := range buckets[round] {
+				mark(v)
+			}
+		}, rule.f)...)
+	}
+	for rounds := 1; rounds <= rule.rounds; rounds++ {
+		dense, sparse := run(rounds, false), run(rounds, true)
+		for v := range dense {
+			if dense[v] != sparse[v] {
+				return fmt.Sprintf("after %d rounds vertex %d: frontier %+v, dense %+v", rounds, v, sparse[v], dense[v])
+			}
+		}
+	}
+	return ""
+}
+
+// TestSweepSeedContracts holds each shipped sweep to the contract its
+// caller declares, and shows that exact seeding is not a free upgrade: the
+// MIS sweep, whose vertices become blocked when a neighbor joins, diverges
+// from the dense engine under ExactSeed.
+func TestSweepSeedContracts(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	misDiverged := false
+	for trial := 0; trial < 6; trial++ {
+		g := randomGraphLocal(150+rng.Intn(150), 0.03, rng)
+		for _, rule := range seedRules(g.MaxDegree()) {
+			init := rule.init(g, rng)
+			for _, w := range []int{1, 4} {
+				if msg := sweepPrefixMismatch(g, init, rule, rule.contract, w); msg != "" {
+					t.Fatalf("trial %d %s w=%d: %s", trial, rule.name, w, msg)
+				}
+			}
+			if rule.contract == ReactiveSeed && sweepPrefixMismatch(g, init, rule, ExactSeed, 1) != "" {
+				misDiverged = true
+			}
+		}
+	}
+	if !misDiverged {
+		t.Fatal("negative control: exact seeding of the MIS sweep matched the dense engine on every trial")
 	}
 }
 

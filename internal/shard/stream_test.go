@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -141,6 +142,46 @@ func TestStreamOneConnPerHost(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("closing the servers took %v", d)
 	}
+}
+
+// TestStreamDialsPerRun counts the TCP connections a run dials on a
+// one-connection client. A run holds one stream per host, so it may dial
+// each host at most once. Today every run dials every host again: the
+// request carries Expect: 100-continue, and net/http's server marks a
+// connection close-after-reply when a handler writes its header before an
+// expect-continue body has reached EOF, which a full-duplex stream always
+// does (DESIGN.md §15.3). Dropping the header would allow reuse, but a
+// worker without the stream path would then never answer. Keep-alive
+// across runs would bring the count down to one dial per host in all.
+func TestStreamDialsPerRun(t *testing.T) {
+	g := streamGraph()
+	var dials atomic.Int32
+	var d net.Dialer
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, DisableCompression: true,
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			return d.DialContext(ctx, network, addr)
+		}}
+	t.Cleanup(tr.CloseIdleConnections)
+	client := &http.Client{Transport: tr}
+	hosts := []*streamHost{newStreamHost(t, NewHost(0, 0)), newStreamHost(t, NewHost(0, 0))}
+	addrs := []string{hosts[0].srv.URL, hosts[1].srv.URL}
+	const runs = 5
+	for run := 0; run < runs; run++ {
+		before := dials.Load()
+		ht, err := NewHTTPTransport(addrs, fmt.Sprintf("dials-%d", run), client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(context.Background(), g, Config{K: 4, Transport: ht, CallTimeout: 5 * time.Second}); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if n := dials.Load() - before; n > int32(len(addrs)) {
+			t.Fatalf("run %d dialed %d connections over %d hosts", run, n, len(addrs))
+		}
+		waitFor(t, "a stream is still open", idle(hosts...))
+	}
+	t.Logf("%d runs over %d hosts dialed %d connections", runs, len(addrs), dials.Load())
 }
 
 // TestStreamHungWorkerTearsDown: a worker that keeps reading but stops
