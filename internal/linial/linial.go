@@ -92,9 +92,9 @@ func isPrime(n uint64) bool {
 }
 
 // modulus divides by a fixed q in [1, 2³²) with one 64×64→128-bit
-// multiplication (Barrett reduction) in place of a hardware division. The
-// Linial round reduces every neighbor's color modulo its step's q, so the
-// division sat on the hottest loop of the algorithm.
+// multiplication (Barrett reduction) in place of a hardware division: the
+// Linial round reduces every neighbor's color modulo its step's q, on the
+// hottest loop of the algorithm.
 type modulus struct{ q, m uint64 }
 
 // newModulus precomputes m = ⌊(2⁶⁴−1)/q⌋.

@@ -115,10 +115,12 @@ func (pl *Plan) Sweep(net *local.Network, lists []coloring.Palette, out *colorin
 	if len(lists) != net.Graph().N() {
 		return fmt.Errorf("listcolor: instance size mismatch (n=%d)", net.Graph().N())
 	}
-	for i, p := range sub.ToParent {
+	for _, p := range sub.ToParent {
 		if out.Colored(p) {
 			return fmt.Errorf("listcolor: active vertex %d already colored", p)
 		}
+	}
+	for i, p := range sub.ToParent {
 		if lists[p].Size() < sub.G.Degree(i)+1 {
 			return fmt.Errorf("listcolor: vertex %d has %d colors for active degree %d: %w",
 				p, lists[p].Size(), sub.G.Degree(i), ErrListTooShort)
