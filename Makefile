@@ -36,13 +36,14 @@ chaos:
 
 # Sharded-cluster chaos (DESIGN.md §15): seeded worker kill/hang/corrupt
 # plans through the coordinator and its transports, the HTTP stream's
-# lifecycle (hung, killed and refusing workers, cut streams, aborts), plus
+# lifecycle (hung, killed and refusing workers, cut streams, aborts, two
+# coordinators sharing a host under one session label), plus
 # the service-level guarantee that a damaged cluster never answers 200 with
 # an invalid or partial coloring. DELTA_CHAOS_ITERS scales the root soak.
 chaos-shard:
 	$(GO) test -race -count=1 -run 'TestChaos|TestStream|TestHTTPTransportRefusesForeignWire' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestChaosShard' .
-	$(GO) test -race -count=1 -run 'TestShardChaosNeverServesBadColoring|TestShardWorkerEndpointRoundTrip|TestColorShardedConcurrent' ./internal/service/
+	$(GO) test -race -count=1 -run 'TestShardChaosNeverServesBadColoring|TestShardWorkerEndpointRoundTrip|TestShardCoordinatorsShareWorker|TestColorShardedConcurrent' ./internal/service/
 
 # The restart chaos harness (DESIGN.md §13): a child deltaserved process on
 # a durable data dir is SIGKILLed at seeded points mid-mutation-stream and

@@ -22,21 +22,23 @@ import (
 //	int32   edges[2m]
 //	uint64  ids[n]
 //
-// DecodeBinary re-validates the structural invariants it relies on (monotone
-// offsets spanning the edge array, sorted strict adjacency runs, in-range
-// endpoints) so a corrupted or adversarial payload yields an error, never a
-// graph that breaks the package's immutability contract.
+// DecodeBinary checks ID uniqueness and hands the arrays to NewCSRView, the
+// one structural validator (monotone offsets spanning the edge array, sorted
+// strict in-range adjacency runs, symmetry), so a corrupted or adversarial
+// payload yields an error, never a graph that breaks the package's
+// immutability contract.
 
 // NewCSRView adopts externally produced CSR arrays — typically views into a
 // memory-mapped file — after an O(n+m) structural validation: offsets span
-// the edge array monotonically and every adjacency run is strictly sorted,
-// in range, and self-loop free. Two invariants are deliberately NOT checked,
-// because they would dominate huge-graph load times: edge symmetry (O(m log Δ)
-// binary searches) and ID uniqueness (an n-sized hash set). Writers in this
-// repository emit symmetric CSR with identity IDs by construction; callers
-// adopting untrusted input can run Validate for the full check. The arrays
-// are aliased, not copied: the caller must keep their backing store (e.g. the
-// mapping) alive and unmodified for the lifetime of the graph.
+// the edge array monotonically, every adjacency run is strictly sorted, in
+// range and self-loop free, and every edge is listed on both sides. One
+// invariant is deliberately NOT checked, because it would dominate
+// huge-graph load times: ID uniqueness (an n-sized hash set). Writers in
+// this repository emit identity IDs by construction; callers adopting
+// untrusted IDs check them (DecodeBinary does) or run Validate for the full
+// check. The arrays are aliased, not copied: the caller must keep their
+// backing store (e.g. the mapping) alive and unmodified for the lifetime of
+// the graph.
 func NewCSRView(offsets, edges []int32, ids []uint64) (*Graph, error) {
 	n := len(ids)
 	if len(offsets) != n+1 {
@@ -44,12 +46,6 @@ func NewCSRView(offsets, edges []int32, ids []uint64) (*Graph, error) {
 	}
 	if n > MaxN {
 		return nil, fmt.Errorf("graph: vertex count %d out of range [0, %d]", n, MaxN)
-	}
-	if n == 0 {
-		if len(edges) != 0 {
-			return nil, fmt.Errorf("graph: %d edges with no vertices", len(edges))
-		}
-		return fromCSR(offsets, edges, ids), nil
 	}
 	if offsets[0] != 0 || int(offsets[n]) != len(edges) {
 		return nil, fmt.Errorf("graph: offsets do not span the edge array")
@@ -76,6 +72,20 @@ func NewCSRView(offsets, edges []int32, ids []uint64) (*Graph, error) {
 				return nil, fmt.Errorf("graph: adjacency of %d not strictly sorted", v)
 			}
 			prev = w
+		}
+	}
+	// Symmetry is the one invariant the per-vertex scan above cannot see.
+	// Visiting v ascending, each neighbor w's sorted list must yield exactly
+	// v at its cursor: O(n+m), where a search per half-edge costs O(m log Δ).
+	cursor := make([]int32, n)
+	copy(cursor, offsets[:n])
+	for v := 0; v < n; v++ {
+		for _, w := range edges[offsets[v]:offsets[v+1]] {
+			c := cursor[w]
+			if c == offsets[w+1] || edges[c] != int32(v) {
+				return nil, fmt.Errorf("graph: adjacency not symmetric at %d's neighbor %d", v, w)
+			}
+			cursor[w] = c + 1
 		}
 	}
 	return fromCSR(offsets, edges, ids), nil
@@ -146,40 +156,5 @@ func DecodeBinary(r io.Reader) (*Graph, error) {
 		}
 		idSeen[ids[i]] = true
 	}
-	if offsets[0] != 0 || int(offsets[n]) != ne {
-		return nil, fmt.Errorf("graph: decode: offsets do not span the edge array")
-	}
-	for v := 0; v < n; v++ {
-		if offsets[v] > offsets[v+1] || offsets[v] < 0 || int(offsets[v+1]) > ne {
-			return nil, fmt.Errorf("graph: decode: offsets not monotone at %d", v)
-		}
-		prev := int32(-1)
-		for _, w := range edges[offsets[v]:offsets[v+1]] {
-			if w < 0 || int(w) >= n {
-				return nil, fmt.Errorf("graph: decode: neighbor %d of %d out of range", w, v)
-			}
-			if int(w) == v {
-				return nil, fmt.Errorf("graph: decode: self-loop at %d", v)
-			}
-			if w <= prev {
-				return nil, fmt.Errorf("graph: decode: adjacency of %d not strictly sorted", v)
-			}
-			prev = w
-		}
-	}
-	// Symmetry is the one invariant the per-vertex scan above cannot see.
-	// Visiting v ascending, each neighbor w's sorted list must yield exactly
-	// v at its cursor: O(n+m), where a search per half-edge costs O(m log Δ).
-	cursor := make([]int32, n)
-	copy(cursor, offsets[:n])
-	for v := 0; v < n; v++ {
-		for _, w := range edges[offsets[v]:offsets[v+1]] {
-			c := cursor[w]
-			if c == offsets[w+1] || edges[c] != int32(v) {
-				return nil, fmt.Errorf("graph: decode: adjacency not symmetric at %d's neighbor %d", v, w)
-			}
-			cursor[w] = c + 1
-		}
-	}
-	return fromCSR(offsets, edges, ids), nil
+	return NewCSRView(offsets, edges, ids)
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deltacoloring/internal/graph"
@@ -166,4 +167,46 @@ func TestBinaryRejectsOverflowingEdgeCount(t *testing.T) {
 	if !errors.Is(err, graph.ErrTooManyEdges) {
 		t.Fatalf("ErrTooLarge should wrap graph.ErrTooManyEdges, got %v", err)
 	}
+}
+
+// writeOneSidedFile writes a DCSRv1 file with n=3 in which vertex 0 lists
+// vertices 1 and 2 but neither lists 0: every per-vertex check passes, and
+// only symmetry fails.
+func writeOneSidedFile(t *testing.T) string {
+	t.Helper()
+	b := append([]byte(nil), binaryMagic[:]...)
+	for _, x := range []uint32{3, 2, 0, 2, 2, 2, 1, 2} { // n, 2m, offsets, edges
+		b = binary.LittleEndian.AppendUint32(b, x)
+	}
+	for v := uint64(0); v < 3; v++ {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	path := filepath.Join(t.TempDir(), "one-sided.dcsr")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestBinaryFileRejectsAsymmetry: every loader of binary graph files
+// refuses a one-sided edge list — ReadFile (the service's file source),
+// OpenBinary's heap fallback for small files, and the mapped loader.
+func TestBinaryFileRejectsAsymmetry(t *testing.T) {
+	path := writeOneSidedFile(t)
+	symmetric := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "not symmetric") {
+			t.Fatalf("%s: err = %v, want a symmetry error", what, err)
+		}
+	}
+	_, err := ReadFile(path)
+	symmetric("ReadFile", err)
+	_, _, err = OpenBinary(path) // below mmapMinBytes: the heap fallback
+	symmetric("OpenBinary", err)
+	_, _, err = openBinaryMmap(path, 0)
+	if err == errMmapUnsupported {
+		t.Log("no mapped loader on this platform")
+		return
+	}
+	symmetric("openBinaryMmap", err)
 }

@@ -11,7 +11,7 @@
 // neighbors in it.
 //
 // Two detectors are provided. FindForVertex enumerates cycles through one
-// vertex and is exact but O(Δ^4)-ish per vertex — fine for tests and small
+// vertex and is exact but O(Δ^5) per vertex — fine for tests and small
 // graphs. Classify exploits the ACD structure to classify every clique and
 // produce witness loopholes in near-linear time; its case analysis (see
 // classify.go) is exactly the contrapositive of the Lemma 9/Lemma 10 proofs.
@@ -20,6 +20,7 @@ package loophole
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"deltacoloring/internal/graph"
 )
@@ -91,7 +92,7 @@ func (l *Loophole) Validate(g *graph.Graph, delta int) error {
 
 // FindForVertex returns some loophole containing v, or nil. It is exact:
 // it checks degree deficiency, then enumerates 4-cycles and 6-cycles
-// through v. Intended for tests and modest graphs (cost up to ~Δ^4 per
+// through v. Intended for tests and modest graphs (cost up to ~Δ^5 per
 // call).
 func FindForVertex(g *graph.Graph, delta, v int) *Loophole {
 	if g.Degree(v) < delta {
@@ -125,41 +126,88 @@ func fourCycleThrough(g *graph.Graph, v int) *Loophole {
 	return nil
 }
 
-// sixCycleThrough searches for a non-clique 6-cycle v-a-b-c-d-e by meeting
-// length-3 paths in the middle.
+// Adjacency marks of the 6-cycle search, one bit per fixed path vertex.
+const (
+	nearV uint8 = 1 << iota
+	nearA
+	nearE
+)
+
+// markPool holds the n-sized mark arrays of the 6-cycle search; between
+// uses every entry is zero.
+var markPool = sync.Pool{New: func() any { return new([]uint8) }}
+
+// sixCycleThrough searches for a non-clique 6-cycle v-a-b-c-d-e by
+// extending paths a-b-c-d to e, over every ordered neighbor pair (a, e) of
+// v. It returns the first such cycle in that order. Adjacency to v, a and e
+// is read from marks on their neighbors, so a closing path costs O(1) plus
+// at most one search (b-d), where a binary search per vertex pair would
+// cost fifteen.
 func sixCycleThrough(g *graph.Graph, v int) *Loophole {
+	buf := markPool.Get().(*[]uint8)
+	if len(*buf) < g.N() {
+		*buf = make([]uint8, g.N())
+	}
+	mark := *buf
+	// toggle sets bit on u's neighbors, and clears it again the second time.
+	toggle := func(u int, bit uint8) {
+		for _, w := range g.Neighbors(u) {
+			mark[w] ^= bit
+		}
+	}
 	nv := g.Neighbors(v)
-	for i := 0; i < len(nv); i++ {
-		a := int(nv[i])
-		for j := 0; j < len(nv); j++ {
-			e := int(nv[j])
+	toggle(v, nearV)
+	var found *Loophole
+	for _, na := range nv {
+		a := int(na)
+		toggle(a, nearA)
+		for _, ne := range nv {
+			e := int(ne)
 			if e == a {
 				continue
 			}
-			// Path a-b-c-d-e with all vertices distinct from {v,a,e}.
-			for _, nb := range g.Neighbors(a) {
-				b := int(nb)
-				if b == v || b == a || b == e {
+			toggle(e, nearE)
+			found = closeSixCycle(g, mark, v, a, e)
+			toggle(e, nearE)
+			if found != nil {
+				break
+			}
+		}
+		toggle(a, nearA)
+		if found != nil {
+			break
+		}
+	}
+	toggle(v, nearV)
+	markPool.Put(buf)
+	return found
+}
+
+// closeSixCycle returns the first non-clique cycle v-a-b-c-d-e for fixed
+// a and e, with mark holding the nearV, nearA and nearE bits.
+func closeSixCycle(g *graph.Graph, mark []uint8, v, a, e int) *Loophole {
+	for _, nb := range g.Neighbors(a) {
+		b := int(nb)
+		if b == v || b == e {
+			continue
+		}
+		for _, nc := range g.Neighbors(b) {
+			c := int(nc)
+			if c == v || c == a || c == e {
+				continue
+			}
+			for _, nd := range g.Neighbors(c) {
+				d := int(nd)
+				if d == v || d == a || d == b || d == e || mark[d]&nearE == 0 {
 					continue
 				}
-				for _, nc := range g.Neighbors(b) {
-					c := int(nc)
-					if c == v || c == a || c == b || c == e {
-						continue
-					}
-					for _, nd := range g.Neighbors(c) {
-						d := int(nd)
-						if d == v || d == a || d == b || d == c || d == e {
-							continue
-						}
-						if !g.HasEdge(d, e) {
-							continue
-						}
-						cand := []int{v, a, b, c, d, e}
-						if !g.IsClique(cand) {
-							return newCycle(cand)
-						}
-					}
+				// The cycle's own six edges are given; the set is a clique
+				// iff the nine chords are edges too.
+				clique := mark[b]&nearV != 0 && mark[c]&nearV != 0 && mark[d]&nearV != 0 &&
+					mark[c]&nearA != 0 && mark[d]&nearA != 0 && mark[a]&nearE != 0 &&
+					mark[b]&nearE != 0 && mark[c]&nearE != 0 && g.HasEdge(b, d)
+				if !clique {
+					return newCycle([]int{v, a, b, c, d, e})
 				}
 			}
 		}

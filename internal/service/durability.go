@@ -32,7 +32,6 @@ type GraphRecovery struct {
 func (s *Server) durableConfig() durable.Config {
 	return durable.Config{
 		Fsync:           s.cfg.Fsync,
-		FsyncInterval:   s.cfg.FsyncInterval,
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		Dynamic:         dynamic.Options{NetHook: s.cfg.dynNetHook},
 	}

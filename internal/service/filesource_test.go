@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,5 +106,27 @@ func TestFileSourceSeedsDynamicGraph(t *testing.T) {
 	// And containment holds on this surface too.
 	if code := doJSON(t, ts, "POST", "/v1/graphs", &CreateGraphRequest{File: "../x.edges"}, nil); code != 400 {
 		t.Fatalf("traversal create: status %d", code)
+	}
+}
+
+// TestFileSourceRejectsAsymmetricGraph: a staged binary file in which
+// vertex 0 lists vertices 1 and 2 but neither lists 0 is refused with 400,
+// not colored.
+func TestFileSourceRejectsAsymmetricGraph(t *testing.T) {
+	dir := t.TempDir()
+	b := []byte("DCSRv1\x00\x00")
+	for _, x := range []uint32{3, 2, 0, 2, 2, 2, 1, 2} { // n, 2m, offsets, edges
+		b = binary.LittleEndian.AppendUint32(b, x)
+	}
+	for v := uint64(0); v < 3; v++ {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "one-sided.dcsr"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newGraphServer(t, Config{Workers: 1, GraphDir: dir})
+	var resp ColorResponse
+	if code := doJSON(t, ts, "POST", "/v1/color", &ColorRequest{File: "one-sided.dcsr"}, &resp); code != 400 || !strings.Contains(resp.Error, "not symmetric") {
+		t.Fatalf("one-sided file: status %d, error %q; want 400 naming the asymmetry", code, resp.Error)
 	}
 }

@@ -133,6 +133,9 @@ func (gs *graphStore) apply(batch []dynamic.Mutation) (*dynamic.ApplyResult, err
 	return gs.live.Apply(batch)
 }
 
+// maxMutationsPerBatch bounds one POST /v1/graphs/{id}/mutations body.
+const maxMutationsPerBatch = 4096
+
 var (
 	errGraphClosed = errors.New("graph store is closed")
 	errGraphLimit  = errors.New("graph limit reached")
@@ -383,9 +386,9 @@ func (s *Server) handleGraphMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty mutation batch")
 		return
 	}
-	if len(req.Mutations) > s.cfg.MaxMutationsPerBatch {
+	if len(req.Mutations) > maxMutationsPerBatch {
 		writeError(w, http.StatusBadRequest, "batch of %d exceeds the %d-mutation limit",
-			len(req.Mutations), s.cfg.MaxMutationsPerBatch)
+			len(req.Mutations), maxMutationsPerBatch)
 		return
 	}
 	j := &mutJob{batch: req.Mutations, reply: make(chan mutReply, 1)}

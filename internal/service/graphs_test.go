@@ -209,6 +209,37 @@ func TestGraphCreateValidation(t *testing.T) {
 	}
 }
 
+// TestMutationBatchLimit pins the batch-size bound at its edge: a batch of
+// maxMutationsPerBatch mutations applies, one more is a 400 naming both
+// sizes, and the refused batch leaves the graph alone.
+func TestMutationBatchLimit(t *testing.T) {
+	_, ts := newGraphServer(t, Config{})
+	var created GraphResponse
+	if code := doJSON(t, ts, "POST", "/v1/graphs", &CreateGraphRequest{Graph: cycleSpec(6)}, &created); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	batch := func(n int) *MutateRequest {
+		req := &MutateRequest{Mutations: make([]dynamic.Mutation, n)}
+		for i := range req.Mutations {
+			req.Mutations[i] = dynamic.Mutation{Op: dynamic.OpAddVertex}
+		}
+		return req
+	}
+	path := "/v1/graphs/" + created.ID + "/mutations"
+	var mr MutateResponse
+	if code := doJSON(t, ts, "POST", path, batch(4096), &mr); code != http.StatusOK || !mr.Healthy {
+		t.Fatalf("batch of 4096: %d %+v", code, mr)
+	}
+	mr = MutateResponse{}
+	code := doJSON(t, ts, "POST", path, batch(4097), &mr)
+	if want := "batch of 4097 exceeds the 4096-mutation limit"; code != http.StatusBadRequest || mr.Error != want {
+		t.Fatalf("batch of 4097: %d %q, want 400 %q", code, mr.Error, want)
+	}
+	if cr := fetchColoring(t, ts, created.ID, true); cr.Version != 2 || len(cr.Colors) != 6+4096 {
+		t.Fatalf("after the refused batch: version %d, %d colors", cr.Version, len(cr.Colors))
+	}
+}
+
 // A stalled apply loop must answer 429 once the bounded queue fills, reads
 // must keep serving instantly meanwhile, and the queue must drain cleanly
 // once released.

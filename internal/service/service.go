@@ -87,9 +87,6 @@ type Config struct {
 	// MutationQueueDepth bounds each graph's apply queue; a full queue
 	// answers 429 (default 32).
 	MutationQueueDepth int
-	// MaxMutationsPerBatch bounds one POST /v1/graphs/{id}/mutations body
-	// (default 4096).
-	MaxMutationsPerBatch int
 	// GraphDir, when set, serves the color request's "file" source:
 	// operator-staged graph files (text or binary, sniffed by magic)
 	// addressed by a relative path confined to this directory. Empty
@@ -100,11 +97,9 @@ type Config struct {
 	// (readiness gated until it finishes), flush + final checkpoint on
 	// graceful shutdown. Empty keeps the historical in-memory-only mode.
 	DataDir string
-	// Fsync is the WAL flush policy for durable graphs ("" = always).
+	// Fsync is the WAL flush policy for durable graphs ("" = always;
+	// "interval" flushes every 100ms).
 	Fsync durable.FsyncPolicy
-	// FsyncInterval is the background flush cadence under the "interval"
-	// policy (default 100ms).
-	FsyncInterval time.Duration
 	// CheckpointEvery snapshots each durable graph and truncates its log
 	// after this many batches (default 64; negative disables).
 	CheckpointEvery int
@@ -116,10 +111,6 @@ type Config struct {
 	ShardAddrs []string
 	// MaxShards caps the per-request shard count (default 16).
 	MaxShards int
-	// ShardSessionTTL reaps worker-host sessions idle past it — state left
-	// behind by a coordinator that died mid-run (default 5m) — and closes a
-	// shard stream idle as long.
-	ShardSessionTTL time.Duration
 
 	// runHook, when set, runs on the attempt goroutine just before a job's
 	// pipeline starts (once per attempt). It is a test seam for making
@@ -182,9 +173,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MutationQueueDepth <= 0 {
 		c.MutationQueueDepth = 32
-	}
-	if c.MaxMutationsPerBatch <= 0 {
-		c.MaxMutationsPerBatch = 4096
 	}
 	if c.MaxShards <= 0 {
 		c.MaxShards = 16
@@ -318,7 +306,7 @@ func New(cfg Config) *Server {
 		mux:       http.NewServeMux(),
 		met:       newMetrics(),
 		breaker:   newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		shardHost: shard.NewHost(cfg.ShardSessionTTL, cfg.MaxVertices),
+		shardHost: shard.NewHost(cfg.MaxVertices),
 		queue:     make(chan work, cfg.QueueDepth),
 		jobs:      make(map[string]*job),
 		idem:      make(map[string]*job),

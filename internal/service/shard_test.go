@@ -9,9 +9,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +188,98 @@ func TestShardWorkerEndpointRoundTrip(t *testing.T) {
 	for workerSrv.shardHost.Sessions() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker host retains %d sessions after the run", workerSrv.shardHost.Sessions())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// meeting is where the first replies of n streams wait for each other.
+type meeting struct {
+	n, arrived atomic.Int32
+	all        chan struct{}
+}
+
+// meetWriter holds a stream's first reply until n streams have sent one,
+// or two seconds pass; later streams (a retry) pass straight through.
+type meetWriter struct {
+	http.ResponseWriter
+	once sync.Once
+	m    *meeting
+}
+
+func (w *meetWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		if w.m.arrived.Add(1) == w.m.n.Load() {
+			close(w.m.all)
+		}
+		select {
+		case <-w.m.all:
+		case <-time.After(2 * time.Second):
+		}
+	})
+	return w.ResponseWriter.Write(p)
+}
+
+func (w *meetWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// TestShardCoordinatorsShareWorker: two coordinators share one worker host
+// and run their first sharded jobs at once, both named "svc-j00000001".
+// The host holds each stream's first reply until both streams have sent
+// one, so both coordinators' shard-0 inits have run before either run goes
+// on. Neither coordinator retries, so a collision cannot hide behind a
+// second attempt. Each coloring must equal the in-process run of its own
+// request, and the host must end with no worker.
+func TestShardCoordinatorsShareWorker(t *testing.T) {
+	workerSrv := New(Config{Workers: 1})
+	meet := &meeting{all: make(chan struct{})}
+	meet.n.Store(2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == shard.StreamPath {
+			w = &meetWriter{ResponseWriter: w, m: meet}
+		}
+		workerSrv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = workerSrv.Shutdown(ctx)
+	})
+	_, ref, _ := newTestServer(t, Config{Workers: 2})
+	reqs := []*ColorRequest{shardReq(2), shardReq(3)}
+	reqs[1].Gen.M = 5
+	var wg sync.WaitGroup
+	resps := make([]*ColorResponse, len(reqs))
+	errs := make([]error, len(reqs))
+	for i := range reqs {
+		_, cl, _ := newTestServer(t, Config{Workers: 1, MaxRetries: -1, ShardAddrs: []string{ts.URL}})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = cl.Color(context.Background(), reqs[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, req := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("coordinator %d: %v", i, errs[i])
+		}
+		if resps[i].JobID != "j00000001" {
+			t.Fatalf("coordinator %d ran job %q, want both on j00000001", i, resps[i].JobID)
+		}
+		want, err := ref.Color(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustVerifySharded(t, deltacoloring.GenEasyCliqueRing(req.Gen.M, 16), resps[i])
+		if !reflect.DeepEqual(resps[i].Colors, want.Colors) {
+			t.Fatalf("coordinator %d: colors differ from the in-process run", i)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for workerSrv.shardHost.Sessions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker host retains %d workers after the runs", workerSrv.shardHost.Sessions())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

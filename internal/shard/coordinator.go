@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"deltacoloring/internal/coloring"
@@ -39,7 +40,8 @@ type Config struct {
 	// CallTimeout bounds every transport call (default 30s): a hung worker
 	// fails the run cleanly instead of wedging the coordinator.
 	CallTimeout time.Duration
-	// Session names the run for remote worker hosts (default "local").
+	// Session is a label for the run. Run reads it nowhere: a transport
+	// that needs one, like HTTPTransport, takes it when built.
 	Session string
 }
 
@@ -270,11 +272,13 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config) (res *Result, err erro
 
 // InProcess runs every worker inside the coordinator's process: the
 // zero-serialization transport behind in-memory ?shards= requests and the
-// conformance suites. Methods are safe for the coordinator's concurrent
-// per-shard fan-out (each shard's worker is only ever called sequentially).
+// conformance suites, and the worker table of one stream on a Host.
+// Methods are safe for the coordinator's concurrent per-shard fan-out (each
+// shard's worker is only ever called sequentially).
 type InProcess struct {
 	mu      sync.Mutex
 	workers map[int]*Worker
+	live    *atomic.Int64 // when set, counts the workers held (a Host's gauge)
 }
 
 // NewInProcess returns an empty in-process transport.
@@ -298,6 +302,8 @@ func (t *InProcess) Init(_ context.Context, shard int, part *Part, delta, _ int)
 	defer t.mu.Unlock()
 	if w, dup := t.workers[shard]; dup {
 		w.Close()
+	} else if t.live != nil {
+		t.live.Add(1)
 	}
 	t.workers[shard] = NewWorker(part, delta)
 	return nil
@@ -325,8 +331,24 @@ func (t *InProcess) Finish(_ context.Context, shard int) ([]Update, error) {
 func (t *InProcess) Abort(shard int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.dropLocked(shard)
+}
+
+// abortAll drops every worker still held.
+func (t *InProcess) abortAll() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for shard := range t.workers {
+		t.dropLocked(shard)
+	}
+}
+
+func (t *InProcess) dropLocked(shard int) {
 	if w, ok := t.workers[shard]; ok {
 		w.Close()
 		delete(t.workers, shard)
+		if t.live != nil {
+			t.live.Add(-1)
+		}
 	}
 }

@@ -111,7 +111,8 @@ func wireSeeds(f *testing.F) [][]byte {
 // worker host runs on untrusted input. Every input must yield an error or a
 // request that re-encodes to exactly its bytes, alone and as a stream
 // record; a decoded request of modest
-// parent size must then go through Host.Handle without a panic.
+// parent size must then go through a stream's worker table without a
+// panic, and leave no worker once the stream ends.
 func FuzzRoundsRequest(f *testing.F) {
 	for _, b := range wireSeeds(f) {
 		f.Add(b)
@@ -133,10 +134,15 @@ func FuzzRoundsRequest(f *testing.F) {
 			t.Fatalf("encodeRecord = %x, %v; want the frame as one record", rec, err)
 		}
 		if req.ParentN <= 1<<12 {
-			host := NewHost(0, 0)
-			if resp := host.Handle(req); resp.OK && req.Op == "init" {
-				host.Handle(&RoundsRequest{Op: "step", Session: req.Session, Shard: req.Shard})
-				host.Handle(&RoundsRequest{Op: "finish", Session: req.Session, Shard: req.Shard})
+			host := NewHost(0)
+			stream := host.newStreamTable()
+			if resp := host.handle(req, stream); resp.OK && req.Op == "init" {
+				host.handle(&RoundsRequest{Op: "step", Session: req.Session, Shard: req.Shard}, stream)
+				host.handle(&RoundsRequest{Op: "finish", Session: req.Session, Shard: req.Shard}, stream)
+			}
+			stream.abortAll()
+			if n := host.Sessions(); n != 0 {
+				t.Fatalf("%d workers left after the stream's end", n)
 			}
 		}
 	})
@@ -227,7 +233,7 @@ func FuzzRoundsStream(f *testing.F) {
 			rest = rest[k+int(n):]
 		}
 
-		host := NewHost(0, 1<<12)
+		host := NewHost(1 << 12)
 		body := &countingReader{r: bytes.NewReader(data)}
 		rec := httptest.NewRecorder()
 		host.ServeRounds(rec, httptest.NewRequest(http.MethodPost, StreamPath, body), limit)

@@ -98,7 +98,7 @@ func newTestCluster(t *testing.T, count int) []string {
 	t.Helper()
 	addrs := make([]string, count)
 	for i := 0; i < count; i++ {
-		srv := httptest.NewServer(serveHost(NewHost(0, 0)))
+		srv := httptest.NewServer(serveHost(NewHost(0)))
 		t.Cleanup(srv.Close)
 		addrs[i] = srv.URL
 	}
@@ -182,15 +182,17 @@ func answer(status int, body string) http.Handler {
 	})
 }
 
-// TestHostSessionLifecycle pins the worker host's bookkeeping: sessions are
-// dropped on finish and abort, and unknown sessions are refused.
+// TestHostSessionLifecycle pins the worker host's bookkeeping through one
+// stream's worker table: workers are counted while held and dropped on
+// finish and abort, and shards another stream opened are refused.
 func TestHostSessionLifecycle(t *testing.T) {
 	g := graph.Grid(5, 4)
 	p, err := BuildPartition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := NewHost(0, 0)
+	host := NewHost(0)
+	stream := host.newStreamTable()
 	initReq := func(s int) *RoundsRequest {
 		part := &p.Parts[s]
 		var req RoundsRequest
@@ -201,23 +203,29 @@ func TestHostSessionLifecycle(t *testing.T) {
 		return &req
 	}
 	for s := 0; s < p.K; s++ {
-		if resp := host.Handle(initReq(s)); !resp.OK {
+		if resp := host.handle(initReq(s), stream); !resp.OK {
 			t.Fatalf("init shard %d: %s", s, resp.Error)
 		}
 	}
 	if host.Sessions() != p.K {
 		t.Fatalf("Sessions = %d, want %d", host.Sessions(), p.K)
 	}
-	if resp := host.Handle(&RoundsRequest{Op: "step", Session: "nope", Shard: 0}); resp.Error == "" {
-		t.Fatal("unknown session accepted")
+	other := host.newStreamTable()
+	if resp := host.handle(&RoundsRequest{Op: "step", Session: "nope", Shard: 0}, other); resp.Error == "" {
+		t.Fatal("another stream's shard accepted")
+	} else if !strings.Contains(resp.Error, `session "nope"`) {
+		t.Fatalf("refusal %q does not name the session", resp.Error)
 	}
-	if resp := host.Handle(&RoundsRequest{Op: "bogus"}); resp.Error == "" {
+	if resp := host.handle(&RoundsRequest{Op: "bogus"}, stream); resp.Error == "" {
 		t.Fatal("unknown op accepted")
 	}
-	host.Handle(&RoundsRequest{Op: "abort", Session: "t", Shard: 0})
-	host.Handle(&RoundsRequest{Op: "abort", Session: "t", Shard: 1})
+	if resp := host.handle(&RoundsRequest{Op: "finish", Session: "t", Shard: 0}, stream); resp.OK {
+		t.Fatal("finish of a shard that never stepped succeeded")
+	}
+	host.handle(&RoundsRequest{Op: "abort", Session: "t", Shard: 0}, stream)
+	host.handle(&RoundsRequest{Op: "abort", Session: "t", Shard: 1}, stream)
 	if host.Sessions() != 0 {
-		t.Fatalf("Sessions = %d after aborts, want 0", host.Sessions())
+		t.Fatalf("Sessions = %d after finish and abort, want 0", host.Sessions())
 	}
 }
 
@@ -226,7 +234,7 @@ func TestHostSessionLifecycle(t *testing.T) {
 // inside a 200 response frame and before the announced size allocates anything; an init at the
 // cap passes admission and fails only on its (empty) subgraph.
 func TestHostRefusesOverCapInit(t *testing.T) {
-	srv := httptest.NewServer(serveHost(NewHost(0, 100)))
+	srv := httptest.NewServer(serveHost(NewHost(100)))
 	defer srv.Close()
 	post := func(parentN int) *RoundsResponse {
 		t.Helper()

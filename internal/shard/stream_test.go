@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,7 +81,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// idle reports whether no host serves a stream and none holds a session.
+// idle reports whether no host serves a stream and none holds a worker.
 func idle(hosts ...*streamHost) func() bool {
 	return func() bool {
 		for _, h := range hosts {
@@ -119,7 +120,7 @@ func TestStreamOneConnPerHost(t *testing.T) {
 	g := streamGraph()
 	want := runSingle(t, g)
 	client := oneConnClient(t)
-	hosts := []*streamHost{newStreamHost(t, NewHost(0, 0)), newStreamHost(t, NewHost(0, 0))}
+	hosts := []*streamHost{newStreamHost(t, NewHost(0)), newStreamHost(t, NewHost(0))}
 	addrs := []string{hosts[0].srv.URL, hosts[1].srv.URL}
 	for run := 0; run < 3; run++ {
 		tr, err := NewHTTPTransport(addrs, fmt.Sprintf("one-conn-%d", run), client)
@@ -164,7 +165,7 @@ func TestStreamDialsPerRun(t *testing.T) {
 		}}
 	t.Cleanup(tr.CloseIdleConnections)
 	client := &http.Client{Transport: tr}
-	hosts := []*streamHost{newStreamHost(t, NewHost(0, 0)), newStreamHost(t, NewHost(0, 0))}
+	hosts := []*streamHost{newStreamHost(t, NewHost(0)), newStreamHost(t, NewHost(0))}
 	addrs := []string{hosts[0].srv.URL, hosts[1].srv.URL}
 	const runs = 5
 	for run := 0; run < runs; run++ {
@@ -190,8 +191,8 @@ func TestStreamDialsPerRun(t *testing.T) {
 // settles back.
 func TestStreamHungWorkerTearsDown(t *testing.T) {
 	client := oneConnClient(t)
-	good := newStreamHost(t, NewHost(0, 0))
-	hung := newStreamHost(t, NewHost(0, 0))
+	good := newStreamHost(t, NewHost(0))
+	hung := newStreamHost(t, NewHost(0))
 	var hang atomic.Bool
 	hung.body = func(r io.Reader) io.Reader { return &hangReader{r: r, hang: &hang} }
 	base := runtime.NumGoroutine()
@@ -240,8 +241,8 @@ func (h *hangReader) Read(p []byte) (int, error) {
 // call deadline.
 func TestStreamWorkerKilledMidRun(t *testing.T) {
 	client := oneConnClient(t)
-	good := newStreamHost(t, NewHost(0, 0))
-	victim := newStreamHost(t, NewHost(0, 0))
+	good := newStreamHost(t, NewHost(0))
+	victim := newStreamHost(t, NewHost(0))
 	ht, err := NewHTTPTransport([]string{good.srv.URL, victim.srv.URL}, "killed", client)
 	if err != nil {
 		t.Fatal(err)
@@ -264,8 +265,8 @@ func TestStreamWorkerKilledMidRun(t *testing.T) {
 func TestStreamInitFailureAbortsAll(t *testing.T) {
 	g := streamGraph()
 	client := oneConnClient(t)
-	ok := newStreamHost(t, NewHost(0, 0))
-	small := newStreamHost(t, NewHost(0, g.N()-1))
+	ok := newStreamHost(t, NewHost(0))
+	small := newStreamHost(t, NewHost(g.N()-1))
 	tr, err := NewHTTPTransport([]string{ok.srv.URL, small.srv.URL}, "init-fail", client)
 	if err != nil {
 		t.Fatal(err)
@@ -281,14 +282,15 @@ func TestStreamInitFailureAbortsAll(t *testing.T) {
 }
 
 // TestStreamCutDropsSessions: when a stream is cut mid-run the host drops
-// the sessions that stream opened at once, not after the session TTL.
+// the workers that stream opened at once, not after the stream's idle
+// timeout.
 func TestStreamCutDropsSessions(t *testing.T) {
 	g := streamGraph()
 	p, err := BuildPartition(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newStreamHost(t, NewHost(time.Hour, 0))
+	h := newStreamHost(t, NewHost(0))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	pr, pw := io.Pipe()
@@ -343,19 +345,20 @@ func TestStreamCutDropsSessions(t *testing.T) {
 // TestStreamRunsShardsConcurrently: a host answers one stream's records for
 // different shards concurrently, so co-hosted shards' work shares the
 // host's cores, while one shard's records run in order and every reply
-// comes back in request order. Shard 0's init waits until shard 1's init
-// has started; a host handling records one at a time would stall it.
+// comes back in request order. The first record to start (shard 0's init)
+// waits until a second one (shard 1's init) has started; a host handling
+// records one at a time would stall it.
 func TestStreamRunsShardsConcurrently(t *testing.T) {
 	g := streamGraph()
 	p, err := BuildPartition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := NewHost(0, 0)
+	host := NewHost(0)
 	var calls atomic.Int32
 	var met atomic.Bool
 	both := make(chan struct{})
-	host.now = func() time.Time {
+	host.hook = func(*RoundsRequest) {
 		switch calls.Add(1) {
 		case 1:
 			select {
@@ -366,7 +369,6 @@ func TestStreamRunsShardsConcurrently(t *testing.T) {
 		case 2:
 			close(both)
 		}
-		return time.Now()
 	}
 	var body []byte
 	ops := []struct {
@@ -414,7 +416,7 @@ func TestStreamRunsShardsConcurrently(t *testing.T) {
 func TestStreamOutlivesClientTimeout(t *testing.T) {
 	g := streamGraph()
 	want := runSingle(t, g)
-	h := newStreamHost(t, NewHost(0, 0))
+	h := newStreamHost(t, NewHost(0))
 	client := oneConnClient(t)
 	client.Timeout = 100 * time.Millisecond
 	ht, err := NewHTTPTransport([]string{h.srv.URL}, "timeout", client)
@@ -430,4 +432,112 @@ func TestStreamOutlivesClientTimeout(t *testing.T) {
 		t.Fatalf("diverges from the single-process run: rounds %d vs %d", res.Rounds, want.rounds)
 	}
 	waitFor(t, "a stream or session outlived the run", idle(h))
+}
+
+// gatedSteps forwards to a Transport. Its first Step call closes started,
+// every Step waits for release first when release is set, and it records
+// the first reply for shard 0.
+type gatedSteps struct {
+	Transport
+	once    sync.Once
+	started chan struct{}
+	release <-chan struct{}
+
+	mu    sync.Mutex
+	step0 *StepResult
+}
+
+func newGatedSteps(tr Transport, release <-chan struct{}) *gatedSteps {
+	return &gatedSteps{Transport: tr, started: make(chan struct{}), release: release}
+}
+
+func (g *gatedSteps) Step(ctx context.Context, shard int, updates []Update) (*StepResult, error) {
+	g.once.Do(func() { close(g.started) })
+	if g.release != nil {
+		select {
+		case <-g.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	res, err := g.Transport.Step(ctx, shard, updates)
+	g.mu.Lock()
+	if shard == 0 && g.step0 == nil && res != nil {
+		g.step0 = res
+	}
+	g.mu.Unlock()
+	return res, err
+}
+
+// TestStreamSessionsDoNotCollide: two coordinators sharing a worker host
+// may label their runs alike (every deltaserved names its first sharded
+// run "svc-j00000001"), yet each reaches only its own workers. Coordinator
+// A inits shards 0-1 of Torus(8,8), then B inits shards 0-1 of Grid(5,4)
+// under the same session before A steps: A's first step on shard 0 must
+// answer for A's shard, and both runs must then finish bit-identical to
+// the single-process engine.
+func TestStreamSessionsDoNotCollide(t *testing.T) {
+	const session = "svc-j00000001"
+	gA, gB := graph.Torus(8, 8), graph.Grid(5, 4)
+	wantA, wantB := runSingle(t, gA), runSingle(t, gB)
+	ref := newGatedSteps(NewInProcess(), nil)
+	if _, err := Run(context.Background(), gA, Config{K: 2, Transport: ref}); err != nil {
+		t.Fatal(err)
+	}
+
+	h := newStreamHost(t, NewHost(0))
+	tr := &http.Transport{DisableCompression: true} // two streams to one host at once
+	t.Cleanup(tr.CloseIdleConnections)
+	client := &http.Client{Transport: tr}
+	newTransport := func() Transport {
+		ht, err := NewHTTPTransport([]string{h.srv.URL}, session, client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ht
+	}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	run := func(g *graph.Graph, tr Transport) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			res, err := Run(context.Background(), g, Config{K: 2, Transport: tr, CallTimeout: 5 * time.Second, Session: session})
+			out <- outcome{res, err}
+		}()
+		return out
+	}
+	gateB := newGatedSteps(newTransport(), nil)
+	gateA := newGatedSteps(newTransport(), gateB.started)
+	doneA := run(gA, gateA)
+	select {
+	case <-gateA.started: // A's inits are answered; its steps wait for B's inits
+	case o := <-doneA:
+		t.Fatalf("A ended before its first step: %v", o.err)
+	}
+	doneB := run(gB, gateB)
+	a, b := <-doneA, <-doneB
+
+	if gateA.step0 == nil || gateA.step0.NotDone != ref.step0.NotDone || !reflect.DeepEqual(gateA.step0.Changed, ref.step0.Changed) {
+		pB, err := BuildPartition(gB, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("A's first step on shard 0 = %+v, want %+v from A's own worker (B's shard 0 has %d locals)",
+			gateA.step0, ref.step0, len(pB.Parts[0].Locals))
+	}
+	for _, c := range []struct {
+		name string
+		o    outcome
+		want singleRun
+	}{{"A", a, wantA}, {"B", b, wantB}} {
+		if c.o.err != nil {
+			t.Fatalf("run %s: %v", c.name, c.o.err)
+		}
+		if !reflect.DeepEqual(c.o.res.Colors, c.want.colors) || c.o.res.Rounds != c.want.rounds {
+			t.Fatalf("run %s diverges from the single-process run: rounds %d vs %d", c.name, c.o.res.Rounds, c.want.rounds)
+		}
+	}
+	waitFor(t, "a stream or worker outlived the runs", idle(h))
 }

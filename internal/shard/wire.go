@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"deltacoloring/internal/graph"
@@ -27,13 +28,14 @@ const StreamPath = "/v1/shard/stream"
 const abortTimeout = 2 * time.Second
 
 // RoundsRequest is one protocol operation addressed to one shard of one
-// session: one record of a stream, framed by EncodeRequest.
+// run: one record of a stream, framed by EncodeRequest.
 type RoundsRequest struct {
 	// Op is "init", "step", "finish", or "abort".
 	Op string
-	// Session namespaces concurrent runs on a shared worker host.
+	// Session labels the run in the host's error texts. It keys nothing:
+	// a host keys workers by stream and shard.
 	Session string
-	// Shard is the shard index within the session.
+	// Shard is the shard index within the run.
 	Shard int
 
 	// Init payload: the binary-encoded shard subgraph, the sub→parent
@@ -65,45 +67,40 @@ type RoundsResponse struct {
 	Violation string
 }
 
-// hostSession is one worker living on a Host.
-type hostSession struct {
-	mu   sync.Mutex
-	w    *Worker
-	last time.Time
-}
+// streamIdleTimeout closes a stream that sends no record for this long:
+// the coordinator behind it is gone or wedged, and its workers die with it.
+const streamIdleTimeout = 5 * time.Minute
 
-// Host owns the shard workers of one serving process, keyed by
-// session/shard. It is the server half of the protocol: ServeRounds decodes
-// each request record of a stream and hands it to Handle. Sessions idle
-// past the TTL are reaped on the next init, sessions a stream opened die
-// with it, and an init whose parent graph exceeds the vertex cap is refused
+// Host is the server half of the protocol for one serving process. Each
+// stream ServeRounds serves owns its workers, keyed by shard index in a
+// table of its own, and drops them when it ends: a run's worker state lives
+// exactly as long as the coordinator's connection, and two coordinators
+// sharing a host cannot reach each other's workers, whatever their session
+// labels. An init whose parent graph exceeds the vertex cap is refused
 // before anything is sized by it.
 type Host struct {
-	mu       sync.Mutex
-	sessions map[string]*hostSession
-	ttl      time.Duration
-	maxN     int
-	now      func() time.Time
+	maxN int
+	live atomic.Int64 // workers held across every open stream
+	// hook, when set, runs at the start of each record: a test seam.
+	hook func(*RoundsRequest)
 }
 
-// NewHost returns a Host reaping sessions idle longer than ttl
-// (default 5m) and refusing parent graphs of more than maxN vertices
+// NewHost returns a Host refusing parent graphs of more than maxN vertices
 // (default 1<<20).
-func NewHost(ttl time.Duration, maxN int) *Host {
-	if ttl <= 0 {
-		ttl = 5 * time.Minute
-	}
+func NewHost(maxN int) *Host {
 	if maxN <= 0 {
 		maxN = 1 << 20
 	}
-	return &Host{sessions: make(map[string]*hostSession), ttl: ttl, maxN: maxN, now: time.Now}
+	return &Host{maxN: maxN}
 }
 
-// Sessions reports the live worker count.
-func (h *Host) Sessions() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.sessions)
+// Sessions reports the live worker count across every open stream.
+func (h *Host) Sessions() int { return int(h.live.Load()) }
+
+// newStreamTable returns an empty worker table for one stream, counted in
+// the host's gauge.
+func (h *Host) newStreamTable() *InProcess {
+	return &InProcess{workers: make(map[int]*Worker), live: &h.live}
 }
 
 // ServeRounds serves one coordinator stream: it reads request records until
@@ -114,22 +111,22 @@ func (h *Host) Sessions() int {
 // cores; records for one shard run in order. A first record that does not
 // decode is answered with 400 and a text body; a later one ends the stream
 // once the records before it are answered. Each record is bounded by
-// maxRecord, and the read deadline is reset to the session TTL before each,
-// so an idle stream closes on the schedule an idle session is reaped on.
-// Sessions the stream initialised and neither finished nor aborted are
-// dropped when it ends.
+// maxRecord, and a stream idle for streamIdleTimeout is closed. The
+// stream's workers are keyed by shard alone: the session in each record is
+// only a label for error texts. Workers neither finished nor aborted are
+// dropped when the stream ends.
 func (h *Host) ServeRounds(w http.ResponseWriter, r *http.Request, maxRecord int64) {
 	rc := http.NewResponseController(w)
 	// Both fail only where they do not apply: HTTP/2 is full-duplex
 	// already, and a recorder has no connection to time out.
 	_ = rc.EnableFullDuplex()
-	owned := make(map[string]*hostSession)
-	defer h.dropOwned(owned)
+	workers := h.newStreamTable()
+	defer workers.abortAll()
 	br := bufio.NewReader(r.Body)
 	var replies chan *pendingReply
-	last := make(map[string]chan struct{}) // per shard: its latest record's done
+	last := make(map[int]chan struct{}) // per shard: its latest record's done
 	for first := true; ; first = false {
-		_ = rc.SetReadDeadline(time.Now().Add(h.ttl))
+		_ = rc.SetReadDeadline(time.Now().Add(streamIdleTimeout))
 		// A fresh buffer per record: a decoded init aliases its frame
 		// while it runs.
 		frame, err := readRecord(br, maxRecord, nil)
@@ -158,12 +155,11 @@ func (h *Host) ServeRounds(w http.ResponseWriter, r *http.Request, maxRecord int
 				<-written
 			}()
 		}
-		key := sessionKey(req.Session, req.Shard)
 		p := &pendingReply{done: make(chan struct{})}
-		prev := last[key]
-		last[key] = p.done
+		prev := last[req.Shard]
+		last[req.Shard] = p.done
 		replies <- p
-		go h.run(req, owned, prev, p)
+		go h.run(req, workers, prev, p)
 	}
 }
 
@@ -176,7 +172,7 @@ type pendingReply struct {
 // run answers req into p once prev, the same shard's previous record, is
 // answered. A panic becomes the record's error reply: it runs off the
 // handler's goroutine, where the server would not recover it.
-func (h *Host) run(req *RoundsRequest, owned map[string]*hostSession, prev chan struct{}, p *pendingReply) {
+func (h *Host) run(req *RoundsRequest, workers *InProcess, prev chan struct{}, p *pendingReply) {
 	defer close(p.done)
 	defer func() {
 		if v := recover(); v != nil {
@@ -186,12 +182,15 @@ func (h *Host) run(req *RoundsRequest, owned map[string]*hostSession, prev chan 
 	if prev != nil {
 		<-prev
 	}
-	p.out = EncodeResponse(h.handle(req, owned))
+	if h.hook != nil {
+		h.hook(req)
+	}
+	p.out = EncodeResponse(h.handle(req, workers))
 }
 
 // writeReplies writes each reply once it and every earlier one are ready,
 // then closes written. After a failed write it only waits, so every record
-// in flight finishes before the stream's sessions are dropped.
+// in flight finishes before the stream's workers are dropped.
 func writeReplies(w http.ResponseWriter, rc *http.ResponseController, replies <-chan *pendingReply, written chan<- struct{}) {
 	defer close(written)
 	var prefix [binary.MaxVarintLen64]byte
@@ -206,33 +205,38 @@ func writeReplies(w http.ResponseWriter, rc *http.ResponseController, replies <-
 	}
 }
 
-func sessionKey(session string, shard int) string {
-	return fmt.Sprintf("%s/%d", session, shard)
-}
-
-// Handle executes one protocol operation and never panics the caller: all
-// failures are reported in the response.
-func (h *Host) Handle(req *RoundsRequest) *RoundsResponse {
-	return h.handle(req, nil)
-}
-
-// handle is Handle recording the sessions an init opens in owned, when
-// non-nil; owned is guarded by h.mu.
-func (h *Host) handle(req *RoundsRequest, owned map[string]*hostSession) *RoundsResponse {
+// handle executes one protocol operation against one stream's workers.
+func (h *Host) handle(req *RoundsRequest, workers *InProcess) *RoundsResponse {
 	switch req.Op {
 	case "init":
-		return h.handleInit(req, owned)
+		return h.handleInit(req, workers)
 	case "step", "finish":
-		return h.handleRound(req)
+		w, err := workers.get(req.Shard)
+		if err != nil {
+			return &RoundsResponse{Error: fmt.Sprintf("unknown session %q: %v on this stream", req.Session, err)}
+		}
+		if req.Op == "finish" {
+			colors, err := w.Finish()
+			workers.Abort(req.Shard)
+			if err != nil {
+				return errResponse(err)
+			}
+			return &RoundsResponse{OK: true, Colors: colors}
+		}
+		res, err := w.Step(req.Shard, req.Updates)
+		if err != nil {
+			return errResponse(err)
+		}
+		return &RoundsResponse{OK: true, Changed: res.Changed, NotDone: res.NotDone}
 	case "abort":
-		h.drop(sessionKey(req.Session, req.Shard))
+		workers.Abort(req.Shard)
 		return &RoundsResponse{OK: true}
 	default:
 		return &RoundsResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
-func (h *Host) handleInit(req *RoundsRequest, owned map[string]*hostSession) *RoundsResponse {
+func (h *Host) handleInit(req *RoundsRequest, workers *InProcess) *RoundsResponse {
 	if req.ParentN > h.maxN {
 		return &RoundsResponse{
 			Error: fmt.Sprintf("shard parent graph has n=%d, above the %d-vertex limit", req.ParentN, h.maxN),
@@ -246,78 +250,8 @@ func (h *Host) handleInit(req *RoundsRequest, owned map[string]*hostSession) *Ro
 	if err != nil {
 		return &RoundsResponse{Error: err.Error()}
 	}
-	sess := &hostSession{w: NewWorker(part, req.Delta), last: h.now()}
-	key := sessionKey(req.Session, req.Shard)
-	h.mu.Lock()
-	if old, dup := h.sessions[key]; dup {
-		old.w.Close()
-	}
-	h.sessions[key] = sess
-	if owned != nil {
-		owned[key] = sess
-	}
-	h.reapLocked()
-	h.mu.Unlock()
+	_ = workers.Init(context.Background(), req.Shard, part, req.Delta, req.ParentN)
 	return &RoundsResponse{OK: true}
-}
-
-func (h *Host) handleRound(req *RoundsRequest) *RoundsResponse {
-	key := sessionKey(req.Session, req.Shard)
-	h.mu.Lock()
-	sess, ok := h.sessions[key]
-	h.mu.Unlock()
-	if !ok {
-		return &RoundsResponse{Error: fmt.Sprintf("unknown session %q", key)}
-	}
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.last = h.now()
-	if req.Op == "finish" {
-		colors, err := sess.w.Finish()
-		h.drop(key)
-		if err != nil {
-			return errResponse(err)
-		}
-		return &RoundsResponse{OK: true, Colors: colors}
-	}
-	res, err := sess.w.Step(req.Shard, req.Updates)
-	if err != nil {
-		return errResponse(err)
-	}
-	return &RoundsResponse{OK: true, Changed: res.Changed, NotDone: res.NotDone}
-}
-
-func (h *Host) drop(key string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if sess, ok := h.sessions[key]; ok {
-		sess.w.Close()
-		delete(h.sessions, key)
-	}
-}
-
-// dropOwned drops the sessions a stream opened that are still the live
-// ones under their keys.
-func (h *Host) dropOwned(owned map[string]*hostSession) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for key, sess := range owned {
-		if h.sessions[key] == sess {
-			sess.w.Close()
-			delete(h.sessions, key)
-		}
-	}
-}
-
-// reapLocked drops sessions idle past the TTL; h.mu must be held.
-func (h *Host) reapLocked() {
-	cutoff := h.now().Add(-h.ttl)
-	for key, sess := range h.sessions {
-		if sess.last.Before(cutoff) {
-			sess.w.Close()
-			delete(h.sessions, key)
-		}
-	}
 }
 
 // errResponse tags a worker error with its violation type for the wire.
@@ -352,8 +286,8 @@ type HTTPTransport struct {
 }
 
 // NewHTTPTransport builds a transport over the given worker base URLs
-// (e.g. "http://127.0.0.1:8081"). session namespaces this run on the
-// workers; client may be nil for http.DefaultClient. A stream is one
+// (e.g. "http://127.0.0.1:8081"). session labels this run in the
+// workers' error texts; client may be nil for http.DefaultClient. A stream is one
 // request that lasts the whole run, so the transport uses a copy of client
 // without its Timeout: the coordinator's per-call context (CallTimeout)
 // bounds every call instead.
