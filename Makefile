@@ -35,13 +35,16 @@ chaos:
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/repair/
 
 # Sharded-cluster chaos (DESIGN.md §15): seeded worker kill/hang/corrupt
-# plans through the coordinator and its transports, the HTTP stream's
-# lifecycle (hung, killed and refusing workers, cut streams, aborts, two
-# coordinators sharing a host under one session label), plus
-# the service-level guarantee that a damaged cluster never answers 200 with
-# an invalid or partial coloring. DELTA_CHAOS_ITERS scales the root soak.
+# plans through the coordinator and its transports, the round path's
+# failure handling (a failed step or finish aborts every shard, a hung
+# worker fails at the call deadline, quiet shards stay out of the batch),
+# the HTTP stream's lifecycle (hung, killed and refusing workers on the
+# batched and the per-shard round, cut streams, aborts, two coordinators
+# sharing a host under one session label), plus the service-level
+# guarantee that a damaged cluster never answers 200 with an invalid or
+# partial coloring. DELTA_CHAOS_ITERS scales the root soak.
 chaos-shard:
-	$(GO) test -race -count=1 -run 'TestChaos|TestStream|TestHTTPTransportRefusesForeignWire' ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestChaos|TestStream|TestHTTPTransportRefusesForeignWire|TestRunAbortsAllShardsOnFailure|TestCallTimeoutBoundsHungWorker|TestQuietShardsAreSkipped' ./internal/shard/
 	$(GO) test -race -count=1 -run 'TestChaosShard' .
 	$(GO) test -race -count=1 -run 'TestShardChaosNeverServesBadColoring|TestShardWorkerEndpointRoundTrip|TestShardCoordinatorsShareWorker|TestColorShardedConcurrent' ./internal/service/
 

@@ -3,7 +3,9 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 )
 
 // Chaos fault modes.
@@ -38,9 +40,11 @@ type ChaosPlan struct {
 }
 
 // ChaosTransport wraps an inner transport and injects exactly one seeded
-// fault per run, deterministically for a given (plan, call sequence). It is
-// the shard analogue of the engine's fault hooks: faults live at the
-// transport layer, where a real cluster breaks.
+// fault per run, deterministically for a given (plan, call sequence). Run
+// hands it each round as one batch, so under Run the fault depends on the
+// plan and the run alone, at any shard count. It is the shard analogue of
+// the engine's fault hooks: faults live at the transport layer, where a
+// real cluster breaks.
 type ChaosTransport struct {
 	inner Transport
 	plan  ChaosPlan
@@ -99,27 +103,73 @@ func (t *ChaosTransport) Init(ctx context.Context, shard int, part *Part, delta,
 	return t.inner.Init(ctx, shard, part, delta, parentN)
 }
 
-// Step injects crash, hang, or exchange-corruption faults. Corruption only
-// rolls when the call actually carries updates, so the single shot is never
-// wasted on a quiet exchange.
+// Step injects crash, hang, or exchange-corruption faults.
 func (t *ChaosTransport) Step(ctx context.Context, shard int, updates []Update) (*StepResult, error) {
-	if t.roll(ChaosCrash) {
-		return nil, fmt.Errorf("chaos: shard %d worker crashed", shard)
-	}
-	if t.roll(ChaosHang) {
+	switch mode, updates := t.stepFault(updates); mode {
+	case ChaosCrash:
+		return nil, crashed(shard)
+	case ChaosHang:
 		<-ctx.Done()
 		return nil, ctx.Err()
+	default:
+		return t.inner.Step(ctx, shard, updates)
+	}
+}
+
+// stepRound steps a round as one batch: it rolls each shard's fault in
+// ascending shard order, so the victim depends on the plan and the run
+// alone, never on goroutine scheduling, then steps the shards left through
+// the inner transport. A hung shard fails at the round's deadline.
+func (t *ChaosTransport) stepRound(ctx context.Context, timeout time.Duration, r *round) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	rest := *r
+	rest.active = make([]int, 0, len(r.active))
+	hung := -1
+	for _, s := range r.active {
+		switch mode, updates := t.stepFault(r.updates[s]); mode {
+		case ChaosCrash:
+			r.errs[s] = crashed(s)
+		case ChaosHang:
+			hung = s
+		case ChaosCorruptExchange:
+			rest.updates = slices.Clone(r.updates)
+			rest.updates[s] = updates
+			fallthrough
+		default:
+			rest.active = append(rest.active, s)
+		}
+	}
+	runRound(ctx, t.inner, timeout, &rest)
+	if hung >= 0 {
+		<-ctx.Done()
+		r.errs[hung] = ctx.Err()
+	}
+}
+
+// stepFault rolls one step's fault and returns its mode ("" for none) and
+// the updates to deliver. Corruption only rolls when the step carries
+// updates, so the single shot is never wasted on a quiet exchange.
+func (t *ChaosTransport) stepFault(updates []Update) (string, []Update) {
+	if t.roll(ChaosCrash) {
+		return ChaosCrash, nil
+	}
+	if t.roll(ChaosHang) {
+		return ChaosHang, nil
 	}
 	if len(updates) > 0 && t.roll(ChaosCorruptExchange) {
 		t.mu.Lock()
 		victim := int(t.splitmix64() % uint64(len(updates)))
 		t.mu.Unlock()
-		mangled := make([]Update, len(updates))
-		copy(mangled, updates)
+		mangled := slices.Clone(updates)
 		mangled[victim].C = corruptColor
-		return t.inner.Step(ctx, shard, mangled)
+		return ChaosCorruptExchange, mangled
 	}
-	return t.inner.Step(ctx, shard, updates)
+	return "", updates
+}
+
+func crashed(shard int) error {
+	return fmt.Errorf("chaos: shard %d worker crashed", shard)
 }
 
 // Finish injects finish-corruption faults.

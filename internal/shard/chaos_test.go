@@ -91,26 +91,29 @@ func TestChaosCrashFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestChaosDeterministicPerSeed: at k=1 transport calls are sequential, so
-// the same plan over the same run must yield exactly the same outcome —
-// chaos failures reproduce from their seed alone. (At k > 1 the concurrent
-// fan-out makes the victim call scheduling-dependent by design; only the
-// outcome *set* is pinned there, by TestChaosNeverYieldsWrongColoring.)
+// TestChaosDeterministicPerSeed: the same plan over the same run must yield
+// exactly the same outcome at any shard count, so chaos failures reproduce
+// from their seed alone. At k > 1 the coordinator fans a round out to the
+// shards concurrently, but ChaosTransport steps each round as one batch and
+// rolls the faults shard by shard in ascending order, so the victim does not
+// depend on which goroutine runs first.
 func TestChaosDeterministicPerSeed(t *testing.T) {
 	g := chaosGraph()
-	outcome := func(seed uint64) string {
-		tr := NewChaosTransport(NewInProcess(), ChaosPlan{Mode: ChaosCrash, Seed: seed, Prob: 0.4})
-		_, err := Run(context.Background(), g, Config{K: 1, Transport: tr})
-		if err == nil {
-			return "ok"
+	for _, k := range []int{1, 4} {
+		outcome := func(seed uint64) string {
+			tr := NewChaosTransport(NewInProcess(), ChaosPlan{Mode: ChaosCrash, Seed: seed, Prob: 0.4})
+			_, err := Run(context.Background(), g, Config{K: k, Transport: tr})
+			if err == nil {
+				return "ok"
+			}
+			return err.Error()
 		}
-		return err.Error()
-	}
-	for seed := uint64(0); seed < 4; seed++ {
-		first := outcome(seed)
-		for i := 0; i < 3; i++ {
-			if got := outcome(seed); got != first {
-				t.Fatalf("seed %d outcome drifted:\n%s\nvs\n%s", seed, first, got)
+		for seed := uint64(0); seed < 4; seed++ {
+			first := outcome(seed)
+			for i := 0; i < 3; i++ {
+				if got := outcome(seed); got != first {
+					t.Fatalf("k=%d seed %d outcome drifted:\n%s\nvs\n%s", k, seed, first, got)
+				}
 			}
 		}
 	}

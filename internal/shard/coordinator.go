@@ -18,7 +18,8 @@ import (
 // service's /v1/shard/stream endpoint), and ChaosTransport (seeded fault
 // injection around either). Step and Finish honor ctx's deadline; a
 // transport error fails the whole run — the coordinator never merges a
-// partial coloring.
+// partial coloring. Run steps a round's shards concurrently, one Step call
+// each, unless the transport steps whole rounds itself (roundStepper).
 type Transport interface {
 	Init(ctx context.Context, shard int, part *Part, delta, parentN int) error
 	Step(ctx context.Context, shard int, updates []Update) (*StepResult, error)
@@ -37,8 +38,9 @@ type Config struct {
 	NetHook func(*local.Network)
 	// SpanHook receives each phase span as it closes.
 	SpanHook func(local.Span)
-	// CallTimeout bounds every transport call (default 30s): a hung worker
-	// fails the run cleanly instead of wedging the coordinator.
+	// CallTimeout bounds every transport call, and a round stepped as one
+	// batch as a whole (default 30s): a hung worker fails the run cleanly
+	// instead of wedging the coordinator.
 	CallTimeout time.Duration
 	// Session is a label for the run. Run reads it nowhere: a transport
 	// that needs one, like HTTPTransport, takes it when built.
@@ -158,48 +160,39 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config) (res *Result, err erro
 	}
 	maxRounds := g.N() + 2
 	rounds := 0
-	steps := make([]*StepResult, k)
-	errs := make([]error, k)
+	r := &round{steps: make([]*StepResult, k), errs: make([]error, k)}
 	for total > 0 {
 		if rounds >= maxRounds {
 			abortAll()
 			return nil, fmt.Errorf("shard: %d vertices uncolored after %d rounds", total, rounds)
 		}
-		var wg sync.WaitGroup
+		r.active, r.updates = r.active[:0], pending
 		for s := 0; s < k; s++ {
-			steps[s], errs[s] = nil, nil
+			r.steps[s], r.errs[s] = nil, nil
 			if notDone[s] == 0 && len(pending[s]) == 0 {
 				continue // quiet shard: no active locals, no incoming states
 			}
-			traffic.StepCalls++
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				errs[s] = call(func(c context.Context) error {
-					var serr error
-					steps[s], serr = tr.Step(c, s, pending[s])
-					return serr
-				})
-			}(s)
+			r.active = append(r.active, s)
 		}
-		wg.Wait()
+		traffic.StepCalls += len(r.active)
+		runRound(ctx, tr, timeout, r)
 		net.Charge(1) // one synchronous LOCAL round across the whole cut
 		rounds++
 		for s := 0; s < k; s++ {
-			if errs[s] != nil {
+			if r.errs[s] != nil {
 				abortAll()
-				return nil, fmt.Errorf("shard %d round %d: %w", s, rounds, errs[s])
+				return nil, fmt.Errorf("shard %d round %d: %w", s, rounds, r.errs[s])
 			}
 		}
 		for s := 0; s < k; s++ {
 			next[s] = next[s][:0]
 		}
 		for s := 0; s < k; s++ {
-			if steps[s] == nil {
+			if r.steps[s] == nil {
 				continue
 			}
-			notDone[s] = steps[s].NotDone
-			for _, u := range steps[s].Changed {
+			notDone[s] = r.steps[s].NotDone
+			for _, u := range r.steps[s].Changed {
 				for _, t := range ghostAt[u.V] {
 					next[t] = append(next[t], u)
 					traffic.BoundaryUpdates++
@@ -268,6 +261,42 @@ func Run(ctx context.Context, g *graph.Graph, cfg Config) (res *Result, err erro
 		Traffic:   traffic,
 		Spans:     net.Spans(),
 	}, nil
+}
+
+// round is one synchronous round's steps: updates[s] goes to each shard s
+// in active, in ascending order, and its reply or error lands in steps[s]
+// or errs[s].
+type round struct {
+	active  []int
+	updates [][]Update
+	steps   []*StepResult
+	errs    []error
+}
+
+// roundStepper is a transport that steps a whole round itself, each call
+// bounded by timeout.
+type roundStepper interface {
+	stepRound(ctx context.Context, timeout time.Duration, r *round)
+}
+
+// runRound runs one round on tr: as one batch when tr can, else one Step
+// per shard, each on its own goroutine under its own deadline.
+func runRound(ctx context.Context, tr Transport, timeout time.Duration, r *round) {
+	if rs, ok := tr.(roundStepper); ok {
+		rs.stepRound(ctx, timeout, r)
+		return
+	}
+	var wg sync.WaitGroup
+	for _, s := range r.active {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			cctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			r.steps[s], r.errs[s] = tr.Step(cctx, s, r.updates[s])
+		}(s)
+	}
+	wg.Wait()
 }
 
 // InProcess runs every worker inside the coordinator's process: the

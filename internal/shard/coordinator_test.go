@@ -14,7 +14,10 @@ import (
 
 // TestQuietShardsAreSkipped pins the frontier idea at the cluster level: on
 // a long path the coloring wave drains shard by shard, so finished shards
-// stop being stepped and StepCalls lands well under K × rounds.
+// stop being stepped and StepCalls lands well under K × rounds. Over a
+// 2-host HTTP cluster, where a round's steps go out as one batch per host,
+// quiet shards stay out of the batch: StepCalls and Rounds match the
+// in-process run's.
 func TestQuietShardsAreSkipped(t *testing.T) {
 	g := graph.Path(96)
 	res, err := Run(context.Background(), g, Config{K: 4})
@@ -25,6 +28,18 @@ func TestQuietShardsAreSkipped(t *testing.T) {
 	if res.Traffic.StepCalls >= dense {
 		t.Fatalf("StepCalls = %d, dense stepping would be %d — quiet shards were not skipped",
 			res.Traffic.StepCalls, dense)
+	}
+	tr, err := NewHTTPTransport(newTestCluster(t, 2), "quiet", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := Run(context.Background(), g, Config{K: 4, Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if remote.Traffic.StepCalls != res.Traffic.StepCalls || remote.Rounds != res.Rounds {
+		t.Fatalf("over HTTP: StepCalls %d, Rounds %d; in process: %d, %d",
+			remote.Traffic.StepCalls, remote.Rounds, res.Traffic.StepCalls, res.Rounds)
 	}
 }
 

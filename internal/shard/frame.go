@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // The /v1/shard/stream wire: one long-lived, full-duplex HTTP/1.1 request
@@ -74,34 +76,62 @@ func opCode(op string) (byte, bool) {
 // EncodeRequest serializes one request frame. Only the payload of req.Op is
 // written; the other op's fields are ignored.
 func EncodeRequest(req *RoundsRequest) ([]byte, error) {
-	return encodeRequest(req, 0)
-}
-
-// encodeRecord serializes req as one stream record, the frame's uvarint
-// length before it, without copying the frame.
-func encodeRecord(req *RoundsRequest) ([]byte, error) {
-	b, err := encodeRequest(req, binary.MaxVarintLen64)
-	if err != nil {
+	if err := checkRequest(req); err != nil {
 		return nil, err
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(b)-len(hdr)))
-	start := len(hdr) - n
-	copy(b[start:], hdr[:n])
-	return b[start:], nil
+	return appendRequest(make([]byte, 0, requestLen(req)), req), nil
 }
 
-// encodeRequest writes the frame after reserve zero bytes.
-func encodeRequest(req *RoundsRequest, reserve int) ([]byte, error) {
-	op, ok := opCode(req.Op)
-	if !ok {
-		return nil, fmt.Errorf("shard: encode: unknown op %q", req.Op)
+// encodeRecord serializes req as one stream record.
+func encodeRecord(req *RoundsRequest) ([]byte, error) {
+	if err := checkRequest(req); err != nil {
+		return nil, err
+	}
+	return appendRequestRecord(nil, req), nil
+}
+
+// appendRequestRecord appends req to b as one stream record: the frame's
+// uvarint length, then the frame, encoded in place. checkRequest has
+// passed req.
+func appendRequestRecord(b []byte, req *RoundsRequest) []byte {
+	n := requestLen(req)
+	b = slices.Grow(b, uvarintLen(n)+n)
+	b = binary.AppendUvarint(b, uint64(n))
+	return appendRequest(b, req)
+}
+
+// checkRequest refuses a request whose frame would not decode.
+func checkRequest(req *RoundsRequest) error {
+	if _, ok := opCode(req.Op); !ok {
+		return fmt.Errorf("shard: encode: unknown op %q", req.Op)
 	}
 	if min(req.Shard, req.ParentN, req.Delta) < 0 || max(req.Shard, req.ParentN, req.Delta) > math.MaxInt32 {
-		return nil, fmt.Errorf("shard: encode: shard %d, parent n %d or delta %d out of range", req.Shard, req.ParentN, req.Delta)
+		return fmt.Errorf("shard: encode: shard %d, parent n %d or delta %d out of range", req.Shard, req.ParentN, req.Delta)
 	}
-	b := make([]byte, reserve, reserve+8*binary.MaxVarintLen64+len(req.Session)+len(req.Graph)+
-		4*(len(req.ToParent)+len(req.Locals))+8*len(req.Updates))
+	return nil
+}
+
+// requestLen is the exact length of req's frame.
+func requestLen(req *RoundsRequest) int {
+	n := 2 + uvarintLen(len(req.Session)) + len(req.Session) + uvarintLen(req.Shard)
+	switch req.Op {
+	case "init":
+		n += uvarintLen(req.ParentN) + uvarintLen(req.Delta) + uvarintLen(len(req.Graph)) + len(req.Graph) +
+			uvarintLen(len(req.ToParent)) + 4*len(req.ToParent) + uvarintLen(len(req.Locals)) + 4*len(req.Locals)
+	case "step":
+		n += uvarintLen(len(req.Updates)) + 8*len(req.Updates)
+	}
+	return n
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x int) int {
+	return (bits.Len64(uint64(x)|1) + 6) / 7
+}
+
+// appendRequest appends req's frame to b; checkRequest has passed it.
+func appendRequest(b []byte, req *RoundsRequest) []byte {
+	op, _ := opCode(req.Op)
 	b = append(b, frameVersion, op)
 	b = appendString(b, req.Session)
 	b = binary.AppendUvarint(b, uint64(req.Shard))
@@ -116,7 +146,7 @@ func encodeRequest(req *RoundsRequest, reserve int) ([]byte, error) {
 	case "step":
 		b = appendUpdates(b, req.Updates)
 	}
-	return b, nil
+	return b
 }
 
 // DecodeRequest parses one request frame. The returned Graph aliases b.

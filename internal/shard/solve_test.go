@@ -108,10 +108,11 @@ func newTestCluster(t *testing.T, count int) []string {
 // TestShardedBitIdentityOverHTTP runs the full wire protocol — binary
 // request and response frames carrying the CSR subgraphs and every round's
 // exchange — against real HTTP worker processes and demands the same
-// bit-identity the in-process transport has.
+// bit-identity the in-process transport has, with hosts carrying equal and
+// unequal shard counts.
 func TestShardedBitIdentityOverHTTP(t *testing.T) {
 	for _, tc := range []struct{ k, workers int }{
-		{1, 1}, {2, 2}, {4, 2}, {4, 4}, {3, 5},
+		{1, 1}, {2, 2}, {4, 2}, {4, 4}, {3, 5}, {5, 2}, {7, 3},
 	} {
 		t.Run(fmt.Sprintf("k=%d/workers=%d", tc.k, tc.workers), func(t *testing.T) {
 			g := graph.PermuteIDs(graph.Grid(8, 5), rand.New(rand.NewSource(21)))

@@ -185,6 +185,75 @@ func TestStreamDialsPerRun(t *testing.T) {
 	t.Logf("%d runs over %d hosts dialed %d connections", runs, len(addrs), dials.Load())
 }
 
+// writeCounter counts each connection's Write calls, one counter per dial.
+type writeCounter struct {
+	mu     sync.Mutex
+	counts []*atomic.Int32
+}
+
+func (w *writeCounter) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	var d net.Dialer
+	c, err := d.DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	n := new(atomic.Int32)
+	w.mu.Lock()
+	w.counts = append(w.counts, n)
+	w.mu.Unlock()
+	return &countedConn{Conn: c, writes: n}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	writes *atomic.Int32
+}
+
+func (c *countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestStreamOneWritePerHostPerRound: a round's steps for one host leave
+// the coordinator as one write on that host's connection, not one per
+// shard. Each connection carries at most the request header, one write per
+// init, round and finish of the shards on its host, and the body's end.
+func TestStreamOneWritePerHostPerRound(t *testing.T) {
+	g := graph.Torus(8, 8)
+	want := runSingle(t, g)
+	var wc writeCounter
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, DisableCompression: true, DialContext: wc.dial}
+	t.Cleanup(tr.CloseIdleConnections)
+	hosts := []*streamHost{newStreamHost(t, NewHost(0)), newStreamHost(t, NewHost(0))}
+	ht, err := NewHTTPTransport([]string{hosts[0].srv.URL, hosts[1].srv.URL}, "writes", &http.Client{Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 4
+	res, err := Run(context.Background(), g, Config{K: k, Transport: ht, CallTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Colors, want.colors) || res.Rounds != want.rounds {
+		t.Fatalf("diverges from the single-process run: rounds %d vs %d", res.Rounds, want.rounds)
+	}
+	waitFor(t, "a stream is still open", idle(hosts...))
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if len(wc.counts) != len(hosts) {
+		t.Fatalf("%d connections over %d hosts", len(wc.counts), len(hosts))
+	}
+	shardsPerHost := k / len(hosts)
+	limit := 1 + shardsPerHost + res.Rounds + shardsPerHost + 1
+	for i, n := range wc.counts {
+		got := int(n.Load())
+		if got > limit {
+			t.Errorf("connection %d: %d writes over %d rounds, want at most %d", i, got, res.Rounds, limit)
+		}
+		t.Logf("connection %d: %d writes over %d rounds (limit %d)", i, got, res.Rounds, limit)
+	}
+}
+
 // TestStreamHungWorkerTearsDown: a worker that keeps reading but stops
 // answering fails the run by CallTimeout; the stream is torn down on both
 // sides, the hung host drops the stream's sessions, and the goroutine count
@@ -257,6 +326,58 @@ func TestStreamWorkerKilledMidRun(t *testing.T) {
 		t.Fatalf("the run took %v to fail: %v", d, err)
 	}
 	waitFor(t, "a stream or session outlived the run", idle(good, victim))
+}
+
+// TestStreamBatchedRoundFailures drives the batched round, Run over a bare
+// HTTPTransport, into a host that stops answering and into one whose
+// connection dies, each at its fourth step record. A hung host fails the
+// run at the round's deadline, a killed one well before it; neither run
+// yields a coloring, and no stream or worker outlives it.
+func TestStreamBatchedRoundFailures(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		within  time.Duration
+		want    error
+	}{
+		{"hung", 200 * time.Millisecond, 5 * time.Second, context.DeadlineExceeded},
+		{"killed", 10 * time.Second, 2 * time.Second, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client := oneConnClient(t)
+			good := newStreamHost(t, NewHost(0))
+			victim := newStreamHost(t, NewHost(0))
+			var hang atomic.Bool
+			victim.body = func(r io.Reader) io.Reader { return &hangReader{r: r, hang: &hang} }
+			var steps atomic.Int32
+			victim.host.hook = func(req *RoundsRequest) {
+				if req.Op != "step" || steps.Add(1) != 4 {
+					return
+				}
+				if tc.want != nil {
+					hang.Store(true)
+				} else {
+					victim.srv.CloseClientConnections()
+				}
+			}
+			ht, err := NewHTTPTransport([]string{good.srv.URL, victim.srv.URL}, "batched-"+tc.name, client)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			res, err := Run(context.Background(), streamGraph(), Config{K: 4, Transport: ht, CallTimeout: tc.timeout})
+			if err == nil || res != nil {
+				t.Fatalf("res %v, err %v; want an error", res, err)
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if d := time.Since(start); d > tc.within {
+				t.Fatalf("the run took %v to fail: %v", d, err)
+			}
+			waitFor(t, "a stream or worker outlived the run", idle(good, victim))
+		})
+	}
 }
 
 // TestStreamInitFailureAbortsAll: when shard 1's host refuses its init,
@@ -540,4 +661,32 @@ func TestStreamSessionsDoNotCollide(t *testing.T) {
 		}
 	}
 	waitFor(t, "a stream or worker outlived the runs", idle(h))
+}
+
+// BenchmarkTorusOverHTTP times k=4 runs of Torus(64,64) over two loopback
+// hosts on a one-connection client, shard_http's main operation in one
+// process: coordinator and hosts share a CPU profile of it, as in
+//
+//	go test -run '^$' -bench TorusOverHTTP -benchtime 200x -cpuprofile cpu.out ./internal/shard/
+func BenchmarkTorusOverHTTP(b *testing.B) {
+	g := graph.Torus(64, 64)
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, DisableCompression: true}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(serveHost(NewHost(0)))
+		defer srv.Close()
+		addrs = append(addrs, srv.URL)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ht, err := NewHTTPTransport(addrs, fmt.Sprintf("bench-%d", i), client)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Run(context.Background(), g, Config{K: 4, Transport: ht, CallTimeout: 5 * time.Second}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -189,19 +189,40 @@ func (h *Host) run(req *RoundsRequest, workers *InProcess, prev chan struct{}, p
 }
 
 // writeReplies writes each reply once it and every earlier one are ready,
-// then closes written. After a failed write it only waits, so every record
-// in flight finishes before the stream's workers are dropped.
+// flushing once per run of ready replies, then closes written. After a
+// failed write it only waits, so every record in flight finishes before the
+// stream's workers are dropped.
 func writeReplies(w http.ResponseWriter, rc *http.ResponseController, replies <-chan *pendingReply, written chan<- struct{}) {
 	defer close(written)
 	var prefix [binary.MaxVarintLen64]byte
 	ok := true
-	for p := range replies {
+	p, more := <-replies
+	for more {
 		<-p.done
 		if ok {
 			_, _ = w.Write(binary.AppendUvarint(prefix[:0], uint64(len(p.out))))
 			_, _ = w.Write(p.out)
-			ok = rc.Flush() == nil
 		}
+		// A next reply already queued and answered shares this flush.
+		select {
+		case p, more = <-replies:
+			if !more || !isDone(p) {
+				ok = ok && rc.Flush() == nil
+			}
+		default:
+			ok = ok && rc.Flush() == nil
+			p, more = <-replies
+		}
+	}
+}
+
+// isDone reports whether p is answered.
+func isDone(p *pendingReply) bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -272,9 +293,11 @@ func errResponse(err error) *RoundsResponse {
 // shard s is served by addrs[s mod len(addrs)], so any worker fleet size
 // serves any shard count. Each address gets one stream per run, opened on
 // its first call and closed once every shard initialised on it has
-// finished or aborted. Calls for shards on one host are written back to
-// back and answered in order, so a round costs one round trip per host, not
-// one per shard.
+// finished or aborted. Run hands it each round as one batch: a host's step
+// records for the round leave in one write and are answered in order, so a
+// round costs one write and one round trip per host, not one per shard.
+// Concurrent calls for shards on one host are written back to back in the
+// same way.
 type HTTPTransport struct {
 	addrs   []string
 	session string
@@ -463,31 +486,38 @@ func (st *stream) close() {
 	}
 }
 
-// call writes one request record and waits for its reply. ctx expiring
-// tears the whole stream down: the calls behind this one would wait on it.
-func (st *stream) call(ctx context.Context, rec []byte) (*RoundsResponse, error) {
-	stop := context.AfterFunc(ctx, func() {
+// watch tears the whole stream down once ctx expires, until the returned
+// stop is called: the calls behind an expired one would wait on it.
+func (st *stream) watch(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
 		st.fail(fmt.Errorf("shard: stream to %s: %w", st.url, ctx.Err()))
 	})
-	defer stop()
-	ch := make(chan reply, 1)
+}
+
+// send writes recs, n request records, in one write and returns the channel
+// their n replies arrive on, in order.
+func (st *stream) send(recs []byte, n int) <-chan reply {
+	ch := make(chan reply, n)
 	st.wmu.Lock()
+	defer st.wmu.Unlock()
 	st.mu.Lock()
 	err := st.err
 	if err == nil {
-		st.queue = append(st.queue, ch)
+		for range n {
+			st.queue = append(st.queue, ch)
+		}
 	}
 	st.mu.Unlock()
 	if err != nil {
-		st.wmu.Unlock()
-		return nil, err
+		for range n {
+			ch <- reply{err: err}
+		}
+		return ch
 	}
 	// A failed write needs no handling here: the HTTP client closes the
 	// body only once the request itself has ended, and read reports why.
-	_, _ = st.pw.Write(rec)
-	st.wmu.Unlock()
-	r := <-ch
-	return r.resp, r.err
+	_, _ = st.pw.Write(recs)
+	return ch
 }
 
 func (t *HTTPTransport) do(ctx context.Context, shard int, req *RoundsRequest) (*RoundsResponse, error) {
@@ -497,12 +527,20 @@ func (t *HTTPTransport) do(ctx context.Context, shard int, req *RoundsRequest) (
 	if err != nil {
 		return nil, err
 	}
-	resp, err := t.streamFor(shard, req.Op == "init").call(ctx, rec)
-	if err != nil {
-		return nil, err
+	st := t.streamFor(shard, req.Op == "init")
+	stop := st.watch(ctx)
+	defer stop()
+	return checkReply(shard, <-st.send(rec, 1))
+}
+
+// checkReply turns a failed reply into its error, reconstructing the named
+// violation so errors.As works across the wire.
+func checkReply(shard int, r reply) (*RoundsResponse, error) {
+	if r.err != nil {
+		return nil, r.err
 	}
+	resp := r.resp
 	if resp.Error != "" {
-		// Reconstruct the named violation so errors.As works across the wire.
 		switch resp.Violation {
 		case "exchange":
 			return nil, &ExchangeViolation{Shard: shard, Vertex: -1, Reason: resp.Error}
@@ -514,6 +552,60 @@ func (t *HTTPTransport) do(ctx context.Context, shard int, req *RoundsRequest) (
 		return nil, fmt.Errorf("shard: worker error: %s", resp.Error)
 	}
 	return resp, nil
+}
+
+// stepRound writes each host's step records for the round back to back in
+// one write, so a host gets one chunk and one flush per round, then
+// collects every reply under one deadline for the round.
+func (t *HTTPTransport) stepRound(ctx context.Context, timeout time.Duration, r *round) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	hosts := len(t.addrs)
+	type batch struct {
+		shards  []int
+		replies <-chan reply
+		stop    func() bool
+	}
+	batches := make([]batch, hosts)
+	for _, s := range r.active {
+		b := &batches[s%hosts]
+		b.shards = append(b.shards, s)
+	}
+	for i := range batches {
+		b := &batches[i]
+		if len(b.shards) == 0 {
+			continue
+		}
+		// A step passes checkRequest whenever its shard's init did: the
+		// session and shard are the same, and a step has no other scalar.
+		req := RoundsRequest{Op: "step", Session: t.session}
+		size := 0
+		for _, s := range b.shards {
+			req.Shard, req.Updates = s, r.updates[s]
+			size += binary.MaxVarintLen64 + requestLen(&req)
+		}
+		recs := make([]byte, 0, size)
+		for _, s := range b.shards {
+			req.Shard, req.Updates = s, r.updates[s]
+			recs = appendRequestRecord(recs, &req)
+		}
+		st := t.streamFor(b.shards[0], false)
+		b.stop = st.watch(ctx)
+		b.replies = st.send(recs, len(b.shards))
+	}
+	for _, b := range batches {
+		for _, s := range b.shards {
+			resp, err := checkReply(s, <-b.replies)
+			if err != nil {
+				r.errs[s] = err
+				continue
+			}
+			r.steps[s] = &StepResult{Changed: resp.Changed, NotDone: resp.NotDone}
+		}
+		if b.stop != nil {
+			b.stop()
+		}
+	}
 }
 
 // Init ships the shard subgraph to its worker host.
