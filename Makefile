@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke profile-ring report report-full report-faults report-frontier fuzz loc clean
+.PHONY: all build vet test test-short check race chaos chaos-restart chaos-shard conformance coverage-invariant serve bench bench-smoke profile-ring report report-full report-faults report-frontier fuzz loc unreached clean
 
 # `check` is the default CI path: gofmt + vet + the full test suite under -race.
 all: build check
@@ -31,7 +31,7 @@ race:
 # detector. DELTA_CHAOS_ITERS scales the soak (default 3 fault seeds per
 # case; CI uses the default, nightly soaks can raise it).
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestPanic|TestQuarantine|TestWatchdog|TestBreaker|TestServerSideRetry|TestIdempotency|TestClientColorRetry|TestHardening|TestServiceChaos|TestRetention' . ./internal/service/
+	$(GO) test -race -count=1 -run 'TestChaos|TestPanic|TestQuarantine|TestWatchdog|TestBreaker|TestServerSideRetry|TestIdempotency|TestHardening|TestServiceChaos|TestRetention' . ./internal/service/
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/repair/
 
 # Sharded-cluster chaos (DESIGN.md §15): seeded worker kill/hang/corrupt
@@ -138,6 +138,35 @@ BASE ?= HEAD
 loc:
 	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' | \
 		awk '{ a += $$1; d += $$2 } END { printf "non-test Go lines vs $(BASE): +%d -%d, net %d\n", a, d, a - d }'
+
+# A report, not a gate: non-test functions under internal/ that no main
+# package (cmd/*, examples/*) and not the benchmark suite (benchsuite/)
+# reaches, as file:line and linker symbol. It builds each program without
+# inlining and lists the symbols the linker keeps (-dumpdep). Expect false
+# positives: methods called only through an interface (error Unwrap, a
+# backend's Name, a fault hook's callbacks) and generic functions the
+# linker names by their instantiation; grep a hit before deleting it.
+unreached:
+	@tmp=$$(mktemp -d); \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+		$(GO) build -gcflags=all=-l -ldflags=-dumpdep -o /dev/null $$p 2>&1; \
+	done > $$tmp/deps; \
+	(cd benchsuite && $(GO) build -gcflags=all=-l -ldflags=-dumpdep -o /dev/null . 2>&1) >> $$tmp/deps; \
+	awk '$$2 == "->" { print $$1; print $$3 }' $$tmp/deps | grep '^deltacoloring/internal/' | \
+		sed -e ':a' -e 's/\[[^][]*\]//' -e 'ta' | sort -u > $$tmp/reached; \
+	for f in $$(git ls-files 'internal/*.go' | grep -v '_test\.go$$'); do \
+		awk -v pkg="deltacoloring/$$(dirname $$f)" -v file="$$f" '/^func / { \
+			s = substr($$0, 6); recv = ""; \
+			if (s ~ /^\(/) { \
+				r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+				n = split(r, parts, " "); t = parts[n]; sub(/\[.*/, "", t); \
+				recv = (t ~ /^\*/) ? "(" t ")." : t "."; \
+			} \
+			name = s; sub(/[[(].*/, "", name); \
+			print pkg "." recv name "\t" file ":" NR }' "$$f"; \
+	done > $$tmp/declared; \
+	awk -F'\t' 'NR == FNR { seen[$$0] = 1; next } !($$1 in seen) { print $$2 "\t" $$1 }' $$tmp/reached $$tmp/declared | sort; \
+	rm -rf $$tmp
 
 clean:
 	$(GO) clean ./...

@@ -32,18 +32,6 @@ import (
 	"deltacoloring/internal/bench"
 )
 
-// runners lists every experiment deltabench can run, in report order.
-var runners = []struct {
-	id string
-	fn func(bench.Scale) (*bench.Table, error)
-}{
-	{"E1", bench.E1}, {"E2", bench.E2}, {"E3", bench.E3}, {"E4", bench.E4},
-	{"E5", bench.E5}, {"E6", bench.E6}, {"E7", bench.E7}, {"E8", bench.E8},
-	{"E9", bench.E9}, {"E10", bench.E10}, {"E11", bench.E11}, {"E12", bench.E12},
-	{"E13", bench.EDelta63}, {"E14", bench.LogStarDemo}, {"E15", bench.E15},
-	{"E16", bench.E16}, {"E18", bench.E18}, {"E19", bench.E19},
-}
-
 func main() {
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "deltabench:", err)
@@ -74,8 +62,8 @@ func run(w io.Writer, args []string) error {
 	only := map[string]bool{}
 	if *onlyFlag != "" {
 		known := map[string]bool{}
-		for _, r := range runners {
-			known[r.id] = true
+		for _, e := range bench.Experiments {
+			known[e.ID] = true
 		}
 		for _, id := range strings.Split(*onlyFlag, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
@@ -110,19 +98,19 @@ func run(w io.Writer, args []string) error {
 		}()
 	}
 
-	for _, r := range runners {
-		if len(only) > 0 && !only[r.id] {
+	for _, e := range bench.Experiments {
+		if len(only) > 0 && !only[e.ID] {
 			continue
 		}
 		start := time.Now()
-		tab, err := r.fn(scale)
+		tab, err := e.Run(scale)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if _, err := tab.WriteTo(w); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "(%s finished in %v)\n\n", r.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "(%s finished in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ func Compute(net *local.Network, eps float64) (*ACD, error) {
 	// Friendship (>= friendThreshold common neighbors) is evaluated with a
 	// stamped-neighborhood count: mark N(v) once, then for each heavier
 	// endpoint w count marks along N(w) — a linear scan of loads and adds in
-	// place of the per-edge sorted-merge (graph.CommonNeighbors) that
+	// place of a per-edge sorted merge of the two adjacency lists, which
 	// dominated the dense-phase CPU profile.
 	//
 	// The count is independent per vertex, so it runs on the network's
@@ -502,16 +502,4 @@ func (a *ACD) Verify(g *graph.Graph) error {
 		return fmt.Errorf("acd: inconsistent clique listings")
 	}
 	return nil
-}
-
-// ExternalNeighbors returns v's neighbors outside its own clique (or all
-// neighbors if v is sparse).
-func (a *ACD) ExternalNeighbors(g *graph.Graph, v int) []int {
-	var out []int
-	for _, w := range g.Neighbors(v) {
-		if a.CliqueOf[w] != a.CliqueOf[v] || a.CliqueOf[v] == Sparse {
-			out = append(out, int(w))
-		}
-	}
-	return out
 }

@@ -152,23 +152,6 @@ func TestComputeEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestExternalNeighbors(t *testing.T) {
-	g, part := graph.HardCliqueBipartite(16, 16)
-	a, err := Compute(local.New(g), 1.0/8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.N(); v++ {
-		ext := a.ExternalNeighbors(g, v)
-		if len(ext) != 1 {
-			t.Fatalf("vertex %d: %d external neighbors, want 1", v, len(ext))
-		}
-		if part.Member[ext[0]] == part.Member[v] {
-			t.Fatalf("vertex %d: external neighbor in same clique", v)
-		}
-	}
-}
-
 func TestVerifyCatchesCorruption(t *testing.T) {
 	g, _ := graph.HardCliqueBipartite(16, 16)
 	a, err := Compute(local.New(g), 1.0/8)

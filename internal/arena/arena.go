@@ -66,7 +66,6 @@ type Arena struct {
 	ints  slab[int]
 	i32s  slab[int32]
 	bools slab[bool]
-	words slab[uint64]
 }
 
 // Reset rewinds every slab; all previously taken slices become invalid.
@@ -74,7 +73,6 @@ func (a *Arena) Reset() {
 	a.ints.reset()
 	a.i32s.reset()
 	a.bools.reset()
-	a.words.reset()
 }
 
 // Ints returns a zeroed []int of length n.
@@ -108,9 +106,6 @@ func (a *Arena) Int32sFill(n int, v int32) []int32 {
 
 // Bools returns a zeroed []bool of length n.
 func (a *Arena) Bools(n int) []bool { return a.bools.take(n) }
-
-// Words returns a zeroed []uint64 of length n.
-func (a *Arena) Words(n int) []uint64 { return a.words.take(n) }
 
 var pool = sync.Pool{New: func() any { return new(Arena) }}
 

@@ -67,11 +67,11 @@ func TestGrowthKeepsHandedOutSlices(t *testing.T) {
 
 func TestPoolRoundTrip(t *testing.T) {
 	a := Get()
-	s := a.Words(32)
+	s := a.Ints(32)
 	s[0] = 1
 	Put(a)
 	b := Get()
-	w := b.Words(32)
+	w := b.Ints(32)
 	if w[0] != 0 {
 		t.Fatalf("pooled arena returned dirty memory: %d", w[0])
 	}

@@ -76,8 +76,8 @@ func checkArenaCell(t *testing.T, cell string, g *graph.Graph, name string, p ba
 	if want == 0 {
 		t.Errorf("%s: completed, the arena pins a refusal", cell)
 	}
-	if b.Caps().Checkpoints && h.Checks() == 0 {
-		t.Errorf("%s: checkpoint-capable backend published no checkpoints", cell)
+	if h.Checks() == 0 {
+		t.Errorf("%s: backend published no checkpoints", cell)
 	}
 	// Each backend is verified against its own declared palette: the
 	// paper pipelines at Δ (zero slack), the greedy wire algorithm at

@@ -31,21 +31,9 @@ type Params struct {
 	Seed int64
 }
 
-// Caps are a backend's capability flags. They are advisory: layers use them
-// to decide what a backend's runs can be asked to do (attach the
-// conformance harness, cross-check frontier scheduling, replay fault
-// plans), not to change the backend's own behavior.
+// Caps describe what a backend's results promise beyond the shared
+// contract.
 type Caps struct {
-	// Checkpoints: the backend publishes phase checkpoints consumable by
-	// the internal/invariant harness (including the "final" artifact).
-	Checkpoints bool
-	// Frontier: the backend's runs are bit-identical with frontier
-	// scheduling on and off, so engine cross-checks apply.
-	Frontier bool
-	// Faults: the backend participates in fault-injection replay suites.
-	Faults bool
-	// Randomized: the backend consumes Params.Rand/Params.Seed.
-	Randomized bool
 	// PaletteSlack is how many colors beyond Δ the backend's results may
 	// use: verification bounds are MaxDegree() + PaletteSlack. The zero
 	// value keeps the paper pipelines' strict Δ-coloring contract; the

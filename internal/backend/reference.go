@@ -54,7 +54,6 @@ func init() {
 	// and the reference for bit-identity contracts.
 	Register(&pipelineBackend{
 		name: "det",
-		caps: Caps{Checkpoints: true, Frontier: true, Faults: true},
 		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorDeterministic(net, p.Det)
 			return fromCore(res, nil, err)
@@ -63,7 +62,6 @@ func init() {
 	// rand: Theorem 2's shattering-based pipeline (Algorithm 4).
 	Register(&pipelineBackend{
 		name: "rand",
-		caps: Caps{Checkpoints: true, Frontier: true, Faults: true, Randomized: true},
 		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorRandomized(net, p.Rand, rand.New(rand.NewSource(p.Seed)))
 			if err != nil {
@@ -77,7 +75,6 @@ func init() {
 	// almost clique hard of size exactly Δ); see core.ColorSimpleDense.
 	Register(&pipelineBackend{
 		name: "simple",
-		caps: Caps{Checkpoints: true, Frontier: true},
 		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorSimpleDense(net, p.Det)
 			return fromCore(res, nil, err)
@@ -88,7 +85,6 @@ func init() {
 	// matching + HEG + splitting machinery; see core.ColorRuling.
 	Register(&pipelineBackend{
 		name: "ruling",
-		caps: Caps{Checkpoints: true, Frontier: true},
 		run: func(net *local.Network, p Params) (*Result, error) {
 			res, err := core.ColorRuling(net, p.Det)
 			return fromCore(res, nil, err)
@@ -102,7 +98,7 @@ func init() {
 	// declared via Caps.PaletteSlack.
 	Register(&pipelineBackend{
 		name: "greedy",
-		caps: Caps{Checkpoints: true, Frontier: true, PaletteSlack: 1},
+		caps: Caps{PaletteSlack: 1},
 		run: func(net *local.Network, _ Params) (*Result, error) {
 			colors, rounds, err := shard.SolveSingle(net)
 			if err != nil {

@@ -1,8 +1,6 @@
 // Package baseline implements the comparison algorithms the evaluation
 // measures the paper's contribution against:
 //
-//   - Brooks: a sequential (centralized) Δ-coloring via the constructive
-//     proof of Brooks' theorem — ground truth for feasibility.
 //   - TrialColoring: the classic one-round random color trial from the
 //     introduction, used both as a Δ+1-coloring baseline and to measure
 //     permanent-slack generation on sparse vs dense graphs (E10).
@@ -30,151 +28,6 @@ import (
 
 // ErrStuck is returned by distributed baselines that cannot make progress.
 var ErrStuck = errors.New("baseline: stuck with uncolored vertices")
-
-// Brooks computes a Δ-coloring sequentially, following the constructive
-// proof of Brooks' theorem. It fails exactly on the theorem's exceptions
-// (components that are (Δ+1)-cliques, or odd cycles when Δ = 2) and on the
-// rare non-2-connected regular configurations the simple construction does
-// not cover (reported as an error, never a bad coloring).
-func Brooks(g *graph.Graph) (*coloring.Partial, error) {
-	delta := g.MaxDegree()
-	if delta == 0 {
-		if g.N() == 0 {
-			return coloring.NewPartial(0), nil
-		}
-		return nil, fmt.Errorf("baseline: Δ=0 graph not colorable with 0 colors")
-	}
-	c := coloring.NewPartial(g.N())
-	for _, comp := range g.ConnectedComponents() {
-		if err := brooksComponent(g, c, comp, delta); err != nil {
-			return nil, err
-		}
-	}
-	if err := coloring.VerifyComplete(g, c, delta); err != nil {
-		return nil, fmt.Errorf("baseline: internal error: %w", err)
-	}
-	return c, nil
-}
-
-func brooksComponent(g *graph.Graph, c *coloring.Partial, comp []int, delta int) error {
-	// Case 1: some vertex has degree < Δ: color a BFS tree from it in
-	// reverse order; every vertex keeps an uncolored neighbor (its parent)
-	// until its own turn.
-	for _, v := range comp {
-		if g.Degree(v) < delta {
-			return colorTreeFrom(g, c, comp, v, delta)
-		}
-	}
-	// Δ-regular component. K_{Δ+1} and odd cycles are the exceptions.
-	if len(comp) == delta+1 && g.IsClique(comp) {
-		return fmt.Errorf("baseline: component is K_%d: Brooks exception", delta+1)
-	}
-	if delta == 2 {
-		// The component is a cycle: 2-color it alternately if even.
-		if len(comp)%2 == 1 {
-			return fmt.Errorf("baseline: odd cycle: Brooks exception")
-		}
-		v, col := comp[0], 0
-		prev := -1
-		for range comp {
-			c.Colors[v] = col
-			col = 1 - col
-			next := -1
-			for _, w := range g.Neighbors(v) {
-				if int(w) != prev {
-					next = int(w)
-					break
-				}
-			}
-			prev, v = v, next
-		}
-		return nil
-	}
-	// Case 2: find v with non-adjacent neighbors u, w whose removal keeps
-	// the component connected; same-color u and w, then tree-color from v.
-	inComp := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
-	}
-	for _, v := range comp {
-		nv := g.Neighbors(v)
-		for i := 0; i < len(nv); i++ {
-			for j := i + 1; j < len(nv); j++ {
-				u, w := int(nv[i]), int(nv[j])
-				if g.HasEdge(u, w) {
-					continue
-				}
-				if !connectedWithout(g, comp, inComp, v, u, w) {
-					continue
-				}
-				c.Colors[u] = 0
-				c.Colors[w] = 0
-				rest := make([]int, 0, len(comp)-2)
-				for _, x := range comp {
-					if x != u && x != w {
-						rest = append(rest, x)
-					}
-				}
-				return colorTreeFrom(g, c, rest, v, delta)
-			}
-		}
-	}
-	return fmt.Errorf("baseline: no Brooks branching vertex found (non-2-connected regular case)")
-}
-
-// colorTreeFrom colors `sub` (which must induce a connected subgraph
-// containing root) greedily in reverse BFS order from root.
-func colorTreeFrom(g *graph.Graph, c *coloring.Partial, sub []int, root, delta int) error {
-	in := make(map[int]bool, len(sub))
-	for _, v := range sub {
-		in[v] = true
-	}
-	order := []int{root}
-	seen := map[int]bool{root: true}
-	for q := 0; q < len(order); q++ {
-		for _, nw := range g.Neighbors(order[q]) {
-			w := int(nw)
-			if in[w] && !seen[w] {
-				seen[w] = true
-				order = append(order, w)
-			}
-		}
-	}
-	if len(order) != len(sub) {
-		return fmt.Errorf("baseline: BFS covered %d of %d vertices", len(order), len(sub))
-	}
-	var p coloring.Palette
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		coloring.AvailableInto(&p, g, c, v, delta)
-		col := p.Min()
-		if col < 0 {
-			return fmt.Errorf("baseline: vertex %d has empty palette in tree coloring", v)
-		}
-		c.Colors[v] = col
-	}
-	return nil
-}
-
-// connectedWithout reports whether comp minus {u, w} stays connected and
-// still contains v.
-func connectedWithout(g *graph.Graph, comp []int, inComp map[int]bool, v, u, w int) bool {
-	if len(comp) <= 3 {
-		return true
-	}
-	seen := map[int]bool{v: true}
-	queue := []int{v}
-	for q := 0; q < len(queue); q++ {
-		for _, nx := range g.Neighbors(queue[q]) {
-			x := int(nx)
-			if inComp[x] && x != u && x != w && !seen[x] {
-				seen[x] = true
-				queue = append(queue, x)
-			}
-		}
-	}
-	return len(seen) == len(comp)-2
-}
 
 // TrialResult reports one run of the iterated random color trial.
 type TrialResult struct {

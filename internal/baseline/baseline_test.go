@@ -4,82 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"deltacoloring/internal/coloring"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/local"
 )
-
-func TestBrooksOnBasicGraphs(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	cases := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"EvenCycle", graph.Cycle(10)},
-		{"Path", graph.Path(7)},
-		{"Torus", graph.Torus(5, 6)},
-		{"Star", graph.Star(9)},
-		{"Petersen-ish", graph.RandomRegular(10, 3, rng)},
-		{"HardClique", func() *graph.Graph { g, _ := graph.HardCliqueBipartite(8, 8); return g }()},
-		{"K5minus", graph.RemoveEdges(graph.Complete(5), []graph.Edge{{U: 0, V: 1}})},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			col, err := Brooks(c.g)
-			if err != nil {
-				t.Fatalf("Brooks: %v", err)
-			}
-			if err := coloring.VerifyComplete(c.g, col, c.g.MaxDegree()); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestBrooksExceptions(t *testing.T) {
-	if _, err := Brooks(graph.Complete(5)); err == nil {
-		t.Fatal("K5 accepted")
-	}
-	if _, err := Brooks(graph.Cycle(7)); err == nil {
-		t.Fatal("odd cycle accepted")
-	}
-	if _, err := Brooks(graph.Union(graph.Cycle(4), graph.Complete(3))); err == nil {
-		t.Fatal("union with K3 (odd-cycle exception at Δ=2) accepted")
-	}
-}
-
-func TestBrooksEmptyAndEdgeless(t *testing.T) {
-	if _, err := Brooks(graph.NewBuilder(0).MustBuild()); err != nil {
-		t.Fatalf("empty graph: %v", err)
-	}
-	if _, err := Brooks(graph.NewBuilder(3).MustBuild()); err == nil {
-		t.Fatal("edgeless graph with Δ=0 accepted")
-	}
-}
-
-func TestBrooksProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 6 + rng.Intn(40)
-		g := graph.ErdosRenyi(n, 0.3, rng)
-		if g.MaxDegree() == 0 {
-			return true
-		}
-		col, err := Brooks(g)
-		if err != nil {
-			// Must be a genuine exception: a (Δ+1)-clique component or an
-			// odd cycle at Δ=2, or the uncovered regular corner case; never
-			// a wrong coloring.
-			return true
-		}
-		return coloring.VerifyComplete(g, col, g.MaxDegree()) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestTrialColoringDeltaPlusOneCompletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

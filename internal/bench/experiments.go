@@ -13,6 +13,19 @@ import (
 	"deltacoloring/internal/split"
 )
 
+// Experiments lists every experiment of EXPERIMENTS.md, in report order,
+// each under the ID its table carries.
+var Experiments = []struct {
+	ID  string
+	Run func(Scale) (*Table, error)
+}{
+	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4},
+	{"E5", E5}, {"E6", E6}, {"E7", E7}, {"E8", E8},
+	{"E9", E9}, {"E10", E10}, {"E11", E11}, {"E12", E12},
+	{"E13", EDelta63}, {"E14", LogStarDemo}, {"E15", E15},
+	{"E16", E16}, {"E18", E18}, {"E19", E19},
+}
+
 // spanRounds extracts the rounds of the first span whose name has the given
 // prefix (0 if absent).
 func spanRounds(spans []local.Span, prefix string) int {

@@ -388,20 +388,6 @@ func LogStarDemo(s Scale) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment at the given scale.
-func All(s Scale) ([]*Table, error) {
-	runners := []func(Scale) (*Table, error){E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, EDelta63, LogStarDemo, E15, E16}
-	var out []*Table
-	for _, r := range runners {
-		tab, err := r(s)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tab)
-	}
-	return out, nil
-}
-
 // E16 — sensitivity: the pre-shattering T-node density (TProb) against
 // shattering quality and total rounds. The paper leaves the placement
 // probability as a tunable; this sweep shows the tradeoff between the

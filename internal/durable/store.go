@@ -77,9 +77,6 @@ type Store struct {
 // Live exposes the wrapped store for reads (Snapshot, Info, Stats, ...).
 func (s *Store) Live() *dynamic.Live { return s.live }
 
-// Dir returns the store's durable directory.
-func (s *Store) Dir() string { return s.dir }
-
 // WALStats returns a copy of the durability counters.
 func (s *Store) WALStats() WALStats {
 	s.mu.Lock()

@@ -102,9 +102,8 @@ func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // Plan is a compiled fault schedule over one graph. It implements
 // local.FaultHook; install it with Network.SetFaults. A Plan is immutable
-// except for its round cursor, which NextRound advances and Reset rewinds.
+// except for its round cursor, which NextRound advances.
 type Plan struct {
-	g   *graph.Graph
 	cfg Config
 
 	// crashRound[v] is the round at which v crash-stops, or -1.
@@ -126,7 +125,6 @@ func NewPlan(g *graph.Graph, cfg Config) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{
-		g:            g,
 		cfg:          cfg,
 		crashRound:   make([]int32, g.N()),
 		corruptRound: make([]int32, g.N()),
@@ -150,16 +148,6 @@ func NewPlan(g *graph.Graph, cfg Config) (*Plan, error) {
 	}
 	return p, nil
 }
-
-// Graph returns the graph the plan was compiled against.
-func (p *Plan) Graph() *graph.Graph { return p.g }
-
-// Config returns the plan's (defaulted) configuration.
-func (p *Plan) Config() Config { return p.cfg }
-
-// Reset rewinds the round cursor so the same plan can drive another run
-// with identical fault timing.
-func (p *Plan) Reset() { p.round = 0 }
 
 // NextRound implements local.FaultHook: it advances the round cursor and
 // returns this round's fault view, or nil when the round is provably

@@ -107,20 +107,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 // graph). It is precomputed at construction time.
 func (g *Graph) MaxDegree() int { return g.maxDeg }
 
-// MinDegree returns the minimum degree of the graph (0 for the empty graph).
-func (g *Graph) MinDegree() int {
-	if g.N() == 0 {
-		return 0
-	}
-	d := g.Degree(0)
-	for v := 1; v < g.N(); v++ {
-		if dv := g.Degree(v); dv < d {
-			d = dv
-		}
-	}
-	return d
-}
-
 // Edge is an undirected edge with U < V.
 type Edge struct {
 	U, V int
@@ -137,25 +123,6 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return es
-}
-
-// CommonNeighbors returns the number of common neighbors of u and v.
-func (g *Graph) CommonNeighbors(u, v int) int {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }
 
 // IsClique reports whether the given vertex set induces a clique.
@@ -282,31 +249,6 @@ func (g *Graph) Dist(u, v int) int {
 		frontier = next
 	}
 	return -1
-}
-
-// ConnectedComponents returns the vertex sets of the connected components,
-// each sorted, ordered by smallest contained vertex.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, g.N())
-	var comps [][]int
-	for s := 0; s < g.N(); s++ {
-		if seen[s] {
-			continue
-		}
-		comp := []int{s}
-		seen[s] = true
-		for q := 0; q < len(comp); q++ {
-			for _, w := range g.Neighbors(comp[q]) {
-				if !seen[w] {
-					seen[w] = true
-					comp = append(comp, int(w))
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }
 
 // Validate checks internal consistency (CSR shape, sorted adjacency,

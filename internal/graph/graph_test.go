@@ -73,28 +73,19 @@ func TestHasEdge(t *testing.T) {
 
 func TestDegreesAndEdges(t *testing.T) {
 	g := Complete(6)
-	if g.MaxDegree() != 5 || g.MinDegree() != 5 {
-		t.Fatalf("K6 degrees: max=%d min=%d", g.MaxDegree(), g.MinDegree())
+	if g.MaxDegree() != 5 {
+		t.Fatalf("K6 max degree = %d, want 5", g.MaxDegree())
+	}
+	for v := 0; v < g.N(); v++ {
+		if g.Degree(v) != 5 {
+			t.Fatalf("K6 vertex %d has degree %d, want 5", v, g.Degree(v))
+		}
 	}
 	if g.M() != 15 {
 		t.Fatalf("K6 edges = %d, want 15", g.M())
 	}
 	if len(g.Edges()) != 15 {
 		t.Fatalf("Edges() length = %d", len(g.Edges()))
-	}
-}
-
-func TestCommonNeighbors(t *testing.T) {
-	g := Complete(5)
-	if got := g.CommonNeighbors(0, 1); got != 3 {
-		t.Fatalf("K5 common neighbors = %d, want 3", got)
-	}
-	c := Cycle(6)
-	if got := c.CommonNeighbors(0, 2); got != 1 {
-		t.Fatalf("C6 common(0,2) = %d, want 1", got)
-	}
-	if got := c.CommonNeighbors(0, 3); got != 0 {
-		t.Fatalf("C6 common(0,3) = %d, want 0", got)
 	}
 }
 
@@ -142,18 +133,6 @@ func TestDist(t *testing.T) {
 	u := Union(Cycle(3), Cycle(3))
 	if got := u.Dist(0, 4); got != -1 {
 		t.Fatalf("cross-component Dist = %d, want -1", got)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	u := Union(Cycle(3), Path(4), Complete(2))
-	comps := u.ConnectedComponents()
-	if len(comps) != 3 {
-		t.Fatalf("components = %d, want 3", len(comps))
-	}
-	sizes := []int{len(comps[0]), len(comps[1]), len(comps[2])}
-	if sizes[0] != 3 || sizes[1] != 4 || sizes[2] != 2 {
-		t.Fatalf("component sizes = %v", sizes)
 	}
 }
 
@@ -205,8 +184,10 @@ func TestRandomTree(t *testing.T) {
 	if g.M() != 63 {
 		t.Fatalf("tree edges = %d, want 63", g.M())
 	}
-	if comps := g.ConnectedComponents(); len(comps) != 1 {
-		t.Fatalf("tree has %d components", len(comps))
+	for v := 1; v < g.N(); v++ {
+		if g.Dist(0, v) < 0 {
+			t.Fatalf("tree vertex %d unreachable from 0", v)
+		}
 	}
 }
 

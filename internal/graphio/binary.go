@@ -147,8 +147,8 @@ func dirOf(path string) string {
 }
 
 // parseBinaryHeader validates the magic and shape fields against the
-// available byte count (< 0 = unknown, for stream readers).
-func parseBinaryHeader(head []byte, avail int64) (n, ne int64, err error) {
+// image's byte count.
+func parseBinaryHeader(head []byte, size int64) (n, ne int64, err error) {
 	if !bytes.Equal(head[:8], binaryMagic[:]) {
 		return 0, 0, fmt.Errorf("graphio: not a binary graph file (bad magic)")
 	}
@@ -163,36 +163,28 @@ func parseBinaryHeader(head []byte, avail int64) (n, ne int64, err error) {
 		}
 		return 0, 0, fmt.Errorf("graphio: implausible half-edge count %d", ne)
 	}
-	if _, total := binaryLayout(n, ne); avail >= 0 && total != avail {
-		return 0, 0, fmt.Errorf("graphio: file size %d does not match header (want %d)", avail, total)
+	if _, total := binaryLayout(n, ne); total != size {
+		return 0, 0, fmt.Errorf("graphio: file size %d does not match header (want %d)", size, total)
 	}
 	return n, ne, nil
 }
 
-// ReadBinary decodes one binary graph image from r — the portable loader
-// used when memory mapping is unavailable (non-Linux platforms, pipes). The
-// arrays are heap copies; the structural validation matches OpenBinary's.
-func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	return readBinary(r, -1)
-}
-
-// readBinary is ReadBinary for a source of avail bytes (< 0 = a stream of
-// unknown length). A known size must match the header before anything is
-// sized by it, and the body then takes one exact allocation; a stream's
-// body grows as it arrives, so a header that overstates it costs at most
-// the bytes the stream really holds.
-func readBinary(r io.Reader, avail int64) (*graph.Graph, error) {
+// readBinary decodes a binary graph image of size bytes from r into heap
+// arrays; the structural validation matches OpenBinary's. The size must
+// match the header before anything is sized by it, and the body then takes
+// one exact allocation.
+func readBinary(r io.Reader, size int64) (*graph.Graph, error) {
 	var head [binaryHeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("graphio: binary header: %w", err)
 	}
-	n, ne, err := parseBinaryHeader(head[:], avail)
+	n, ne, err := parseBinaryHeader(head[:], size)
 	if err != nil {
 		return nil, err
 	}
 	idsOff, total := binaryLayout(n, ne)
-	body, err := readBody(r, total-binaryHeaderLen, avail >= 0)
-	if err != nil {
+	body := make([]byte, total-binaryHeaderLen)
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("graphio: binary body: %w", err)
 	}
 	offsets := make([]int32, n+1)
@@ -210,22 +202,6 @@ func readBinary(r io.Reader, avail int64) (*graph.Graph, error) {
 		ids[i] = binary.LittleEndian.Uint64(idBytes[8*i:])
 	}
 	return graph.NewCSRView(offsets, edges, ids)
-}
-
-// readBody reads exactly size bytes from r: into one buffer of that size
-// when the size is already vouched for, else into a buffer that grows as
-// the bytes arrive.
-func readBody(r io.Reader, size int64, known bool) ([]byte, error) {
-	if known {
-		body := make([]byte, size)
-		_, err := io.ReadFull(r, body)
-		return body, err
-	}
-	body, err := io.ReadAll(io.LimitReader(r, size))
-	if err == nil && int64(len(body)) != size {
-		err = io.ErrUnexpectedEOF
-	}
-	return body, err
 }
 
 // OpenBinary opens a binary graph file, memory-mapping it where the platform

@@ -37,9 +37,9 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := WriteBinary(&buf, g); err != nil {
 			t.Fatalf("n=%d: WriteBinary: %v", tc.n, err)
 		}
-		got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		got, err := readBinary(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
-			t.Fatalf("n=%d: ReadBinary: %v", tc.n, err)
+			t.Fatalf("n=%d: readBinary: %v", tc.n, err)
 		}
 		if got.N() != g.N() || got.M() != g.M() || got.MaxDegree() != g.MaxDegree() {
 			t.Fatalf("n=%d: round-trip shape mismatch", tc.n)
@@ -128,7 +128,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	corrupt := func(mutate func(b []byte)) error {
 		b := append([]byte(nil), base...)
 		mutate(b)
-		_, err := ReadBinary(bytes.NewReader(b))
+		_, err := readBinary(bytes.NewReader(b), int64(len(b)))
 		return err
 	}
 
@@ -147,7 +147,8 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}); err == nil {
 		t.Fatal("non-monotone offsets accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader(base[:len(base)-8])); err == nil {
+	short := base[:len(base)-8]
+	if _, err := readBinary(bytes.NewReader(short), int64(len(short))); err == nil {
 		t.Fatal("truncated file accepted")
 	}
 }
@@ -160,7 +161,7 @@ func TestBinaryRejectsOverflowingEdgeCount(t *testing.T) {
 	copy(head[:], binaryMagic[:])
 	binary.LittleEndian.PutUint32(head[8:12], 100)
 	binary.LittleEndian.PutUint32(head[12:16], math.MaxInt32+1) // even, > MaxInt32
-	_, err := ReadBinary(bytes.NewReader(head[:]))
+	_, err := readBinary(bytes.NewReader(head[:]), int64(len(head)))
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}

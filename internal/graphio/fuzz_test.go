@@ -23,14 +23,14 @@ func inRange(t *testing.T, g *graph.Graph) {
 	}
 }
 
-// FuzzReadBinary feeds arbitrary bytes to the DCSRv1 loaders: ReadBinary on
-// a stream, the heap file loader behind ReadFile on a temp file (whose size
-// the header must match), and the memory-mapped loader on the same file
-// with its size gate lowered to zero, so that small inputs reach the
-// mapping too. Each returns an error or
-// a graph whose adjacencies stay in range, and never panics. An image the
-// mapping accepts (its size matches the header exactly) the other two
-// accept too, with the same adjacencies.
+// FuzzReadBinary feeds arbitrary bytes to the DCSRv1 loaders: the heap
+// reader on the bytes with their length, the heap file loader behind
+// ReadFile and OpenBinary's fallback on a temp file, and the memory-mapped
+// loader on the same file with its size gate lowered to zero, so that small
+// inputs reach the mapping too. The header must match the size in each.
+// Each returns an error or a graph whose adjacencies stay in range, and
+// never panics. An image the mapping accepts the other two accept too, with
+// the same adjacencies.
 func FuzzReadBinary(f *testing.F) {
 	var valid bytes.Buffer
 	if err := WriteBinary(&valid, testGraph(f, 12, 4)); err != nil {
@@ -39,9 +39,9 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(valid.Bytes())
 	path := filepath.Join(f.TempDir(), "in.dcsr")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sg, serr := ReadBinary(bytes.NewReader(data))
-		if serr == nil {
-			inRange(t, sg)
+		hg, herr := readBinary(bytes.NewReader(data), int64(len(data)))
+		if herr == nil {
+			inRange(t, hg)
 		}
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func FuzzReadBinary(f *testing.F) {
 			name string
 			g    *graph.Graph
 			err  error
-		}{{"stream", sg, serr}, {"file", fg, ferr}} {
+		}{{"heap reader", hg, herr}, {"file", fg, ferr}} {
 			if other.err != nil {
 				t.Fatalf("mapping accepted an image the %s reader rejects: %v", other.name, other.err)
 			}

@@ -3,12 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
-	cryptorand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
@@ -93,94 +90,6 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*ColorR
 // (see Wait).
 func (c *Client) Color(ctx context.Context, req *ColorRequest) (*ColorResponse, error) {
 	return c.do(ctx, http.MethodPost, "/v1/color", req)
-}
-
-// RetryPolicy shapes ColorRetry's client-side retries. The zero value gets
-// the documented defaults.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of POSTs, including the first
-	// (default 3).
-	MaxAttempts int
-	// BaseBackoff is the first retry delay; attempt k waits
-	// BaseBackoff * 2^(k-1) plus up to 50% jitter, or the server's
-	// Retry-After hint when that is longer (default 100ms).
-	BaseBackoff time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = 100 * time.Millisecond
-	}
-	return p
-}
-
-// retryableStatus reports whether a server answer is worth retrying:
-// backpressure (429), breaker shedding (503), and transient server-side
-// failures (500, 504). Client errors (4xx) are deterministic and are not.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusInternalServerError,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// newIdempotencyKey draws a random 128-bit key.
-func newIdempotencyKey() string {
-	var b [16]byte
-	if _, err := cryptorand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back to
-		// a weaker source rather than disabling deduplication.
-		return fmt.Sprintf("idem-%016x", rand.Uint64())
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// ColorRetry is Color with client-side resilience: it stamps the request
-// with a generated idempotency key (unless the caller set one), so retried
-// POSTs join the server-side job instead of recomputing, and retries
-// transport errors and retryable statuses (429/500/503/504) with exponential
-// backoff + jitter, honoring the server's Retry-After hint when it is longer.
-func (c *Client) ColorRetry(ctx context.Context, req *ColorRequest, policy RetryPolicy) (*ColorResponse, error) {
-	policy = policy.withDefaults()
-	if req.IdempotencyKey == "" {
-		clone := *req
-		clone.IdempotencyKey = newIdempotencyKey()
-		req = &clone
-	}
-	var lastErr error
-	for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			d := policy.BaseBackoff << (attempt - 1)
-			d += time.Duration(rand.Int63n(int64(d)/2 + 1))
-			if apiErr, ok := lastErr.(*APIError); ok && apiErr.RetryAfter > d {
-				d = apiErr.RetryAfter
-			}
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return nil, ctx.Err()
-			}
-		}
-		resp, err := c.Color(ctx, req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		if apiErr, ok := err.(*APIError); ok && !retryableStatus(apiErr.StatusCode) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
 }
 
 // Job fetches the current state of an async job.

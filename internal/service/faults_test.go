@@ -267,16 +267,13 @@ func TestIdempotencyKeyDeduplicates(t *testing.T) {
 	}
 }
 
-// ColorRetry must stamp an idempotency key, retry transient 5xxs, and hand
-// back the eventual success; a failed attempt must not pin the key.
-func TestClientColorRetry(t *testing.T) {
-	var attempts atomic.Int64
+// A job that fails must not pin its idempotency key: a later POST with the
+// same key runs the pipeline again instead of replaying the failure.
+func TestIdempotencyFailedKeyReruns(t *testing.T) {
+	var runs atomic.Int64
 	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: -1}
-	cfg.runHook = func(w work) {
-		if w.job.idemKey == "" {
-			panic("request reached the server without an idempotency key")
-		}
-		if attempts.Add(1) == 1 {
+	cfg.runHook = func(work) {
+		if runs.Add(1) == 1 {
 			panic("transient")
 		}
 	}
@@ -284,31 +281,21 @@ func TestClientColorRetry(t *testing.T) {
 
 	req := easyReq(4)
 	req.NoCache = true
-	resp, err := cl.ColorRetry(context.Background(), req,
-		RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond})
+	req.IdempotencyKey = "fails-once"
+	if _, err := cl.Color(context.Background(), req); err == nil {
+		t.Fatal("first run panicked but the POST succeeded")
+	} else if ae := apiErr(t, err); ae.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("failed run answered %d, want 500", ae.StatusCode)
+	}
+	resp, err := cl.Color(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.State != "done" {
-		t.Fatalf("state %q, want done", resp.State)
+		t.Fatalf("second POST state %q, want done", resp.State)
 	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("server ran %d attempts, want 2 (failed key must not replay)", got)
-	}
-	if req.IdempotencyKey != "" {
-		t.Fatal("ColorRetry mutated the caller's request")
-	}
-
-	// Deterministic client errors must not be retried.
-	attempts.Store(0)
-	bad := &ColorRequest{Gen: &GenSpec{Family: "nope"}}
-	if _, err := cl.ColorRetry(context.Background(), bad, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}); err == nil {
-		t.Fatal("bad request accepted")
-	} else if ae := apiErr(t, err); ae.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad request answered %d, want 400", ae.StatusCode)
-	}
-	if attempts.Load() != 0 {
-		t.Fatal("400 reached the worker or was retried")
+	if got := runs.Load(); got != 2 {
+		t.Fatalf("pipeline ran %d times, want 2 (a failed key must not replay)", got)
 	}
 }
 

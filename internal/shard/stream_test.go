@@ -145,15 +145,14 @@ func TestStreamOneConnPerHost(t *testing.T) {
 	}
 }
 
-// TestStreamDialsPerRun counts the TCP connections a run dials on a
-// one-connection client. A run holds one stream per host, so it may dial
-// each host at most once. Today every run dials every host again: the
-// request carries Expect: 100-continue, and net/http's server marks a
-// connection close-after-reply when a handler writes its header before an
-// expect-continue body has reached EOF, which a full-duplex stream always
-// does (DESIGN.md §15.3). Dropping the header would allow reuse, but a
-// worker without the stream path would then never answer. Keep-alive
-// across runs would bring the count down to one dial per host in all.
+// TestStreamDialsPerRun counts the TCP connections consecutive runs dial
+// on a one-connection client: a run holds one stream per host, and the next
+// run reuses each host's connection, so the runs dial each host once in all.
+// The request carries Expect: 100-continue, and net/http's server closes a
+// connection after a reply whose handler wrote its header before an
+// expect-continue body reached EOF, which a full-duplex stream always does;
+// Host.ServeRounds hides the body's type so that rule does not apply
+// (DESIGN.md §15.3).
 func TestStreamDialsPerRun(t *testing.T) {
 	g := streamGraph()
 	var dials atomic.Int32
@@ -182,7 +181,9 @@ func TestStreamDialsPerRun(t *testing.T) {
 		}
 		waitFor(t, "a stream is still open", idle(hosts...))
 	}
-	t.Logf("%d runs over %d hosts dialed %d connections", runs, len(addrs), dials.Load())
+	if n := dials.Load(); n != int32(len(addrs)) {
+		t.Fatalf("%d runs over %d hosts dialed %d connections, want one per host", runs, len(addrs), n)
+	}
 }
 
 // writeCounter counts each connection's Write calls, one counter per dial.

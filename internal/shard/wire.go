@@ -120,6 +120,13 @@ func (h *Host) ServeRounds(w http.ResponseWriter, r *http.Request, maxRecord int
 	// Both fail only where they do not apply: HTTP/2 is full-duplex
 	// already, and a recorder has no connection to time out.
 	_ = rc.EnableFullDuplex()
+	// The coordinator sends Expect: 100-continue, and net/http closes the
+	// connection after the reply when the handler writes its header while
+	// the body is still the expect-continue reader short of EOF, which a
+	// full-duplex stream always does. Hiding that reader's type keeps the
+	// connection for the next run; the 100 Continue still goes out on the
+	// first read.
+	r.Body = struct{ io.ReadCloser }{r.Body}
 	workers := h.newStreamTable()
 	defer workers.abortAll()
 	br := bufio.NewReader(r.Body)

@@ -79,12 +79,6 @@ func NewWorker(part *Part, delta int) *Worker {
 	return w
 }
 
-// NotDone returns the number of still-uncolored locals.
-func (w *Worker) NotDone() int { return w.notDone }
-
-// Rounds returns the LOCAL rounds charged on this worker's network.
-func (w *Worker) Rounds() int { return w.net.Rounds() }
-
 // Close releases the worker's network resources.
 func (w *Worker) Close() { w.net.Close() }
 
