@@ -31,7 +31,7 @@ race:
 # detector. DELTA_CHAOS_ITERS scales the soak (default 3 fault seeds per
 # case; CI uses the default, nightly soaks can raise it).
 chaos:
-	$(GO) test -race -count=1 -run 'TestChaos|TestPanic|TestQuarantine|TestWatchdog|TestBreaker|TestServerSideRetry|TestIdempotency|TestHardening|TestServiceChaos|TestRetention' . ./internal/service/
+	$(GO) test -race -count=1 -run 'TestChaos|TestPanic|TestQuarantine|TestWatchdog|TestBreaker|TestIdempotency|TestHardening|TestServiceChaos|TestRetention' . ./internal/service/
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/repair/
 
 # Sharded-cluster chaos (DESIGN.md §15): seeded worker kill/hang/corrupt
@@ -144,8 +144,8 @@ loc:
 # reaches, as file:line and linker symbol. It builds each program without
 # inlining and lists the symbols the linker keeps (-dumpdep). Expect false
 # positives: methods called only through an interface (error Unwrap, a
-# backend's Name, a fault hook's callbacks) and generic functions the
-# linker names by their instantiation; grep a hit before deleting it.
+# fault hook's callbacks) and generic functions the linker names by their
+# instantiation; grep a hit before deleting it.
 unreached:
 	@tmp=$$(mktemp -d); \
 	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \

@@ -42,7 +42,7 @@ func run(args []string, w io.Writer) error {
 	deltaFlag := fs.Int("delta", 16, "clique size = maximum degree")
 	inFlag := fs.String("in", "", "read an edge-list graph file instead of generating (\"-\" for stdin)")
 	algoFlag := fs.String("algo", "det", "algorithm: det (Theorem 1) or rand (Theorem 2)")
-	backendFlag := fs.String("backend", "", "pipeline backend to run (overrides -algo): a registered name or auto for the portfolio selector")
+	backendFlag := fs.String("backend", "", "pipeline backend to run (overrides -algo): a backend name or auto for the portfolio selector")
 	seedFlag := fs.Int64("seed", 1, "seed for -algo rand")
 	paperFlag := fs.Bool("paper", false, "use the paper-exact parameters (ε=1/63, needs Δ ⪆ 85)")
 	colorsFlag := fs.Bool("colors", false, "print the per-vertex colors")
@@ -76,36 +76,16 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDegree())
 
-	var (
-		res  *deltacoloring.Result
-		rand *deltacoloring.RandomizedResult
-		err  error
-	)
-	if *backendFlag != "" {
-		res, rand, err = runBackend(w, g, *backendFlag, *paperFlag, *seedFlag)
-	} else {
-		switch *algoFlag {
-		case "det":
-			fmt.Fprintln(w, "backend: det")
-			p := deltacoloring.ScaledParams()
-			if *paperFlag {
-				p = deltacoloring.DefaultParams()
-			}
-			res, err = deltacoloring.Deterministic(g, p)
-		case "rand":
-			fmt.Fprintln(w, "backend: rand")
-			p := deltacoloring.ScaledRandomizedParams()
-			if *paperFlag {
-				p = deltacoloring.DefaultRandomizedParams()
-			}
-			rand, err = deltacoloring.Randomized(g, p, *seedFlag)
-			if rand != nil {
-				res = &rand.Result
-			}
-		default:
+	// -algo names one of the two theorems' pipelines; -backend, when set,
+	// overrides it with any table name or auto.
+	name := *backendFlag
+	if name == "" {
+		if *algoFlag != "det" && *algoFlag != "rand" {
 			return fmt.Errorf("unknown -algo %q", *algoFlag)
 		}
+		name = *algoFlag
 	}
+	res, rand, err := runBackend(w, g, name, *paperFlag, *seedFlag)
 	if err != nil {
 		return err
 	}
@@ -145,31 +125,20 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runBackend dispatches the run through the backend registry; "auto"
-// resolves through the portfolio selector and the effective pick is
-// printed either way. Unknown names fail fast listing the registry.
+// runBackend runs the named backend, or the portfolio selector's pick for
+// "auto"; the effective pick is printed either way. Unknown names fail fast
+// listing the table.
 func runBackend(w io.Writer, g *deltacoloring.Graph, name string, paper bool, seed int64) (*deltacoloring.Result, *deltacoloring.RandomizedResult, error) {
-	p := backend.Params{
-		Det:  deltacoloring.ScaledParams(),
-		Rand: deltacoloring.ScaledRandomizedParams(),
-		Seed: seed,
+	p := backend.Presets(paper, seed)
+	b, err := backend.Resolve(name, g, p)
+	if err != nil {
+		return nil, nil, fmt.Errorf("unknown -backend %q (want auto or one of: %s)",
+			name, strings.Join(backend.Names(), ", "))
 	}
-	if paper {
-		p.Det = deltacoloring.DefaultParams()
-		p.Rand = deltacoloring.DefaultRandomizedParams()
-	}
-	p.Rand.Params = p.Det
-	var b backend.Backend
 	if name == "auto" {
-		b = backend.Select(g, p)
-		fmt.Fprintf(w, "backend: %s (selected by auto)\n", b.Name())
+		fmt.Fprintf(w, "backend: %s (selected by auto)\n", b.Name)
 	} else {
-		var err error
-		if b, err = backend.Get(name); err != nil {
-			return nil, nil, fmt.Errorf("unknown -backend %q (want auto or one of: %s)",
-				name, strings.Join(backend.Names(), ", "))
-		}
-		fmt.Fprintf(w, "backend: %s\n", b.Name())
+		fmt.Fprintf(w, "backend: %s\n", b.Name)
 	}
 	bres, err := b.Color(nil, g, p, nil)
 	if err != nil {

@@ -76,7 +76,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 
 // TestRunBackendFlag pins the -backend surface: named backends run and
 // print their name, auto prints the selector's pick, and unknown names
-// fail fast listing the registered backends.
+// fail fast listing the backend table.
 func TestRunBackendFlag(t *testing.T) {
 	for _, name := range []string{"ruling", "simple"} {
 		var sb strings.Builder

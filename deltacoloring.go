@@ -140,7 +140,7 @@ func Deterministic(g *Graph, p Params) (*Result, error) {
 // boundary (and so between all pipeline phases), aborting the run with
 // ctx.Err(). opts may be nil.
 func DeterministicContext(ctx context.Context, g *Graph, p Params, opts *RunOptions) (*Result, error) {
-	res, err := backend.Default().Color(ctx, g, backend.Params{Det: p}, backendOpts(opts))
+	res, err := backend.Det.Color(ctx, g, backend.Params{Det: p}, backendOpts(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func Randomized(g *Graph, p RandomizedParams, seed int64) (*RandomizedResult, er
 // RandomizedContext is Randomized with cancellation and run options; see
 // DeterministicContext for the contract.
 func RandomizedContext(ctx context.Context, g *Graph, p RandomizedParams, seed int64, opts *RunOptions) (*RandomizedResult, error) {
-	res, err := mustBackend("rand").Color(ctx, g, backend.Params{Rand: p, Seed: seed}, backendOpts(opts))
+	res, err := backend.Rand.Color(ctx, g, backend.Params{Rand: p, Seed: seed}, backendOpts(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -183,15 +183,6 @@ func fromBackend(res *backend.Result) *Result {
 	}
 }
 
-// mustBackend resolves a backend registered by internal/backend's init.
-func mustBackend(name string) backend.Backend {
-	b, err := backend.Get(name)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // CheckReport summarizes the invariant validation of a checked run: which
 // pipeline phases published intermediate state and how many conformance
 // checkers fired on it, the closing oracle pass counted as one more check.
@@ -208,7 +199,7 @@ type CheckReport = invariant.Report
 // unchecked ones — the harness only observes.
 func RunCheckedContext(ctx context.Context, g *Graph, p Params, opts *RunOptions) (*Result, *CheckReport, error) {
 	h := invariant.NewHarness(g)
-	res, err := backend.Default().Color(ctx, g, backend.Params{Det: p}, withHarness(opts, h))
+	res, err := backend.Det.Color(ctx, g, backend.Params{Det: p}, withHarness(opts, h))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,7 +214,7 @@ func RunCheckedContext(ctx context.Context, g *Graph, p Params, opts *RunOptions
 // harness attached; see RunCheckedContext for the contract.
 func RunCheckedRandomizedContext(ctx context.Context, g *Graph, p RandomizedParams, seed int64, opts *RunOptions) (*RandomizedResult, *CheckReport, error) {
 	h := invariant.NewHarness(g)
-	bres, err := mustBackend("rand").Color(ctx, g, backend.Params{Rand: p, Seed: seed}, withHarness(opts, h))
+	bres, err := backend.Rand.Color(ctx, g, backend.Params{Rand: p, Seed: seed}, withHarness(opts, h))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,7 +13,7 @@ import (
 	"deltacoloring/internal/invariant"
 )
 
-// TestCrossBackendAgreement runs every registered backend over the dense
+// TestCrossBackendAgreement runs every backend over the dense
 // generator zoo with the conformance harness attached: each backend either
 // refuses an out-of-scope instance with a structural error, or produces a
 // coloring that the phase checkpoints and the differential oracle both
@@ -81,8 +81,8 @@ func checkArenaCell(t *testing.T, cell string, g *graph.Graph, name string, p ba
 	}
 	// Each backend is verified against its own declared palette: the
 	// paper pipelines at Δ (zero slack), the greedy wire algorithm at
-	// Δ + 1 via Caps.PaletteSlack.
-	bound := g.MaxDegree() + b.Caps().PaletteSlack
+	// Δ + 1 via PaletteSlack.
+	bound := g.MaxDegree() + b.PaletteSlack
 	if err := invariant.ReferenceComplete(g, res.Colors, bound); err != nil {
 		t.Errorf("%s: oracle rejected the coloring: %v", cell, err)
 	}

@@ -1,18 +1,15 @@
-// Package backend defines the pluggable Δ-coloring pipeline seam: every
-// complete-coloring algorithm in the repository (the paper's deterministic
-// and randomized pipelines, the simple-dense ablation, the ruling-subgraph
-// route) is published as a Backend behind a process-global registry, so the
-// public API, the service, the dynamic store, the benchmark arena, and the
-// conformance matrix all dispatch by name instead of hard-wiring entry
-// points. See DESIGN.md §12 for the backend contract.
+// Package backend is the one table of complete Δ-coloring pipelines: the
+// paper's deterministic and randomized pipelines, the simple-dense
+// ablation, the ruling-subgraph route and the greedy wire algorithm are
+// fixed Backend values, so the public API, the service, the dynamic store,
+// the benchmark arena, and the conformance matrix all run them the same
+// way. See DESIGN.md §12 for the backend contract.
 package backend
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"deltacoloring/internal/core"
 	"deltacoloring/internal/graph"
@@ -20,8 +17,8 @@ import (
 )
 
 // Params bundles the parameterizations a backend may need. Deterministic
-// backends read Det; randomized backends read Rand and Seed. Callers that
-// dispatch by name should fill both presets.
+// backends read Det; randomized backends read Rand and Seed. Presets fills
+// both.
 type Params struct {
 	// Det parameterizes the deterministic pipelines.
 	Det core.Params
@@ -29,16 +26,6 @@ type Params struct {
 	Rand core.RandomizedParams
 	// Seed drives randomized backends; deterministic ones ignore it.
 	Seed int64
-}
-
-// Caps describe what a backend's results promise beyond the shared
-// contract.
-type Caps struct {
-	// PaletteSlack is how many colors beyond Δ the backend's results may
-	// use: verification bounds are MaxDegree() + PaletteSlack. The zero
-	// value keeps the paper pipelines' strict Δ-coloring contract; the
-	// greedy/sharded wire algorithm declares 1 (it is a Δ+1 coloring).
-	PaletteSlack int
 }
 
 // RunOptions tunes one Color call. A nil pointer means defaults.
@@ -73,74 +60,81 @@ type Result struct {
 	Rand *core.RandStats
 }
 
-// Backend is one complete Δ-coloring pipeline.
-type Backend interface {
-	// Name is the registry key (also the `?backend=` / -backend value).
-	Name() string
-	// Caps reports the backend's capability flags.
-	Caps() Caps
-	// Color runs the pipeline on g. The context's deadline/cancellation is
-	// checked at every LOCAL round boundary; opts may be nil.
-	Color(ctx context.Context, g *graph.Graph, p Params, opts *RunOptions) (*Result, error)
+// Backend is one complete Δ-coloring pipeline: an entry in the fixed
+// table below, never built outside this package.
+type Backend struct {
+	// Name is the table key (also the `?backend=` / -backend value).
+	Name string
+	// PaletteSlack is how many colors beyond Δ the backend's results may
+	// use: verification bounds are MaxDegree() + PaletteSlack. The paper
+	// pipelines keep the strict Δ-coloring contract (0); the greedy/sharded
+	// wire algorithm declares 1 (it is a Δ+1 coloring).
+	PaletteSlack int
+	run          func(net *local.Network, p Params) (*Result, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Backend{}
-)
-
-// Register adds b to the process-global registry. It panics on an empty
-// name or a duplicate registration: backends are wired at init time and a
-// name collision is a programming error, not a runtime condition.
-func Register(b Backend) {
-	name := b.Name()
-	if name == "" {
-		panic("backend: Register with empty name")
+// Color runs the pipeline on g. The context's deadline/cancellation is
+// checked at every LOCAL round boundary; opts may be nil.
+func (b *Backend) Color(ctx context.Context, g *graph.Graph, p Params, opts *RunOptions) (*Result, error) {
+	var res *Result
+	err := Exec(ctx, g, opts, func(net *local.Network) (err error) {
+		res, err = b.run(net, p)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("backend: duplicate registration of %q", name))
-	}
-	registry[name] = b
+	return res, nil
 }
 
-// Get looks up a backend by name. The error lists the registered names so
+// table lists every backend, sorted by name.
+var table = []*Backend{Det, Greedy, Rand, Ruling, Simple}
+
+// Get looks up a backend by name. The error lists the table's names so
 // CLI flags and HTTP handlers can fail fast with an actionable message.
-func Get(name string) (Backend, error) {
-	regMu.RLock()
-	b, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("backend: unknown backend %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
+func Get(name string) (*Backend, error) {
+	for _, b := range table {
+		if b.Name == name {
+			return b, nil
+		}
 	}
-	return b, nil
+	return nil, fmt.Errorf("backend: unknown backend %q (registered: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
-// Names returns the registered backend names, sorted.
+// Names returns the backend names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
+	names := make([]string, len(table))
+	for i, b := range table {
+		names[i] = b.Name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// DefaultName is the registry entry used when no backend is requested: the
-// paper's deterministic pipeline.
-const DefaultName = "det"
-
-// Default returns the default backend.
-func Default() Backend {
-	b, err := Get(DefaultName)
-	if err != nil {
-		panic(err) // registered in this package's init
+// Presets returns the parameters every backend runs under: the scaled
+// presets usable from Δ ≈ 16, or the paper's with paper set, the
+// randomized preset sharing the deterministic one.
+func Presets(paper bool, seed int64) Params {
+	p := Params{Det: core.TestParams(), Rand: core.TestRandomizedParams(), Seed: seed}
+	if paper {
+		p.Det = core.DefaultParams()
+		p.Rand = core.DefaultRandomizedParams()
 	}
-	return b
+	p.Rand.Params = p.Det
+	return p
+}
+
+// Resolve turns a requested name into the backend that runs g: "auto"
+// asks Select, the empty name is the default (Det), and any other name
+// must be in the table.
+func Resolve(name string, g *graph.Graph, p Params) (*Backend, error) {
+	switch name {
+	case "auto":
+		return Select(g, p), nil
+	case "":
+		return Det, nil
+	}
+	return Get(name)
 }
 
 // NewNetwork builds a local.Network for g wired per ctx and opts: the

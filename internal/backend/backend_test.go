@@ -9,41 +9,49 @@ import (
 	"deltacoloring/internal/graph"
 )
 
+// TestRegistryNamesSorted holds the backend table to its order and
+// lookup: Names is sorted, Get finds each entry under its own name, and
+// the default (the empty name) is det.
 func TestRegistryNamesSorted(t *testing.T) {
 	names := Names()
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("Names() not sorted: %v", names)
 	}
-	for _, want := range []string{"det", "rand", "ruling", "simple"} {
-		if _, err := Get(want); err != nil {
-			t.Fatalf("reference backend %q not registered: %v", want, err)
+	for _, n := range names {
+		b, err := Get(n)
+		if err != nil {
+			t.Fatalf("Get(%q): %v", n, err)
+		}
+		if b.Name != n {
+			t.Fatalf("Get(%q).Name = %q", n, b.Name)
 		}
 	}
-	if Default().Name() != DefaultName {
-		t.Fatalf("Default() = %q, want %q", Default().Name(), DefaultName)
+	if b, err := Resolve("", graph.Cycle(8), Params{}); err != nil || b != Det {
+		t.Fatalf(`Resolve("") = %v, %v; want det`, b, err)
 	}
 }
 
+// TestRegisterDuplicatePanics keeps the name it had when backends were
+// registered at run time and a duplicate name panicked. The table is fixed
+// now, so the test checks the property itself: no two entries share a name.
 func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("duplicate Register did not panic")
+	seen := map[string]bool{}
+	for _, n := range Names() {
+		if seen[n] {
+			t.Fatalf("name %q repeated in %v", n, Names())
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, `duplicate registration of "det"`) {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	Register(&pipelineBackend{name: "det"})
+		seen[n] = true
+	}
 }
 
+// TestRegisterEmptyNamePanics keeps the name it had when registering an
+// empty name panicked; it checks the fixed table has no empty name.
 func TestRegisterEmptyNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty-name Register did not panic")
+	for _, n := range Names() {
+		if n == "" {
+			t.Fatalf("empty name in %v", Names())
 		}
-	}()
-	Register(&pipelineBackend{})
+	}
 }
 
 func TestGetUnknownListsRegistered(t *testing.T) {
@@ -62,22 +70,22 @@ func TestSelectHeuristic(t *testing.T) {
 	p := Params{Det: core.TestParams()}
 
 	sparse := graph.Cycle(32)
-	if got := Select(sparse, p).Name(); got != "det" {
+	if got := Select(sparse, p).Name; got != "det" {
 		t.Fatalf("sparse graph selected %q, want det", got)
 	}
 
 	hardBip, _ := graph.HardCliqueBipartite(16, 16)
-	if got := Select(hardBip, p).Name(); got != "simple" && got != "ruling" {
+	if got := Select(hardBip, p).Name; got != "simple" && got != "ruling" {
 		t.Fatalf("all-hard graph selected %q, want simple or ruling", got)
 	}
 
 	ring, _ := graph.EasyCliqueRing(8, 16)
-	if got := Select(ring, p).Name(); got != "det" {
+	if got := Select(ring, p).Name; got != "det" {
 		t.Fatalf("all-easy graph selected %q, want det", got)
 	}
 
 	patch, _ := graph.HardWithEasyPatch(16, 16)
-	if got := Select(patch, p).Name(); got != "ruling" {
+	if got := Select(patch, p).Name; got != "ruling" {
 		t.Fatalf("hard-dominated graph selected %q, want ruling", got)
 	}
 
@@ -87,10 +95,10 @@ func TestSelectHeuristic(t *testing.T) {
 		b := Select(g, p)
 		res, err := b.Color(nil, g, p, nil)
 		if err != nil {
-			t.Fatalf("selected backend %q failed: %v", b.Name(), err)
+			t.Fatalf("selected backend %q failed: %v", b.Name, err)
 		}
 		if len(res.Colors) != g.N() {
-			t.Fatalf("backend %q returned %d colors for %d vertices", b.Name(), len(res.Colors), g.N())
+			t.Fatalf("backend %q returned %d colors for %d vertices", b.Name, len(res.Colors), g.N())
 		}
 	}
 }
@@ -112,7 +120,8 @@ func TestFrontierMatchesSpans(t *testing.T) {
 	p := Params{Det: core.TestParams(), Rand: core.TestRandomizedParams(), Seed: 1}
 	want := map[string]int{"det": 135, "rand": 271, "ruling": 158, "simple": 133, "greedy": 17}
 	for _, name := range Names() {
-		res, err := mustGet(name).Color(nil, g, p, nil)
+		b, _ := Get(name)
+		res, err := b.Color(nil, g, p, nil)
 		rounds, accepts := want[name]
 		if !accepts {
 			if err == nil {

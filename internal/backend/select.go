@@ -24,10 +24,10 @@ import (
 // Select never fails: anything it cannot confidently classify runs on the
 // default backend, and the selected backend still enforces every runtime
 // invariant itself.
-func Select(g *graph.Graph, p Params) Backend {
+func Select(g *graph.Graph, p Params) *Backend {
 	delta := g.MaxDegree()
 	if g.N() == 0 || delta < 6 {
-		return Default()
+		return Det
 	}
 	if p.Det.Eps <= 0 || p.Det.Eps >= 1 {
 		p.Det = core.DefaultParams()
@@ -36,7 +36,7 @@ func Select(g *graph.Graph, p Params) Backend {
 	defer net.Close()
 	a, err := acd.Compute(net, p.Det.Eps)
 	if err != nil || !a.IsDense() {
-		return Default()
+		return Det
 	}
 	cl := loophole.Classify(g, a)
 	hard := 0
@@ -52,18 +52,10 @@ func Select(g *graph.Graph, p Params) Backend {
 		}
 	}
 	if simpleShape && hard == len(a.Cliques) {
-		return mustGet("simple")
+		return Simple
 	}
 	if 2*hard >= len(a.Cliques) && hard > 0 {
-		return mustGet("ruling")
+		return Ruling
 	}
-	return Default()
-}
-
-func mustGet(name string) Backend {
-	b, err := Get(name)
-	if err != nil {
-		panic(err) // registered in this package's init
-	}
-	return b
+	return Det
 }

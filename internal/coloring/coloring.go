@@ -45,13 +45,6 @@ func (c *Partial) CountColored() int {
 	return n
 }
 
-// Clone returns a deep copy.
-func (c *Partial) Clone() *Partial {
-	out := &Partial{Colors: make([]int, len(c.Colors))}
-	copy(out.Colors, c.Colors)
-	return out
-}
-
 // VerifyProper checks that no edge of g is monochromatic (uncolored
 // endpoints are fine) and every used color lies in [0, numColors).
 func VerifyProper(g *graph.Graph, c *Partial, numColors int) error {
@@ -212,13 +205,6 @@ func (p Palette) Max() int {
 		}
 	}
 	return -1
-}
-
-// Clone returns a copy of the palette.
-func (p Palette) Clone() Palette {
-	out := Palette{words: make([]uint64, len(p.words))}
-	copy(out.words, p.words)
-	return out
 }
 
 // Colors returns the palette's colors in increasing order.

@@ -17,11 +17,6 @@ func TestPartialBasics(t *testing.T) {
 	if !c.Colored(1) || c.CountColored() != 1 {
 		t.Fatal("Colored/CountColored wrong")
 	}
-	d := c.Clone()
-	d.Colors[1] = 7
-	if c.Colors[1] != 4 {
-		t.Fatal("Clone aliases")
-	}
 }
 
 func TestVerifyProper(t *testing.T) {
@@ -109,11 +104,6 @@ func TestPaletteOps(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Colors() = %v, want %v", got, want)
 		}
-	}
-	q := p.Clone()
-	q.Remove(2)
-	if !p.Has(2) {
-		t.Fatal("Clone aliases")
 	}
 }
 

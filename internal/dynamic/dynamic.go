@@ -59,7 +59,7 @@ type Options struct {
 	// rounds execute. It is the chaos and conformance seam: tests install
 	// fault plans (local.SetFaults) or the invariant harness through it.
 	NetHook func(*local.Network)
-	// Backend, when non-empty, names a registered pipeline backend
+	// Backend, when non-empty, names a pipeline backend
 	// (internal/backend) that full recomputes try first: on dense structures
 	// it maintains a true Δ-coloring instead of the greedy Δ+1 palette. Any
 	// backend failure (e.g. the structure drifted sparse under mutations)

@@ -5,7 +5,6 @@ import (
 
 	"deltacoloring/internal/backend"
 	"deltacoloring/internal/coloring"
-	"deltacoloring/internal/core"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/listcolor"
 	"deltacoloring/internal/repair"
@@ -93,7 +92,7 @@ func (l *Live) maintainIncremental(g2 *graph.Graph, colors []int, p *batchPlan, 
 	})
 }
 
-// recompute colors g2 from scratch through the backend registry: the
+// recompute colors g2 from scratch through the backend table: the
 // configured Options.Backend first — on dense structures it maintains a true
 // Δ-coloring — then the greedy backend, whose rule over [0, Δ+1) applies to
 // every structure (tombstones included: they are isolated and cost nothing).
@@ -138,16 +137,14 @@ func (l *Live) recompute(g2 *graph.Graph, colors []int, res *ApplyResult) (err e
 	})
 }
 
-// colorWith runs one registered backend over g2 and verifies its coloring
+// colorWith runs one backend over g2 and verifies its coloring
 // complete and proper within the palette it spent, which it returns.
 func (l *Live) colorWith(name string, g2 *graph.Graph, version int64) (*backend.Result, int, error) {
 	b, err := backend.Get(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	p := backend.Params{Det: core.TestParams(), Rand: core.TestRandomizedParams(), Seed: version}
-	p.Rand.Params = p.Det
-	bres, err := b.Color(nil, g2, p, l.runOpts())
+	bres, err := b.Color(nil, g2, backend.Presets(false, version), l.runOpts())
 	if err != nil {
 		return nil, 0, err
 	}

@@ -88,34 +88,23 @@ func Failed(results []WorkloadResult) bool {
 	return false
 }
 
-// algo identifies one registered backend under test.
-type algo struct {
-	name string
-	b    backend.Backend
-}
-
-// algosOf returns the matrix row's pipelines: every registered backend the
-// workload opts into, in registry (sorted-name) order, so "det" always
-// leads when enabled. A newly registered backend gains matrix coverage by
-// setting the matching Workload flag — the suites themselves are
-// backend-agnostic.
-func algosOf(w Workload) []algo {
+// algosOf returns the matrix row's pipelines: every backend the workload
+// opts into, in table (sorted-name) order, so "det" always leads when
+// enabled. A new backend gains matrix coverage by setting the matching
+// Workload flag — the suites themselves are backend-agnostic.
+func algosOf(w Workload) []*backend.Backend {
 	enabled := map[string]bool{
 		"det":    w.Det,
 		"rand":   w.Rand,
 		"ruling": w.Ruling,
 		"simple": w.Simple,
 	}
-	var out []algo
+	var out []*backend.Backend
 	for _, name := range backend.Names() {
-		if !enabled[name] {
-			continue
+		if enabled[name] {
+			b, _ := backend.Get(name) // a name from Names() is always found
+			out = append(out, b)
 		}
-		b, err := backend.Get(name)
-		if err != nil {
-			continue
-		}
-		out = append(out, algo{name: name, b: b})
 	}
 	return out
 }
@@ -131,14 +120,14 @@ type checkedRun struct {
 	err         error
 }
 
-func runChecked(w Workload, a algo, workers int, frontier bool, corrupt string) checkedRun {
+func runChecked(w Workload, a *backend.Backend, workers int, frontier bool, corrupt string) checkedRun {
 	h := NewHarness(w.Graph)
 	if corrupt != "" {
 		h.CorruptPhase(corrupt)
 	}
 	rp := core.TestRandomizedParams()
 	rp.Params = w.Params
-	res, err := a.b.Color(nil, w.Graph,
+	res, err := a.Color(nil, w.Graph,
 		backend.Params{Det: w.Params, Rand: rp, Seed: w.Seed},
 		&backend.RunOptions{Workers: workers, DisableFrontier: !frontier, NetHook: h.Attach})
 	out := checkedRun{checks: h.Checks(), phases: h.Phases(),
@@ -190,22 +179,22 @@ func pipelineSuite(w Workload) SuiteResult {
 	totalChecks := 0
 	var names []string
 	for _, a := range algosOf(w) {
-		names = append(names, a.name)
+		names = append(names, a.Name)
 		run := runChecked(w, a, 1, true, "")
 		if run.err != nil {
-			s.Err = fmt.Errorf("%s: %w", a.name, run.err)
+			s.Err = fmt.Errorf("%s: %w", a.Name, run.err)
 			return s
 		}
 		if run.checks == 0 {
-			s.Err = fmt.Errorf("%s: harness observed no checkpoints", a.name)
+			s.Err = fmt.Errorf("%s: harness observed no checkpoints", a.Name)
 			return s
 		}
 		if !contains(run.phases, "final") {
-			s.Err = fmt.Errorf("%s: no final checkpoint (phases %v)", a.name, run.phases)
+			s.Err = fmt.Errorf("%s: no final checkpoint (phases %v)", a.Name, run.phases)
 			return s
 		}
 		if err := ReferenceComplete(w.Graph, run.colors, delta); err != nil {
-			s.Err = fmt.Errorf("%s: reference check: %w", a.name, err)
+			s.Err = fmt.Errorf("%s: reference check: %w", a.Name, err)
 			return s
 		}
 		totalChecks += run.checks
@@ -353,7 +342,7 @@ func metamorphicSuite(w Workload, opt Options) SuiteResult {
 	for _, a := range algosOf(w) {
 		base := runChecked(w, a, 1, true, "")
 		if base.err != nil {
-			s.Err = fmt.Errorf("%s: base run: %w", a.name, base.err)
+			s.Err = fmt.Errorf("%s: base run: %w", a.Name, base.err)
 			return s
 		}
 		for _, workers := range opt.workers() {
@@ -362,7 +351,7 @@ func metamorphicSuite(w Workload, opt Options) SuiteResult {
 					continue // the base run
 				}
 				run := runChecked(w, a, workers, frontier, "")
-				label := fmt.Sprintf("%s workers=%d frontier=%v", a.name, workers, frontier)
+				label := fmt.Sprintf("%s workers=%d frontier=%v", a.Name, workers, frontier)
 				if run.err != nil {
 					s.Err = fmt.Errorf("%s: %w", label, run.err)
 					return s
@@ -378,7 +367,7 @@ func metamorphicSuite(w Workload, opt Options) SuiteResult {
 		// same phases with the same checks) must survive relabeling; on the
 		// flagship family the exact round schedule is also pinned
 		// (PermRounds, mirroring csr_test.go).
-		if a.name == "det" {
+		if a.Name == "det" {
 			pw := w
 			pw.Graph = graph.PermuteIDs(w.Graph, rand.New(rand.NewSource(w.Seed+100)))
 			run := runChecked(pw, a, 1, true, "")

@@ -13,7 +13,7 @@ type Workload struct {
 	Graph *graph.Graph
 	// Params configures the pipelines (ignored for primitive workloads).
 	Params core.Params
-	// Det / Simple / Rand / Ruling select the registered backends to run
+	// Det / Simple / Rand / Ruling select the backends to run
 	// and check (see internal/backend and algosOf).
 	Det, Simple, Rand, Ruling bool
 	// Primitive workloads skip the dense pipelines and instead exercise the

@@ -56,7 +56,7 @@ func TestBackendSelection(t *testing.T) {
 			t.Fatal("backend=rand run missing shattering stats")
 		}
 	}
-	// The registry det backend is bit-identical to the legacy Algo path.
+	// The det backend is bit-identical to the legacy Algo path.
 	legacy, err := cl.Color(context.Background(), hardReq())
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestBackendSelection(t *testing.T) {
 }
 
 // TestLegacyAlgoPinned pins requests that name no backend, which run the
-// registry entry their algo names: the cache key keeps its historical bytes
+// table entry their algo names: the cache key keeps its historical bytes
 // (no backend segment), the response reports algo as the backend, and the
 // coloring, rounds and check report equal the library entry points'.
 func TestLegacyAlgoPinned(t *testing.T) {
@@ -167,7 +167,7 @@ func TestBackendQueryParamAndCheck(t *testing.T) {
 }
 
 // TestBackendUnknown400 pins the fail-fast contract: unknown backend names
-// answer 400 with the registered names in the message, via both spellings.
+// answer 400 with the table's names in the message, via both spellings.
 func TestBackendUnknown400(t *testing.T) {
 	_, cl, _ := newTestServer(t, Config{Workers: 1})
 	assert400 := func(url, body string) {

@@ -9,14 +9,15 @@ import (
 const (
 	breakerClosed = iota
 	breakerOpen
-	breakerHalfOpen
 )
 
 // breaker is a consecutive-failure circuit breaker guarding the job queue:
 // after `threshold` consecutive server-side job failures it opens and sheds
-// new work with 503 + Retry-After for `cooldown`, then lets exactly one
-// probe job through (half-open); the probe's outcome closes or re-opens the
-// circuit. Client-side failures (bad graphs, client cancellations) are
+// new work with 503 + Retry-After. Each time its cooldown expires it lets
+// one request through as a probe and re-arms the cooldown, so a probe that
+// never reports back (a client-side failure, a full queue, an idempotent
+// join) costs one cooldown, not the circuit. A server-side success closes
+// the circuit. Client-side failures (bad graphs, client cancellations) are
 // deliberately not fed to it — they say nothing about service health.
 type breaker struct {
 	mu        sync.Mutex
@@ -24,11 +25,10 @@ type breaker struct {
 	cooldown  time.Duration
 	now       func() time.Time // test seam
 
-	state         int
-	consecutive   int
-	openedAt      time.Time
-	probeInFlight bool
-	opens         uint64 // total closed/half-open -> open transitions
+	state       int
+	consecutive int
+	openedAt    time.Time // start of the current cooldown
+	opens       uint64    // total closed -> open transitions
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
@@ -43,25 +43,16 @@ func (b *breaker) allow() (bool, time.Duration) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true, 0
-	case breakerOpen:
-		if remaining := b.openedAt.Add(b.cooldown).Sub(b.now()); remaining > 0 {
-			return false, remaining
-		}
-		// Cooldown elapsed: transition to half-open and admit this request
-		// as the probe.
-		b.state = breakerHalfOpen
-		b.probeInFlight = true
-		return true, 0
-	default: // half-open
-		if b.probeInFlight {
-			return false, b.cooldown
-		}
-		b.probeInFlight = true
+	if b.state == breakerClosed {
 		return true, 0
 	}
+	now := b.now()
+	if remaining := b.openedAt.Add(b.cooldown).Sub(now); remaining > 0 {
+		return false, remaining
+	}
+	// Cooldown elapsed: admit this request as the probe and re-arm.
+	b.openedAt = now
+	return true, 0
 }
 
 // success records a server-side job success, closing the circuit.
@@ -72,22 +63,21 @@ func (b *breaker) success() {
 	b.mu.Lock()
 	b.consecutive = 0
 	b.state = breakerClosed
-	b.probeInFlight = false
 	b.mu.Unlock()
 }
 
-// failure records a server-side job failure; reaching the threshold — or
-// any failure of a half-open probe — opens the circuit.
+// failure records a server-side job failure; reaching the threshold opens
+// the circuit. A failure while open (a failed probe) leaves it open, with
+// the cooldown its admission re-armed.
 func (b *breaker) failure() {
 	if b.threshold <= 0 {
 		return
 	}
 	b.mu.Lock()
 	b.consecutive++
-	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecutive >= b.threshold) {
+	if b.state == breakerClosed && b.consecutive >= b.threshold {
 		b.state = breakerOpen
 		b.openedAt = b.now()
-		b.probeInFlight = false
 		b.opens++
 	}
 	b.mu.Unlock()

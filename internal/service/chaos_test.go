@@ -34,8 +34,6 @@ func TestServiceChaosNeverServesInvalid(t *testing.T) {
 	rng := rand.New(rand.NewSource(2025))
 	cfg := Config{
 		Workers:          4,
-		MaxRetries:       1,
-		RetryBaseBackoff: time.Millisecond,
 		BreakerThreshold: 8,
 		BreakerCooldown:  20 * time.Millisecond,
 		WatchdogGrace:    20 * time.Millisecond,

@@ -24,7 +24,7 @@ func apiErr(t *testing.T, err error) *APIError {
 // A panicking run must answer 500, mark the job quarantined, keep its record
 // pollable, and count the quarantine in /healthz.
 func TestPanicQuarantinesJob(t *testing.T) {
-	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: -1}
+	cfg := Config{Workers: 1, BreakerThreshold: -1}
 	cfg.runHook = func(work) { panic("injected fault") }
 	svc, cl, _ := newTestServer(t, cfg)
 
@@ -58,12 +58,42 @@ func TestPanicQuarantinesJob(t *testing.T) {
 	}
 }
 
+// A failed job runs once: at the default Config a run that always panics
+// is attempted exactly once, answers 500, and is quarantined. Pipelines
+// are pure functions of their input, so a second attempt could only repeat
+// the first failure.
+func TestPanicRunsOnce(t *testing.T) {
+	var runs atomic.Int64
+	cfg := Config{}
+	cfg.runHook = func(work) {
+		runs.Add(1)
+		panic("always fails")
+	}
+	svc, cl, _ := newTestServer(t, cfg)
+
+	req := easyReq(4)
+	req.NoCache = true
+	ae := apiErr(t, func() error { _, err := cl.Color(context.Background(), req); return err }())
+	if ae.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking run answered %d, want 500", ae.StatusCode)
+	}
+	if ae.Resp == nil || !ae.Resp.Quarantined {
+		t.Fatalf("panicking run not quarantined: %+v", ae.Resp)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("pipeline ran %d times, want 1", got)
+	}
+	if got := svc.quarantinedCount(); got != 1 {
+		t.Fatalf("quarantined count %d, want 1", got)
+	}
+}
+
 // Quarantined records must survive job-table eviction until every other
 // terminal record is gone.
 func TestQuarantineSurvivesEviction(t *testing.T) {
 	var failFirst atomic.Bool
 	failFirst.Store(true)
-	cfg := Config{Workers: 1, MaxJobs: 4, MaxRetries: -1, BreakerThreshold: -1}
+	cfg := Config{Workers: 1, MaxJobs: 4, BreakerThreshold: -1}
 	cfg.runHook = func(work) {
 		if failFirst.CompareAndSwap(true, false) {
 			panic("quarantine me")
@@ -109,7 +139,7 @@ func TestWatchdogConvertsHungRunTo504(t *testing.T) {
 	release := make(chan struct{})
 	var hang atomic.Bool
 	hang.Store(true)
-	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: -1, WatchdogGrace: 30 * time.Millisecond}
+	cfg := Config{Workers: 1, BreakerThreshold: -1, WatchdogGrace: 30 * time.Millisecond}
 	cfg.runHook = func(work) {
 		if hang.CompareAndSwap(true, false) {
 			<-release // ignores ctx: simulates a hung run
@@ -144,11 +174,11 @@ func TestWatchdogConvertsHungRunTo504(t *testing.T) {
 }
 
 // After BreakerThreshold consecutive failures the breaker must shed new work
-// with 503 + Retry-After, then recover through a successful half-open probe.
+// with 503 + Retry-After, then recover through a successful probe.
 func TestBreakerShedsAndRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
-	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond}
+	cfg := Config{Workers: 1, BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond}
 	cfg.runHook = func(work) {
 		if failing.Load() {
 			panic("unhealthy")
@@ -181,7 +211,7 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	resp, err := cl.Color(context.Background(), r)
 	if err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
+		t.Fatalf("probe failed: %v", err)
 	}
 	if resp.State != "done" {
 		t.Fatalf("probe state %q, want done", resp.State)
@@ -192,30 +222,57 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 	}
 }
 
-// Transient failures are retried server-side with backoff before the job is
-// failed; a first-attempt panic must be invisible to the client.
-func TestServerSideRetryMasksTransientPanic(t *testing.T) {
-	var attempts atomic.Int64
-	cfg := Config{Workers: 1, MaxRetries: 2, RetryBaseBackoff: time.Millisecond, BreakerThreshold: -1}
+// An open breaker's probe that ends without a server-side verdict (here a
+// 422 Lemma refusal, which says nothing about service health) must not
+// wedge the circuit: the next expired cooldown admits another probe, and
+// a healthy one closes the circuit.
+func TestBreakerProbeNeverWedges(t *testing.T) {
+	var failing atomic.Bool
+	failing.Store(true)
+	cooldown := 20 * time.Millisecond
+	cfg := Config{Workers: 1, BreakerThreshold: 1, BreakerCooldown: cooldown}
 	cfg.runHook = func(work) {
-		if attempts.Add(1) == 1 {
-			panic("transient")
+		if failing.Load() {
+			panic("open the breaker")
 		}
 	}
 	svc, cl, _ := newTestServer(t, cfg)
+	color := func(req *ColorRequest) error {
+		req.NoCache = true
+		_, err := cl.Color(context.Background(), req)
+		return err
+	}
 
-	resp, err := cl.Color(context.Background(), easyReq(4))
-	if err != nil {
-		t.Fatal(err)
+	if ae := apiErr(t, color(easyReq(4))); ae.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("injected panic answered %d, want 500", ae.StatusCode)
 	}
-	if resp.State != "done" {
-		t.Fatalf("retried job state %q, want done", resp.State)
+	failing.Store(false)
+	time.Sleep(cooldown + 10*time.Millisecond)
+	probe := &ColorRequest{Gen: &GenSpec{Family: "hard", M: 48, Delta: 48}, Algo: "det"}
+	if ae := apiErr(t, color(probe)); ae.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("probe answered %d, want the 422 Lemma refusal", ae.StatusCode)
 	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("attempts %d, want 2", got)
+
+	// Healthy requests must get through within a few cooldowns.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		err := color(easyReq(4))
+		if err == nil {
+			break
+		}
+		if ae := apiErr(t, err); ae.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("healthy request answered %d, want 200 or 503", ae.StatusCode)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("breaker still shedding healthy work 2s after a 422 probe")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if retries := svc.met.jobsRetried.Load(); retries != 1 {
-		t.Fatalf("retries metric %d, want 1", retries)
+	if state, _ := svc.breaker.snapshot(); state != breakerClosed {
+		t.Fatalf("breaker state %d after a healthy probe, want closed", state)
+	}
+	if err := color(easyReq(4)); err != nil {
+		t.Fatalf("closed breaker rejected work: %v", err)
 	}
 }
 
@@ -271,7 +328,7 @@ func TestIdempotencyKeyDeduplicates(t *testing.T) {
 // same key runs the pipeline again instead of replaying the failure.
 func TestIdempotencyFailedKeyReruns(t *testing.T) {
 	var runs atomic.Int64
-	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: -1}
+	cfg := Config{Workers: 1, BreakerThreshold: -1}
 	cfg.runHook = func(work) {
 		if runs.Add(1) == 1 {
 			panic("transient")
@@ -299,10 +356,10 @@ func TestIdempotencyFailedKeyReruns(t *testing.T) {
 	}
 }
 
-// The hardened endpoints must expose their state: watchdog/breaker/retry
+// The hardened endpoints must expose their state: watchdog/breaker
 // counters in /metrics and breaker + quarantine info in /healthz.
 func TestHardeningObservability(t *testing.T) {
-	cfg := Config{Workers: 1, MaxRetries: -1, BreakerThreshold: 1, BreakerCooldown: time.Minute}
+	cfg := Config{Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Minute}
 	cfg.runHook = func(work) { panic("boom") }
 	_, cl, _ := newTestServer(t, cfg)
 
@@ -330,7 +387,6 @@ func TestHardeningObservability(t *testing.T) {
 		"deltaserved_jobs_shed_total 1",
 		"deltaserved_breaker_state 1",
 		"deltaserved_watchdog_timeouts_total 0",
-		"deltaserved_job_retries_total 0",
 	} {
 		if !strings.Contains(met, want) {
 			t.Errorf("metrics missing %q", want)

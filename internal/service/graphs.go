@@ -50,7 +50,7 @@ type CreateGraphRequest struct {
 	// ceiling (0 keeps the default; negative forces every batch to a full
 	// recompute).
 	FallbackDirtyFraction float64 `json:"fallback_dirty_fraction,omitempty"`
-	// Backend names a registered pipeline backend the store's full
+	// Backend names a pipeline backend the store's full
 	// recomputes try first (a true Δ-coloring on dense structures, greedy
 	// deg+1 fallback otherwise). Empty keeps the greedy-only path; unknown
 	// names answer 400. "auto" is not accepted here: a store outlives the

@@ -23,8 +23,8 @@ type metrics struct {
 	fams []family
 
 	jobsStarted, jobsCompleted, jobsFailed, jobsRejected, jobsShed,
-	jobsRetried, jobsQuarantined, watchdogTimeouts, idemJoins,
-	cacheHits, cacheMisses *atomic.Uint64
+	jobsQuarantined, watchdogTimeouts, idemJoins, cacheHits,
+	cacheMisses *atomic.Uint64
 
 	engineRounds, sparseRounds, activeVertices, skippedVertices *atomic.Uint64
 
@@ -163,8 +163,7 @@ func newMetrics() *metrics {
 	m.jobsFailed = m.counter("deltaserved_jobs_failed_total", "Jobs that ended in an error (including cancellations and panics).")
 	m.jobsRejected = m.counter("deltaserved_jobs_rejected_total", "Color requests rejected with 429 because the queue was full.")
 	m.jobsShed = m.counter("deltaserved_jobs_shed_total", "Color requests shed with 503 by the open circuit breaker.")
-	m.jobsRetried = m.counter("deltaserved_job_retries_total", "Attempt re-runs after transient server-side failures.")
-	m.jobsQuarantined = m.counter("deltaserved_jobs_quarantined_total", "Jobs quarantined because their final attempt panicked.")
+	m.jobsQuarantined = m.counter("deltaserved_jobs_quarantined_total", "Jobs quarantined because their run panicked.")
 	m.watchdogTimeouts = m.counter("deltaserved_watchdog_timeouts_total", "Hung runs the watchdog converted into 504s.")
 	m.idemJoins = m.counter("deltaserved_idempotent_joins_total", "Retried POSTs joined to an existing job via idempotency key.")
 	m.cacheHits = m.counter("deltaserved_cache_hits_total", "Color requests answered from the result cache.")
@@ -180,7 +179,7 @@ func newMetrics() *metrics {
 
 	m.value("deltaserved_queue_depth", "Jobs currently waiting in the FIFO queue.", "gauge", func(sc *scrape) any { return sc.queueDepth })
 	m.value("deltaserved_workers", "Size of the worker pool.", "gauge", func(sc *scrape) any { return sc.workers })
-	m.value("deltaserved_breaker_state", "Circuit breaker state (0 closed, 1 open, 2 half-open).", "gauge", func(sc *scrape) any { return sc.breakerState })
+	m.value("deltaserved_breaker_state", "Circuit breaker state (0 closed, 1 open: shedding, one probe per cooldown).", "gauge", func(sc *scrape) any { return sc.breakerState })
 	m.value("deltaserved_jobs_retained", "Job records held for polling and idempotency.", "gauge", func(sc *scrape) any { return sc.retainedJobs })
 	m.value("deltaserved_retained_bytes", "Bytes of the responses the job table and the result cache hold, each counted once.", "gauge", func(sc *scrape) any { return sc.retainedBytes })
 

@@ -20,11 +20,11 @@ type ColorRequest struct {
 	// Algo selects the algorithm: "det" (Theorem 1, default) or "rand"
 	// (Theorem 2).
 	Algo string `json:"algo,omitempty"`
-	// Backend names a registered pipeline backend to run instead of the
-	// Algo default — any name from the internal/backend registry ("det",
-	// "rand", "simple", "ruling") or "auto" for the portfolio selector,
-	// which picks by Δ, density, and ACD shape. ?backend= on the URL is an
-	// equivalent spelling. Unknown names answer 400 listing the registry.
+	// Backend names a pipeline backend to run instead of the Algo default
+	// — any name from the internal/backend table ("det", "greedy", "rand",
+	// "ruling", "simple") or "auto" for the portfolio selector, which picks
+	// by Δ, density, and ACD shape. ?backend= on the URL is an equivalent
+	// spelling. Unknown names answer 400 listing the table.
 	Backend string `json:"backend,omitempty"`
 	// Seed seeds the randomized algorithm (ignored for det).
 	Seed int64 `json:"seed,omitempty"`
@@ -181,8 +181,8 @@ func parseRequest(r io.Reader) (*ColorRequest, error) {
 }
 
 // validateBackendName accepts the empty string (defer to Algo), "auto"
-// (the portfolio selector), and any registered backend name; anything else
-// is a 400 listing the registry so clients can self-correct.
+// (the portfolio selector), and any backend name; anything else is a 400
+// listing the table so clients can self-correct.
 func validateBackendName(name string) error {
 	switch name {
 	case "", "auto":

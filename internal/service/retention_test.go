@@ -42,7 +42,7 @@ func walkRetained(s *Server) int64 {
 func TestRetentionByteBound(t *testing.T) {
 	const maxN = 1 << 12
 	var runs, collected atomic.Int64
-	cfg := Config{Workers: 2, MaxJobs: 16, CacheSize: 8, MaxVertices: maxN, MaxRetries: -1}
+	cfg := Config{Workers: 2, MaxJobs: 16, CacheSize: 8, MaxVertices: maxN}
 	cfg.runHook = func(w work) {
 		runs.Add(1)
 		runtime.SetFinalizer(w.g, func(*graph.Graph) { collected.Add(1) })
@@ -118,7 +118,7 @@ func TestRetentionByteBound(t *testing.T) {
 func TestRetentionQueuedBurst(t *testing.T) {
 	const maxN = 1 << 12
 	gate := make(chan struct{})
-	cfg := Config{Workers: 1, QueueDepth: 32, MaxVertices: maxN, MaxRetries: -1}
+	cfg := Config{Workers: 1, QueueDepth: 32, MaxVertices: maxN}
 	cfg.runHook = func(work) { <-gate }
 	svc, cl, _ := newTestServer(t, cfg)
 	budget := cfg.withDefaults().retainedBudget()
@@ -173,7 +173,7 @@ func TestRetentionWatchdogAbandonedAttempt(t *testing.T) {
 	read := make(chan [2]int, 1)
 	var hang atomic.Bool
 	hang.Store(true)
-	cfg := Config{Workers: 1, MaxJobs: 2, MaxRetries: -1, BreakerThreshold: -1, WatchdogGrace: 30 * time.Millisecond}
+	cfg := Config{Workers: 1, MaxJobs: 2, BreakerThreshold: -1, WatchdogGrace: 30 * time.Millisecond}
 	cfg.runHook = func(w work) {
 		if !hang.CompareAndSwap(true, false) {
 			return

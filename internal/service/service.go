@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"sync"
@@ -65,18 +64,11 @@ type Config struct {
 	// candidate. The table and the result cache also share a byte budget
 	// derived from MaxVertices (see retainedBudget).
 	MaxJobs int
-	// MaxRetries is how many times a job is re-run after a transient
-	// server-side failure (panic or internal error), with exponential
-	// backoff and jitter between attempts (default 1; negative disables).
-	MaxRetries int
-	// RetryBaseBackoff is the first retry delay; attempt k waits
-	// RetryBaseBackoff * 2^(k-1) plus up to 50% jitter (default 50ms).
-	RetryBaseBackoff time.Duration
 	// BreakerThreshold opens the circuit breaker after this many
 	// consecutive server-side job failures (default 5; negative disables).
 	BreakerThreshold int
-	// BreakerCooldown is how long the breaker sheds load before letting a
-	// probe through (default 10s).
+	// BreakerCooldown is how long the open breaker sheds load between the
+	// single probes it lets through (default 10s).
 	BreakerCooldown time.Duration
 	// WatchdogGrace is how long past its deadline a running job may keep
 	// executing before the watchdog declares it hung, fails it with 504,
@@ -113,8 +105,8 @@ type Config struct {
 	MaxShards int
 
 	// runHook, when set, runs on the attempt goroutine just before a job's
-	// pipeline starts (once per attempt). It is a test seam for making
-	// saturation, slow jobs, and injected failures deterministic.
+	// pipeline starts. It is a test seam for making saturation, slow jobs,
+	// and injected failures deterministic.
 	runHook func(work)
 	// dynNetHook, when set, is installed as every dynamic store's NetHook.
 	// It is the chaos test seam for the /v1/graphs maintenance path.
@@ -149,15 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 1
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBaseBackoff <= 0 {
-		c.RetryBaseBackoff = 50 * time.Millisecond
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
@@ -523,7 +506,7 @@ func (s *Server) worker() {
 	}
 }
 
-// runOutcome is one attempt's result, handed from the attempt goroutine
+// runOutcome is the attempt's result, handed from the attempt goroutine
 // back to the supervising worker.
 type runOutcome struct {
 	resp     *ColorResponse
@@ -532,67 +515,43 @@ type runOutcome struct {
 	panicked bool
 }
 
-// runJob supervises one job: it runs attempts on a child goroutine so the
-// worker can watchdog them, retries transient server-side failures with
-// exponential backoff + jitter, feeds the circuit breaker, and quarantines
-// jobs whose final attempt panicked. A hung attempt — one that outlives its
-// deadline by more than WatchdogGrace without unwinding — is failed with a
-// clean 504 and abandoned, returning the worker to the pool.
+// runJob supervises one job: it runs its one attempt on a child goroutine
+// so the worker can watchdog it, feeds the circuit breaker, and quarantines
+// a job whose attempt panicked. Pipelines are pure functions of (graph,
+// params, seed), so a failed job is not re-run here: a client that wants
+// another try re-POSTs, and a failed job never pins its idempotency key. A
+// hung attempt — one that outlives its deadline by more than WatchdogGrace
+// without unwinding — is failed with a clean 504 and abandoned, returning
+// the worker to the pool.
 func (s *Server) runJob(w work) {
 	j := w.job
 	s.met.jobsStarted.Add(1)
 	j.setState("running")
 	start := time.Now()
-	for attempt := 0; ; attempt++ {
-		out := make(chan runOutcome, 1) // buffered: an abandoned attempt must not leak
-		go s.runAttempt(w, out)
-		var o runOutcome
+	out := make(chan runOutcome, 1) // buffered: an abandoned attempt must not leak
+	go s.runAttempt(w, out)
+	var o runOutcome
+	select {
+	case o = <-out:
+	case <-j.ctx.Done():
+		// Deadline or cancellation while the attempt is in flight: the run
+		// aborts itself at its next round boundary; give it the grace
+		// window, then declare it hung.
+		grace := time.NewTimer(s.cfg.WatchdogGrace)
 		select {
 		case o = <-out:
-		case <-j.ctx.Done():
-			// Deadline or cancellation while the attempt is in flight: the
-			// run aborts itself at its next round boundary; give it the
-			// grace window, then declare it hung.
-			grace := time.NewTimer(s.cfg.WatchdogGrace)
-			select {
-			case o = <-out:
-				grace.Stop()
-			case <-grace.C:
-				s.met.watchdogTimeouts.Add(1)
-				s.met.jobsFailed.Add(1)
-				s.breaker.failure()
-				s.finishJob(j, &ColorResponse{JobID: j.id, State: "failed",
-					Error: "watchdog: run exceeded its deadline and did not unwind"},
-					http.StatusGatewayTimeout, false)
-				return
-			}
-		}
-		if o.err == nil {
-			elapsed := time.Since(start)
-			resp := o.resp
-			resp.JobID = j.id
-			resp.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-			if o.traffic != nil {
-				s.met.shardRuns.Add(1)
-				s.met.shardCutEdges.Add(uint64(o.traffic.CutEdges))
-				s.met.shardBoundaryUpdates.Add(uint64(o.traffic.BoundaryUpdates))
-				s.met.shardStepCalls.Add(uint64(o.traffic.StepCalls))
-			}
-			s.met.jobsCompleted.Add(1)
-			s.met.jobDuration.observe(elapsed)
-			s.met.backendJobs.add(resp.Backend, 1)
-			s.breaker.success()
-			s.finishJob(j, resp, http.StatusOK, !w.req.NoCache)
+			grace.Stop()
+		case <-grace.C:
+			s.met.watchdogTimeouts.Add(1)
+			s.met.jobsFailed.Add(1)
+			s.breaker.failure()
+			s.finishJob(j, &ColorResponse{JobID: j.id, State: "failed",
+				Error: "watchdog: run exceeded its deadline and did not unwind"},
+				http.StatusGatewayTimeout, false)
 			return
 		}
-		if retryableFailure(o) && attempt < s.cfg.MaxRetries && j.ctx.Err() == nil {
-			s.met.jobsRetried.Add(1)
-			if sleepBackoff(j.ctx, s.cfg.RetryBaseBackoff, attempt) {
-				continue
-			}
-			// Deadline consumed the backoff; fall through and fail with the
-			// attempt's own error.
-		}
+	}
+	if o.err != nil {
 		if o.panicked {
 			j.quarantine()
 			s.met.jobsQuarantined.Add(1)
@@ -600,9 +559,24 @@ func (s *Server) runJob(w work) {
 		s.failJob(j, o.err, o.panicked)
 		return
 	}
+	elapsed := time.Since(start)
+	resp := o.resp
+	resp.JobID = j.id
+	resp.ElapsedMS = float64(elapsed.Microseconds()) / 1000
+	if o.traffic != nil {
+		s.met.shardRuns.Add(1)
+		s.met.shardCutEdges.Add(uint64(o.traffic.CutEdges))
+		s.met.shardBoundaryUpdates.Add(uint64(o.traffic.BoundaryUpdates))
+		s.met.shardStepCalls.Add(uint64(o.traffic.StepCalls))
+	}
+	s.met.jobsCompleted.Add(1)
+	s.met.jobDuration.observe(elapsed)
+	s.met.backendJobs.add(resp.Backend, 1)
+	s.breaker.success()
+	s.finishJob(j, resp, http.StatusOK, !w.req.NoCache)
 }
 
-// runAttempt executes one pipeline attempt with panic isolation and sends
+// runAttempt executes a job's pipeline attempt with panic isolation and sends
 // exactly one outcome. It touches no job state beyond reads, so a timed-out
 // attempt can be safely abandoned by its supervisor; its own copy of the
 // work item keeps the inputs alive until it returns.
@@ -672,37 +646,23 @@ func (s *Server) runSharded(w work) (*ColorResponse, *shard.Traffic, error) {
 	return resp, &sres.Traffic, nil
 }
 
-// runBackend executes one attempt through the backend registry: the request
-// names a registered backend, or "auto" to let the portfolio selector pick
-// by graph structure. A request without one runs the pipeline its algo
-// names ("det" or "rand", both registry entries), so its coloring and
-// response are those of the historical entry points. Checked runs attach
-// the conformance harness through the backend's NetHook seam and
-// cross-check the final coloring against the sequential oracle.
+// runBackend executes one attempt: the request names a backend, or "auto"
+// to let the portfolio selector pick by graph structure. A request without
+// one runs the pipeline its algo names ("det" or "rand", both table
+// entries), so its coloring and response are those of the historical entry
+// points. Checked runs attach the conformance harness through the
+// backend's NetHook seam and cross-check the final coloring against the
+// sequential oracle.
 func (s *Server) runBackend(w work) (*ColorResponse, error) {
 	req, g := w.req, w.g
-	p := backend.Params{
-		Det:  deltacoloring.ScaledParams(),
-		Rand: deltacoloring.ScaledRandomizedParams(),
-		Seed: req.Seed,
-	}
-	if req.Paper {
-		p.Det = deltacoloring.DefaultParams()
-		p.Rand = deltacoloring.DefaultRandomizedParams()
-	}
-	p.Rand.Params = p.Det
 	name := req.Backend
 	if name == "" {
 		name = req.Algo
 	}
-	var b backend.Backend
-	if name == "auto" {
-		b = backend.Select(g, p)
-	} else {
-		var err error
-		if b, err = backend.Get(name); err != nil {
-			return nil, err
-		}
+	p := backend.Presets(req.Paper, req.Seed)
+	b, err := backend.Resolve(name, g, p)
+	if err != nil {
+		return nil, err
 	}
 	opts := &backend.RunOptions{SpanHook: s.met.addSpan}
 	var h *invariant.Harness
@@ -714,42 +674,7 @@ func (s *Server) runBackend(w work) (*ColorResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runResponse(g, h, b.Name(), b.Caps().PaletteSlack, res)
-}
-
-// retryableFailure reports whether an attempt's failure is worth re-running:
-// panics and internal errors are (injected faults and transient breakage
-// look exactly like them), while client-attributable outcomes — bad input
-// classes and the job's own deadline/cancellation — are deterministic and
-// are not.
-func retryableFailure(o runOutcome) bool {
-	if o.panicked {
-		return true
-	}
-	switch {
-	case errors.Is(o.err, context.DeadlineExceeded),
-		errors.Is(o.err, context.Canceled),
-		errors.Is(o.err, deltacoloring.ErrNotDense),
-		errors.Is(o.err, deltacoloring.ErrBrooks),
-		errors.Is(o.err, deltacoloring.ErrLemmaViolated):
-		return false
-	}
-	return true
-}
-
-// sleepBackoff waits RetryBaseBackoff * 2^attempt plus up to 50% jitter,
-// abandoning the wait (and returning false) if ctx finishes first.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int) bool {
-	d := base << attempt
-	d += time.Duration(rand.Int63n(int64(d)/2 + 1))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return runResponse(g, h, b.Name, b.PaletteSlack, res)
 }
 
 // failJob maps a pipeline error onto an HTTP status and finishes the job.
@@ -1010,14 +935,10 @@ func (s *Server) quarantinedCount() int {
 
 // breakerStateName renders a breaker state for humans.
 func breakerStateName(state int) string {
-	switch state {
-	case breakerOpen:
+	if state == breakerOpen {
 		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
 	}
+	return "closed"
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -226,8 +226,8 @@ func (w *meetWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // and run their first sharded jobs at once, both named "svc-j00000001".
 // The host holds each stream's first reply until both streams have sent
 // one, so both coordinators' shard-0 inits have run before either run goes
-// on. Neither coordinator retries, so a collision cannot hide behind a
-// second attempt. Each coloring must equal the in-process run of its own
+// on. A job runs once, so a collision cannot hide behind a second
+// attempt. Each coloring must equal the in-process run of its own
 // request, and the host must end with no worker.
 func TestShardCoordinatorsShareWorker(t *testing.T) {
 	workerSrv := New(Config{Workers: 1})
@@ -252,7 +252,7 @@ func TestShardCoordinatorsShareWorker(t *testing.T) {
 	resps := make([]*ColorResponse, len(reqs))
 	errs := make([]error, len(reqs))
 	for i := range reqs {
-		_, cl, _ := newTestServer(t, Config{Workers: 1, MaxRetries: -1, ShardAddrs: []string{ts.URL}})
+		_, cl, _ := newTestServer(t, Config{Workers: 1, ShardAddrs: []string{ts.URL}})
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -338,15 +338,14 @@ func TestShardRequestValidation(t *testing.T) {
 
 // TestShardChaosNeverServesBadColoring: with a fault-injecting transport
 // corrupting cross-cut exchanges or finish reports, the service must answer
-// an error — never 200 with an invalid or partial coloring. Retries are
-// disabled so the injected failure surfaces instead of being healed.
+// an error — never 200 with an invalid or partial coloring. A job runs
+// once, so the injected failure surfaces instead of being healed.
 func TestShardChaosNeverServesBadColoring(t *testing.T) {
 	for _, mode := range []string{shard.ChaosCorruptExchange, shard.ChaosCorruptFinish, shard.ChaosCrash} {
 		t.Run(mode, func(t *testing.T) {
 			seed := uint64(0)
 			cfg := Config{
 				Workers:          1,
-				MaxRetries:       -1,
 				BreakerThreshold: -1,
 				shardTransport: func(session string) shard.Transport {
 					seed++
