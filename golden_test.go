@@ -67,3 +67,52 @@ func TestDeterministicGoldenPins(t *testing.T) {
 		}
 	}
 }
+
+// TestRandomizedGoldenPins pins the exact coloring and round count of the
+// randomized pipeline (Theorem 2) on the hard and mixed dense families at
+// two seeds, at one and two workers. Every case keeps T-nodes and spends
+// rounds in the happy layers (Algorithm 4, Step 7), so the pins cover the
+// layered outside-in coloring around T-nodes as well as the matching, the
+// shattered components and Algorithm 3's post-processing.
+func TestRandomizedGoldenPins(t *testing.T) {
+	cases := []struct {
+		name   string
+		g      *Graph
+		seed   int64
+		hash   uint64
+		rounds int
+		happy  int // rounds of the alg4/happylayers span
+	}{
+		{"hard_m16_s1", GenHardCliqueBipartite(16, 16), 1, 0xf07ef73d02c2a755, 459, 276},
+		{"hard_m16_s2", GenHardCliqueBipartite(16, 16), 2, 0x522946487f7edc85, 427, 289},
+		{"mixed_m20_s1", GenHardWithEasyPatch(20, 16), 1, 0x57ef530518b5f4e5, 702, 305},
+		{"mixed_m20_s2", GenHardWithEasyPatch(20, 16), 2, 0x58cb27ef129cf115, 683, 316},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2} {
+			res, err := RandomizedContext(context.Background(), c.g, ScaledRandomizedParams(), c.seed, &RunOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			if err := Verify(c.g, res.Colors); err != nil {
+				t.Fatalf("%s workers=%d: %v", c.name, workers, err)
+			}
+			if res.Rand.TNodesKept == 0 {
+				t.Errorf("%s: no T-nodes kept", c.name)
+			}
+			happy := 0
+			for _, s := range res.Spans {
+				if s.Name == "alg4/happylayers" {
+					happy += s.Rounds
+				}
+			}
+			if happy == 0 {
+				t.Errorf("%s: no rounds in alg4/happylayers", c.name)
+			}
+			if h := colorsHash(res.Colors); h != c.hash || res.Rounds != c.rounds || happy != c.happy {
+				t.Errorf("%s workers=%d: colors hash %#x rounds %d (happy %d), pinned %#x rounds %d (happy %d)",
+					c.name, workers, h, res.Rounds, happy, c.hash, c.rounds, c.happy)
+			}
+		}
+	}
+}
