@@ -25,6 +25,7 @@ import (
 
 	"deltacoloring"
 	"deltacoloring/internal/backend"
+	"deltacoloring/internal/graph"
 	"deltacoloring/internal/graphio"
 )
 
@@ -51,28 +52,24 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	var g *deltacoloring.Graph
+	var (
+		g      *deltacoloring.Graph
+		closer io.Closer
+		err    error
+	)
 	switch {
 	case *inFlag != "":
-		var (
-			closer io.Closer
-			err    error
-		)
 		g, closer, err = readGraph(*inFlag)
-		if err != nil {
-			return err
-		}
-		if closer != nil {
-			defer closer.Close()
-		}
-	case *genFlag == "hard":
-		g = deltacoloring.GenHardCliqueBipartite(*mFlag, *deltaFlag)
-	case *genFlag == "easy":
-		g = deltacoloring.GenEasyCliqueRing(*mFlag, *deltaFlag)
-	case *genFlag == "mixed":
-		g = deltacoloring.GenHardWithEasyPatch(*mFlag, *deltaFlag)
+	case *genFlag != "":
+		g, err = graph.DenseFamily(*genFlag, *mFlag, *deltaFlag, 0)
 	default:
 		return fmt.Errorf("choose -gen hard|easy|mixed or -in FILE")
+	}
+	if err != nil {
+		return err
+	}
+	if closer != nil {
+		defer closer.Close()
 	}
 	fmt.Fprintf(w, "graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDegree())
 
@@ -85,20 +82,27 @@ func run(args []string, w io.Writer) error {
 		}
 		name = *algoFlag
 	}
-	res, rand, err := runBackend(w, g, name, *paperFlag, *seedFlag)
+	b, res, err := runBackend(w, g, name, *paperFlag, *seedFlag)
 	if err != nil {
 		return err
 	}
-	if err := deltacoloring.Verify(g, res.Colors); err != nil {
+	// A backend's results use at most Δ + PaletteSlack colors (greedy is a
+	// Δ+1 coloring); that is the bound verified and printed.
+	k := g.MaxDegree() + b.PaletteSlack
+	if err := deltacoloring.VerifyWithin(g, res.Colors, k); err != nil {
 		return fmt.Errorf("verification failed: %w", err)
 	}
-	fmt.Fprintf(w, "Δ-coloring verified: %d colors, %d LOCAL rounds\n", g.MaxDegree(), res.Rounds)
+	bound := "Δ"
+	if b.PaletteSlack > 0 {
+		bound = fmt.Sprintf("Δ+%d", b.PaletteSlack)
+	}
+	fmt.Fprintf(w, "%s-coloring verified: %d colors, %d LOCAL rounds\n", bound, k, res.Rounds)
 	fmt.Fprintf(w, "cliques: %d total, %d hard, %d easy; triads: %d; G_V degree %d (bound %d)\n",
 		res.Stats.NumCliques, res.Stats.HardCliques, res.Stats.EasyCliques,
 		res.Stats.Triads, res.Stats.PairGraphMaxDeg, g.MaxDegree()-2)
-	if rand != nil {
+	if r := res.Rand; r != nil {
 		fmt.Fprintf(w, "shattering: %d T-nodes kept of %d proposed, %d components (max size %d)\n",
-			rand.Rand.TNodesKept, rand.Rand.TNodesProposed, rand.Rand.Components, rand.Rand.MaxComponent)
+			r.TNodesKept, r.TNodesProposed, r.Components, r.MaxComponent)
 	}
 	fmt.Fprintln(w, "round breakdown:")
 	for _, sp := range res.Spans {
@@ -128,7 +132,7 @@ func run(args []string, w io.Writer) error {
 // runBackend runs the named backend, or the portfolio selector's pick for
 // "auto"; the effective pick is printed either way. Unknown names fail fast
 // listing the table.
-func runBackend(w io.Writer, g *deltacoloring.Graph, name string, paper bool, seed int64) (*deltacoloring.Result, *deltacoloring.RandomizedResult, error) {
+func runBackend(w io.Writer, g *deltacoloring.Graph, name string, paper bool, seed int64) (*backend.Backend, *backend.Result, error) {
 	p := backend.Presets(paper, seed)
 	b, err := backend.Resolve(name, g, p)
 	if err != nil {
@@ -140,21 +144,11 @@ func runBackend(w io.Writer, g *deltacoloring.Graph, name string, paper bool, se
 	} else {
 		fmt.Fprintf(w, "backend: %s\n", b.Name)
 	}
-	bres, err := b.Color(nil, g, p, nil)
+	res, err := b.Color(nil, g, p, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	res := &deltacoloring.Result{
-		Colors:   bres.Colors,
-		Rounds:   bres.Rounds,
-		Spans:    bres.Spans,
-		Frontier: bres.Frontier,
-		Stats:    bres.Stats,
-	}
-	if bres.Rand != nil {
-		return res, &deltacoloring.RandomizedResult{Result: *res, Rand: *bres.Rand}, nil
-	}
-	return res, nil, nil
+	return b, res, nil
 }
 
 func readGraph(path string) (*deltacoloring.Graph, io.Closer, error) {

@@ -109,6 +109,43 @@ func TestRunBackendFlag(t *testing.T) {
 	}
 }
 
+// TestRunVerifiesBackendPalette runs the greedy backend, a Δ+1 coloring, on
+// a 7-cycle: an odd cycle has no 2-coloring, so the run must verify against
+// Δ + PaletteSlack = 3 colors and say so, not fail against Δ.
+func TestRunVerifiesBackendPalette(t *testing.T) {
+	path := writeTemp(t, "7\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 0\n")
+	var sb strings.Builder
+	if err := run([]string{"-in", path, "-backend", "greedy"}, &sb); err != nil {
+		t.Fatalf("-backend greedy on C7: %v", err)
+	}
+	if want := "Δ+1-coloring verified: 3 colors"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("output missing %q:\n%s", want, sb.String())
+	}
+	sb.Reset()
+	if err := run([]string{"-gen", "hard", "-m", "16", "-delta", "16", "-backend", "det"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "Δ-coloring verified: 16 colors"; !strings.Contains(sb.String(), want) {
+		t.Fatalf("output missing %q:\n%s", want, sb.String())
+	}
+}
+
+// TestRunRejectsBadFamilyArgs checks that generator arguments outside a
+// family's domain are an error naming the precondition, not a panic.
+func TestRunRejectsBadFamilyArgs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-gen", "easy", "-m", "3"},
+		{"-gen", "hard", "-m", "4", "-delta", "8"},
+		{"-gen", "mixed", "-m", "8", "-delta", "16"},
+	} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "needs") {
+			t.Fatalf("%v: got %v, want a precondition error", args, err)
+		}
+	}
+}
+
 func writeTemp(t *testing.T, content string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.edges")

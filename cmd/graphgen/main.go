@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime"
 
-	"deltacoloring"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/graphio"
 )
@@ -47,19 +46,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var g *deltacoloring.Graph
+	var g *graph.Graph
 	var err error
 	desc := ""
 	switch *family {
-	case "hard":
-		g = deltacoloring.GenHardCliqueBipartite(*m, *delta)
-		desc = fmt.Sprintf("hard family, m=%d, delta=%d", *m, *delta)
-	case "easy":
-		g = deltacoloring.GenEasyCliqueRing(*m, *delta)
-		desc = fmt.Sprintf("easy family, m=%d, delta=%d", *m, *delta)
-	case "mixed":
-		g = deltacoloring.GenHardWithEasyPatch(*m, *delta)
-		desc = fmt.Sprintf("mixed family, m=%d, delta=%d", *m, *delta)
 	case "regular":
 		g, err = graph.Circulant(*n, *d, *workers)
 		desc = fmt.Sprintf("regular family (circulant), n=%d, d=%d", *n, *d)
@@ -69,6 +59,9 @@ func run(args []string) error {
 		}
 		g, err = graph.EasyCliqueRingStream(*n / *delta, *delta, *workers)
 		desc = fmt.Sprintf("ring family, n=%d, delta=%d", *n, *delta)
+	case "hard", "easy", "mixed":
+		g, err = graph.DenseFamily(*family, *m, *delta, 0)
+		desc = fmt.Sprintf("%s family, m=%d, delta=%d", *family, *m, *delta)
 	default:
 		return fmt.Errorf("unknown family %q", *family)
 	}

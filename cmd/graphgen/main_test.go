@@ -2,6 +2,7 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"deltacoloring/internal/graph"
@@ -69,6 +70,25 @@ func TestRejectsBadScaleArgs(t *testing.T) {
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestRejectsBadDenseFamilyArgs checks that dense-family arguments outside
+// the family's domain, and unknown families, are errors, not panics.
+func TestRejectsBadDenseFamilyArgs(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-family", "hard", "-m", "4", "-delta", "8"}, "gen hard needs 2 <= delta <= m, got m=4 delta=8"},
+		{[]string{"-family", "easy", "-m", "3"}, "gen easy needs m >= 4 and even delta >= 4, got m=3 delta=16"},
+		{[]string{"-family", "mixed", "-m", "8"}, "gen mixed needs m >= max(4, delta) and delta >= 3, got m=8 delta=16"},
+		{[]string{"-family", "nope"}, `unknown family "nope"`},
+	} {
+		err := run(append(tc.args, "-o", filepath.Join(t.TempDir(), "g.edges")))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: got %v, want %q", tc.args, err, tc.want)
 		}
 	}
 }

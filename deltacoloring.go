@@ -125,7 +125,7 @@ type RunOptions struct {
 	// SpanHook, when non-nil, receives each phase span as it closes, even
 	// if the run later fails or is cancelled. See local.Network.SetSpanHook.
 	SpanHook func(Span)
-	// Workers sets the Exchange worker count (0 keeps the default of 1;
+	// Workers sets the engine's worker count (0 keeps the default of 1;
 	// negative picks GOMAXPROCS-style automatic parallelism).
 	Workers int
 }

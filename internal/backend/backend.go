@@ -32,7 +32,7 @@ type Params struct {
 type RunOptions struct {
 	// SpanHook receives each phase span as it closes, even on failure.
 	SpanHook func(local.Span)
-	// Workers sets the Exchange worker count (0 keeps the default of 1).
+	// Workers sets the engine's worker count (0 keeps the default of 1).
 	Workers int
 	// DisableFrontier forces every state-engine round onto the dense path.
 	DisableFrontier bool

@@ -204,59 +204,22 @@ func LoopholeLayered(net *local.Network, maxLayers int) (*coloring.Partial, int,
 		return nil, 0, fmt.Errorf("%w: no loopholes anywhere", ErrStuck)
 	}
 	// Layer and color inward.
-	layer := make([]int, g.N())
-	for v := range layer {
-		layer[v] = -1
-	}
-	var frontier []int
+	var seeds []int
 	for _, l := range anchors {
-		for _, v := range l.Verts {
-			if layer[v] == -1 {
-				layer[v] = 0
-				frontier = append(frontier, v)
-			}
-		}
+		seeds = append(seeds, l.Verts...)
 	}
-	maxLayer := 0
-	for depth := 1; depth <= maxLayers && len(frontier) > 0; depth++ {
-		var next []int
-		for _, v := range frontier {
-			for _, w := range g.Neighbors(v) {
-				if layer[w] == -1 {
-					layer[w] = depth
-					next = append(next, int(w))
-				}
-			}
-		}
-		if len(next) > 0 {
-			maxLayer = depth
-		}
-		frontier = next
-	}
-	for v := range layer {
-		if layer[v] == -1 {
+	ly := listcolor.Layer(g, seeds, func(int) bool { return true }, maxLayers)
+	for v, ok := range ly.Reached {
+		if !ok {
 			return nil, 0, fmt.Errorf("%w: vertex %d beyond %d layers of every loophole", ErrStuck, v, maxLayers)
 		}
 	}
+	maxLayer := len(ly.Layers) - 1
 	net.Charge(maxLayer)
 	// Color each layer with a genuine deg+1-list instance (same substrate
 	// and round accounting as Algorithm 3, so E12's comparison is fair).
-	for depth := maxLayer; depth >= 1; depth-- {
-		inst := listcolor.Instance{Active: make([]bool, g.N()), Lists: make([]coloring.Palette, g.N())}
-		any := false
-		for v := 0; v < g.N(); v++ {
-			if layer[v] == depth {
-				inst.Active[v] = true
-				coloring.AvailableInto(&inst.Lists[v], g, c, v, delta)
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		if err := listcolor.Solve(net, inst, c); err != nil {
-			return nil, 0, fmt.Errorf("%w: layer %d: %v", ErrStuck, depth, err)
-		}
+	if err := ly.ColorOutsideIn(net, 1, delta, c); err != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrStuck, err)
 	}
 	net.Charge(4)
 	for _, l := range anchors {

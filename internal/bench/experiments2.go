@@ -371,8 +371,10 @@ func LogStarDemo(s Scale) (*Table, error) {
 		ns = append(ns, 1<<16, 1<<20)
 	}
 	for _, n := range ns {
-		g := graph.Cycle(n)
-		colors, rounds, err := linial.ColorGraph(g, 3)
+		net := local.New(graph.Cycle(n))
+		colors, err := linial.Color(net, 3)
+		rounds := net.Rounds()
+		net.Close()
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"deltacoloring/internal/coloring"
 	"deltacoloring/internal/graph"
 	"deltacoloring/internal/listcolor"
 	"deltacoloring/internal/loophole"
@@ -20,7 +19,8 @@ import (
 //  3. BFS from the ruling-set loopholes layers the remaining uncolored
 //     vertices (line 4); layers are colored outside-in with one deg+1-list
 //     instance each (lines 5-7) — every vertex has slack from an uncolored
-//     neighbor one layer closer to the loophole.
+//     neighbor one layer closer to the loophole. Both steps are the shared
+//     layered colorer, listcolor.Layer and Layering.ColorOutsideIn.
 //  4. The ruling-set loopholes themselves are colored by brute force
 //     (line 8), which succeeds by their deg-list colorability (Lemma 7).
 type easyColorer struct {
@@ -81,76 +81,31 @@ func (ec *easyColorer) run() error {
 		}
 	}
 
-	// BFS layering from the anchor loopholes over uncolored vertices; each
-	// BFS frontier is one layer, kept as its member list.
+	// BFS layering from the anchor loopholes over uncolored vertices, then
+	// the layers outside-in; every layer-i vertex has an uncolored neighbor
+	// in layer i-1 (its BFS parent), hence slack.
 	done = net.Phase("alg3/layers")
 	defer done()
-	seen := make([]bool, g.N())
-	var frontier []int
+	var seeds []int
 	for _, l := range anchors {
 		for _, v := range l.Verts {
 			if out.Colored(v) {
 				return fmt.Errorf("core: anchor loophole vertex %d already colored", v)
 			}
-			if !seen[v] {
-				seen[v] = true
-				frontier = append(frontier, v)
-			}
+			seeds = append(seeds, v)
 		}
 	}
-	layers := [][]int{frontier}
-	for depth := 1; depth <= hp.p.Layers && len(frontier) > 0; depth++ {
-		var next []int
-		for _, v := range frontier {
-			for _, nw := range g.Neighbors(v) {
-				w := int(nw)
-				if !seen[w] && hp.isActive(w) && !out.Colored(w) {
-					seen[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		if len(next) > 0 {
-			layers = append(layers, next)
-		}
-		frontier = next
-	}
+	ly := listcolor.Layer(g, seeds, func(v int) bool { return hp.isActive(v) && !out.Colored(v) }, hp.p.Layers)
 	net.Charge(hp.p.Layers)
 	for v := 0; v < g.N(); v++ {
-		if hp.isActive(v) && !out.Colored(v) && !seen[v] {
+		if hp.isActive(v) && !out.Colored(v) && !ly.Reached[v] {
 			return fmt.Errorf("core: Lemma 20 coverage violated: uncolored vertex %d beyond %d layers of every anchor loophole",
 				v, hp.p.Layers)
 		}
 	}
-	hp.stats.Layers = len(layers) - 1
-
-	// Color layers outside-in; every layer-i vertex has an uncolored
-	// neighbor in layer i-1 (its BFS parent), hence slack. A layer's plan
-	// (its induced subgraph and Linial slots) depends only on its members,
-	// so the planner makes upcoming layers' plans ahead on other goroutines
-	// when the network has more than one worker, while this goroutine sweeps
-	// the current layer. Only the swept layer's lists are rebuilt, so a
-	// layer costs O(its members + their edges), not O(n).
-	outsideIn := make([][]int, 0, len(layers)-1)
-	for depth := len(layers) - 1; depth >= 1; depth-- {
-		outsideIn = append(outsideIn, layers[depth])
-	}
-	planner := listcolor.NewPlanner(net, outsideIn)
-	defer planner.Close()
-	var slab coloring.ListSlab
-	lists := slab.Take(g.N(), delta)
-	for i, members := range outsideIn {
-		depth := len(layers) - 1 - i
-		for _, v := range members {
-			coloring.AvailableInto(&lists[v], g, out, v, delta)
-		}
-		plan, err := planner.Next()
-		if err == nil {
-			err = plan.Sweep(net, lists, out)
-		}
-		if err != nil {
-			return fmt.Errorf("core: layer %d: %w", depth, err)
-		}
+	hp.stats.Layers = len(ly.Layers) - 1
+	if err := ly.ColorOutsideIn(net, 1, delta, out); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 
 	// Brute-force the anchor loopholes (constant diameter, constant

@@ -133,25 +133,7 @@ func ColorRandomized(net *local.Network, rp RandomizedParams, rng *rand.Rand) (*
 
 	// Happy region: hard vertices within HappyRadius of a kept slack
 	// vertex (colored inward at the end).
-	happy := make([]bool, g.N())
-	frontier := make([]int, 0, len(tnodes.kept))
-	for _, tr := range tnodes.kept {
-		happy[tr.Slack] = true
-		frontier = append(frontier, tr.Slack)
-	}
-	for depth := 1; depth <= rp.HappyRadius; depth++ {
-		var next []int
-		for _, v := range frontier {
-			for _, nw := range g.Neighbors(v) {
-				w := int(nw)
-				if !happy[w] && hardOf[w] >= 0 && !out.Colored(w) {
-					happy[w] = true
-					next = append(next, w)
-				}
-			}
-		}
-		frontier = next
-	}
+	happy := happyLayers(g, out, rp.HappyRadius, tnodes.kept, hardOf).Reached
 
 	// Post-shattering components: uncolored, unhappy hard vertices.
 	inU := func(v int) bool { return hardOf[v] >= 0 && !out.Colored(v) && !happy[v] }
@@ -368,58 +350,29 @@ func spacedTNodes(g *graph.Graph, props []tnodeProposal, spacing int) []Triad {
 	return kept
 }
 
+// happyLayers BFS-layers the uncolored hard vertices within radius of the
+// kept T-nodes' slack vertices; the slack vertices are layer 0.
+func happyLayers(g *graph.Graph, out *coloring.Partial, radius int, kept []Triad, hardOf []int) listcolor.Layering {
+	seeds := make([]int, 0, len(kept))
+	for _, tr := range kept {
+		seeds = append(seeds, tr.Slack)
+	}
+	return listcolor.Layer(g, seeds, func(v int) bool { return hardOf[v] >= 0 && !out.Colored(v) }, radius)
+}
+
 // colorHappyLayers colors the set-aside layers around T-node slack
 // vertices outside-in, then the slack vertices themselves.
 func colorHappyLayers(net *local.Network, g *graph.Graph, out *coloring.Partial,
 	delta, radius int, kept []Triad, hardOf []int) error {
-	layer := make([]int, g.N())
-	for v := range layer {
-		layer[v] = -1
-	}
-	var frontier []int
-	for _, tr := range kept {
-		layer[tr.Slack] = 0
-		frontier = append(frontier, tr.Slack)
-	}
-	maxLayer := 0
-	for depth := 1; depth <= radius && len(frontier) > 0; depth++ {
-		var next []int
-		for _, v := range frontier {
-			for _, nw := range g.Neighbors(v) {
-				w := int(nw)
-				if layer[w] == -1 && hardOf[w] >= 0 && !out.Colored(w) {
-					layer[w] = depth
-					next = append(next, w)
-				}
-			}
-		}
-		if len(next) > 0 {
-			maxLayer = depth
-		}
-		frontier = next
-	}
+	ly := happyLayers(g, out, radius, kept, hardOf)
 	net.Charge(radius)
 	for v := 0; v < g.N(); v++ {
-		if hardOf[v] >= 0 && !out.Colored(v) && layer[v] == -1 {
+		if hardOf[v] >= 0 && !out.Colored(v) && !ly.Reached[v] {
 			return fmt.Errorf("core: uncolored hard vertex %d is neither in a component nor happy", v)
 		}
 	}
-	for depth := maxLayer; depth >= 0; depth-- {
-		inst := listcolor.Instance{Active: make([]bool, g.N()), Lists: make([]coloring.Palette, g.N())}
-		any := false
-		for v := 0; v < g.N(); v++ {
-			if layer[v] == depth && !out.Colored(v) {
-				inst.Active[v] = true
-				coloring.AvailableInto(&inst.Lists[v], g, out, v, delta)
-				any = true
-			}
-		}
-		if !any {
-			continue
-		}
-		if err := listcolor.Solve(net, inst, out); err != nil {
-			return fmt.Errorf("core: happy layer %d: %w", depth, err)
-		}
+	if err := ly.ColorOutsideIn(net, 0, delta, out); err != nil {
+		return fmt.Errorf("core: happy %w", err)
 	}
 	return nil
 }

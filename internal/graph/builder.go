@@ -80,19 +80,7 @@ func (b *Builder) SetID(v int, id uint64) {
 // Build finalizes the graph: counting-sorts the accumulated endpoint pairs
 // into CSR form, deduplicates each adjacency run in place, and validates
 // IDs. The builder must not be reused afterwards.
-func (b *Builder) Build() (*Graph, error) { return b.build(1) }
-
-// BuildParallel is Build with the per-vertex sort/dedup phase fanned out
-// across workers (GOMAXPROCS when workers <= 0). The histogram and scatter
-// passes stay sequential — they are memory-bound and a per-worker histogram
-// would cost workers×n extra space — while the sort phase, which dominates
-// construction CPU at large m, splits into edge-balanced vertex ranges whose
-// runs are disjoint. The output is bit-identical to Build's for any worker
-// count: each run's sorted, deduplicated content is independent of which
-// worker processed it, and the compaction pass is sequential.
-func (b *Builder) BuildParallel(workers int) (*Graph, error) { return b.build(workers) }
-
-func (b *Builder) build(workers int) (*Graph, error) {
+func (b *Builder) Build() (*Graph, error) {
 	if b.seal {
 		return nil, fmt.Errorf("graph: builder reused after Build")
 	}
@@ -123,7 +111,7 @@ func (b *Builder) build(workers int) (*Graph, error) {
 		cursor[v]++
 	}
 	b.pairs = nil
-	edges = sortDedupCompact(offsets, edges, workers)
+	edges = sortDedupCompact(offsets, edges, 1)
 	seen := make(map[uint64]bool, n)
 	for v, id := range b.ids {
 		if seen[id] {
@@ -141,9 +129,12 @@ var parallelBuildMinVertices = 4096
 
 // sortDedupCompact sorts each adjacency run of the scattered CSR, removes
 // duplicates, and compacts the runs left, rewriting offsets to the final
-// layout. With workers > 1 the sort/dedup phase runs on edge-balanced vertex
-// ranges in parallel; each worker writes only inside its own runs, and the
-// sequential compaction makes the result independent of the split.
+// layout. With workers > 1 the sort/dedup phase, which dominates
+// construction CPU at large m, runs on edge-balanced vertex ranges in
+// parallel; each worker writes only inside its own runs, and the sequential
+// compaction makes the result independent of the split. The histogram and
+// scatter passes before it stay sequential: they are memory-bound, and a
+// per-worker histogram would cost workers×n extra space.
 func sortDedupCompact(offsets, edges []int32, workers int) []int32 {
 	n := len(offsets) - 1
 	if workers <= 0 {
@@ -228,7 +219,8 @@ func min64(a, b int64) int64 {
 // twice and must emit the same edges both times (generator families and
 // re-seekable files do this naturally); emit tolerates duplicates and
 // reports out-of-range endpoints and self-loops through Build-style errors.
-// workers parallelizes the sort/dedup phase exactly like BuildParallel.
+// workers fans the per-vertex sort/dedup phase out (GOMAXPROCS when
+// workers <= 0); the output is bit-identical to Build's for any count.
 func FromStream(n int, workers int, stream func(emit func(u, v int)) error) (*Graph, error) {
 	if n < 0 || n > MaxN {
 		return nil, fmt.Errorf("graph: vertex count %d out of range [0, %d]", n, MaxN)

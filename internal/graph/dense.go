@@ -39,6 +39,65 @@ type CliquePartition struct {
 	Cliques [][]int
 }
 
+// DenseFamily builds a dense paper family by name from arguments nobody
+// has checked: "hard" is HardCliqueBipartite(m, delta), "easy"
+// EasyCliqueRing(m, delta) and "mixed" HardWithEasyPatch(m, delta). An
+// unknown family, a graph of more than maxN vertices (when maxN > 0), or
+// arguments outside the family's domain are an error, never a panic; the
+// checks run in that order, and the size check cannot overflow.
+func DenseFamily(family string, m, delta, maxN int) (*Graph, error) {
+	var build func(m, delta int) (*Graph, *CliquePartition)
+	switch family {
+	case "hard":
+		build = HardCliqueBipartite
+	case "easy":
+		build = EasyCliqueRing
+	case "mixed":
+		build = HardWithEasyPatch
+	default:
+		return nil, denseFamilyErr(family, m, delta)
+	}
+	// Cap m and delta individually first so n <= 2*m*delta cannot overflow.
+	if maxN > 0 && (m > maxN || delta > maxN || (m > 0 && delta > 0 && 2*m*delta > maxN)) {
+		return nil, fmt.Errorf("gen %s m=%d delta=%d exceeds the %d-vertex limit", family, m, delta, maxN)
+	}
+	if err := denseFamilyErr(family, m, delta); err != nil {
+		return nil, err
+	}
+	g, _ := build(m, delta)
+	return g, nil
+}
+
+// denseFamilyErr says why (m, delta) is outside the named dense family's
+// domain, or returns nil. It is the one statement of each family's
+// preconditions: DenseFamily returns it and the generators panic with it.
+func denseFamilyErr(family string, m, delta int) error {
+	var ok bool
+	var need string
+	switch family {
+	case "hard":
+		ok, need = delta >= 2 && m >= delta, "2 <= delta <= m"
+	case "easy":
+		ok, need = m >= 4 && delta >= 4 && delta%2 == 0, "m >= 4 and even delta >= 4"
+	case "mixed":
+		ok, need = m >= 4 && delta >= 3 && m >= delta, "m >= max(4, delta) and delta >= 3"
+	default:
+		return fmt.Errorf("unknown gen family %q (want hard, easy, or mixed)", family)
+	}
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("gen %s needs %s, got m=%d delta=%d", family, need, m, delta)
+}
+
+// mustDenseFamily panics when (m, delta) is outside the named family's
+// domain; the generators take trusted arguments.
+func mustDenseFamily(family string, m, delta int) {
+	if err := denseFamilyErr(family, m, delta); err != nil {
+		panic("graph: " + err.Error())
+	}
+}
+
 // HardCliqueBipartite builds a dense graph in which every almost clique is a
 // hard clique. It places 2m cliques of size delta (m per side of a bipartite
 // super-graph) and connects vertex j of left clique i to vertex j of right
@@ -46,9 +105,7 @@ type CliquePartition struct {
 // super-graph. Every vertex has degree exactly delta = Δ. Requires m >= delta
 // >= 2. Total size n = 2*m*delta.
 func HardCliqueBipartite(m, delta int) (*Graph, *CliquePartition) {
-	if delta < 2 || m < delta {
-		panic(fmt.Sprintf("graph: HardCliqueBipartite needs 2 <= delta <= m, got m=%d delta=%d", m, delta))
-	}
+	mustDenseFamily("hard", m, delta)
 	n := 2 * m * delta
 	b := NewBuilder(n)
 	part := &CliquePartition{Member: make([]int, n)}
@@ -81,9 +138,7 @@ func HardCliqueBipartite(m, delta int) (*Graph, *CliquePartition) {
 // each. Adjacent matched pairs create non-clique 4-cycles, so every clique
 // is easy (Definition 8). Requires k >= 4 and even delta >= 4.
 func EasyCliqueRing(k, delta int) (*Graph, *CliquePartition) {
-	if k < 4 || delta < 4 || delta%2 != 0 {
-		panic(fmt.Sprintf("graph: EasyCliqueRing needs k >= 4 and even delta >= 4, got k=%d delta=%d", k, delta))
-	}
+	mustDenseFamily("easy", k, delta)
 	n := k * delta
 	b := NewBuilder(n)
 	part := &CliquePartition{Member: make([]int, n)}
@@ -158,11 +213,9 @@ func EasyDenseBlocks(k, size, spread int) (*Graph, *CliquePartition) {
 // between two other cliques, making those easy as well. The result is a
 // dense graph mixing hard cliques with a few easy ones, where hard cliques
 // adjacent to easy cliques exercise the Type II branch of Lemma 12.
-// Requires m >= 4 and delta >= 3.
+// Requires m >= max(4, delta) and delta >= 3.
 func HardWithEasyPatch(m, delta int) (*Graph, *CliquePartition) {
-	if m < 4 || delta < 3 {
-		panic(fmt.Sprintf("graph: HardWithEasyPatch needs m >= 4, delta >= 3, got m=%d delta=%d", m, delta))
-	}
+	mustDenseFamily("mixed", m, delta)
 	g, part := HardCliqueBipartite(m, delta)
 	right := func(i, slot int) int { return (m+i%m)*delta + slot }
 	left := func(i, slot int) int { return (i%m)*delta + slot }

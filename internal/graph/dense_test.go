@@ -252,3 +252,57 @@ func TestMixedDenseRandomPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	MixedDenseRandom(10, 31, rng)
 }
+
+// TestDenseFamilyChecked pins DenseFamily's error texts (the service answers
+// them verbatim as 400 bodies) and their order: family, then size, then
+// domain. Good arguments build the generator's graph.
+func TestDenseFamilyChecked(t *testing.T) {
+	for _, c := range []struct {
+		family         string
+		m, delta, maxN int
+		want           string
+	}{
+		{"cursed", 4, 16, 100, `unknown gen family "cursed" (want hard, easy, or mixed)`},
+		{"cursed", 1 << 40, 16, 100, `unknown gen family "cursed" (want hard, easy, or mixed)`},
+		{"hard", 99999999, 16, 1000, "gen hard m=99999999 delta=16 exceeds the 1000-vertex limit"},
+		{"easy", 1, 1 << 40, 1000, "gen easy m=1 delta=1099511627776 exceeds the 1000-vertex limit"},
+		{"hard", 4, 8, 0, "gen hard needs 2 <= delta <= m, got m=4 delta=8"},
+		{"easy", 3, 16, 0, "gen easy needs m >= 4 and even delta >= 4, got m=3 delta=16"},
+		{"easy", 4, 5, 0, "gen easy needs m >= 4 and even delta >= 4, got m=4 delta=5"},
+		{"mixed", 8, 16, 0, "gen mixed needs m >= max(4, delta) and delta >= 3, got m=8 delta=16"},
+		{"mixed", 2, 2, 1000, "gen mixed needs m >= max(4, delta) and delta >= 3, got m=2 delta=2"},
+	} {
+		_, err := DenseFamily(c.family, c.m, c.delta, c.maxN)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("DenseFamily(%q, %d, %d, %d) = %v, want %q", c.family, c.m, c.delta, c.maxN, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		family string
+		build  func(m, delta int) (*Graph, *CliquePartition)
+		m      int
+	}{
+		{"hard", HardCliqueBipartite, 16},
+		{"easy", EasyCliqueRing, 6},
+		{"mixed", HardWithEasyPatch, 16},
+	} {
+		g, err := DenseFamily(c.family, c.m, 16, 512)
+		if err != nil {
+			t.Fatalf("%s: %v", c.family, err)
+		}
+		if want, _ := c.build(c.m, 16); EqualCSR(g, want) != nil {
+			t.Errorf("%s: DenseFamily differs from its generator: %v", c.family, EqualCSR(g, want))
+		}
+	}
+	// The generators panic with the same precondition; HardWithEasyPatch
+	// checks m >= delta itself rather than failing inside
+	// HardCliqueBipartite.
+	func() {
+		defer func() {
+			if r := recover(); r != "graph: gen mixed needs m >= max(4, delta) and delta >= 3, got m=8 delta=16" {
+				t.Errorf("HardWithEasyPatch(8, 16) panicked with %v", r)
+			}
+		}()
+		HardWithEasyPatch(8, 16)
+	}()
+}

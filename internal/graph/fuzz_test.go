@@ -95,9 +95,9 @@ func FuzzBuilder(f *testing.F) {
 			}
 		}
 
-		// Bit-identity of the alternative construction paths: BuildParallel
-		// (parallel sort/dedup forced on via the gate) and the streaming
-		// two-pass FromStream must produce byte-for-byte the same CSR.
+		// Bit-identity of the streaming two-pass FromStream, with its
+		// parallel sort/dedup forced on via the gate at every worker count:
+		// it must produce byte-for-byte the same CSR as Build.
 		var wantBuf bytes.Buffer
 		if err := EncodeBinary(&wantBuf, g); err != nil {
 			t.Fatalf("EncodeBinary: %v", err)
@@ -106,41 +106,26 @@ func FuzzBuilder(f *testing.F) {
 		saved := parallelBuildMinVertices
 		parallelBuildMinVertices = 0
 		defer func() { parallelBuildMinVertices = saved }()
-		for _, workers := range []int{2, 3, 8} {
-			pb := NewBuilder(int(n))
-			for i := 0; i+1 < len(raw); i += 2 {
-				pb.AddEdge(int(raw[i]), int(raw[i+1]))
-			}
-			pg, err := pb.BuildParallel(workers)
+		for _, workers := range []int{2, 3, 4, 8} {
+			sg, err := FromStream(int(n), workers, func(emit func(u, v int)) error {
+				for i := 0; i+1 < len(raw); i += 2 {
+					u, v := int(raw[i]), int(raw[i+1])
+					if u < int(n) && v < int(n) && u != v {
+						emit(u, v)
+					}
+				}
+				return nil
+			})
 			if err != nil {
-				t.Fatalf("BuildParallel(%d): %v", workers, err)
+				t.Fatalf("FromStream(%d workers): %v", workers, err)
 			}
 			var got bytes.Buffer
-			if err := EncodeBinary(&got, pg); err != nil {
+			if err := EncodeBinary(&got, sg); err != nil {
 				t.Fatalf("EncodeBinary: %v", err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("BuildParallel(%d) CSR differs from sequential Build", workers)
+				t.Fatalf("FromStream(%d workers) CSR differs from sequential Build", workers)
 			}
-		}
-		sg, err := FromStream(int(n), 4, func(emit func(u, v int)) error {
-			for i := 0; i+1 < len(raw); i += 2 {
-				u, v := int(raw[i]), int(raw[i+1])
-				if u < int(n) && v < int(n) && u != v {
-					emit(u, v)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("FromStream: %v", err)
-		}
-		var got bytes.Buffer
-		if err := EncodeBinary(&got, sg); err != nil {
-			t.Fatalf("EncodeBinary: %v", err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatal("FromStream CSR differs from sequential Build")
 		}
 	})
 }

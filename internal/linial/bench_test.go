@@ -10,7 +10,7 @@ func BenchmarkColorCycle(b *testing.B) {
 	g := graph.Cycle(1 << 12)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ColorGraph(g, 3); err != nil {
+		if _, _, err := colorGraph(g, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -20,7 +20,7 @@ func BenchmarkColorDense(b *testing.B) {
 	g, _ := graph.HardCliqueBipartite(16, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ColorGraph(g, g.MaxDegree()+1); err != nil {
+		if _, _, err := colorGraph(g, g.MaxDegree()+1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/bits"
 
-	"deltacoloring/internal/graph"
 	"deltacoloring/internal/local"
 )
 
@@ -318,12 +317,4 @@ func Reduce(net *local.Network, cur []int, m, target int) ([]int, error) {
 		m = numBlocks * target
 	}
 	return out, nil
-}
-
-// ColorGraph is a convenience wrapper building a throwaway network; it
-// returns the coloring and the number of rounds consumed.
-func ColorGraph(g *graph.Graph, target int) ([]int, int, error) {
-	net := local.New(g)
-	colors, err := Color(net, target)
-	return colors, net.Rounds(), err
 }

@@ -11,6 +11,15 @@ import (
 	"deltacoloring/internal/local"
 )
 
+// colorGraph Linial-colors g on a throwaway network and returns the
+// coloring with the rounds it charged.
+func colorGraph(g *graph.Graph, target int) ([]int, int, error) {
+	net := local.New(g)
+	defer net.Close()
+	colors, err := Color(net, target)
+	return colors, net.Rounds(), err
+}
+
 func properIntColoring(t *testing.T, g *graph.Graph, colors []int, k int) {
 	t.Helper()
 	c := coloring.NewPartial(g.N())
@@ -22,7 +31,7 @@ func properIntColoring(t *testing.T, g *graph.Graph, colors []int, k int) {
 
 func TestColorCycle(t *testing.T) {
 	g := graph.Cycle(101)
-	colors, rounds, err := ColorGraph(g, 3)
+	colors, rounds, err := colorGraph(g, 3)
 	if err != nil {
 		t.Fatalf("ColorGraph: %v", err)
 	}
@@ -51,7 +60,7 @@ func TestColorVariousGraphs(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			k := c.g.MaxDegree() + 1
-			colors, _, err := ColorGraph(c.g, k)
+			colors, _, err := colorGraph(c.g, k)
 			if err != nil {
 				t.Fatalf("ColorGraph: %v", err)
 			}
@@ -63,7 +72,7 @@ func TestColorVariousGraphs(t *testing.T) {
 func TestColorWithPermutedIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := graph.PermuteIDs(graph.Torus(8, 8), rng)
-	colors, _, err := ColorGraph(g, 5)
+	colors, _, err := colorGraph(g, 5)
 	if err != nil {
 		t.Fatalf("ColorGraph: %v", err)
 	}
@@ -72,14 +81,14 @@ func TestColorWithPermutedIDs(t *testing.T) {
 
 func TestColorRejectsTooFewColors(t *testing.T) {
 	g := graph.Complete(4)
-	if _, _, err := ColorGraph(g, 3); err == nil {
+	if _, _, err := colorGraph(g, 3); err == nil {
 		t.Fatal("accepted target < Δ+1")
 	}
 }
 
 func TestColorTargetAboveDeltaPlusOne(t *testing.T) {
 	g := graph.Cycle(33)
-	colors, _, err := ColorGraph(g, 10)
+	colors, _, err := colorGraph(g, 10)
 	if err != nil {
 		t.Fatalf("ColorGraph: %v", err)
 	}
@@ -91,7 +100,7 @@ func TestColorTargetAboveDeltaPlusOne(t *testing.T) {
 func TestColorRoundsSublinear(t *testing.T) {
 	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
 		g := graph.Cycle(n)
-		_, rounds, err := ColorGraph(g, 3)
+		_, rounds, err := colorGraph(g, 3)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -416,7 +425,7 @@ func TestColorProperty(t *testing.T) {
 		n := 4 + rng.Intn(60)
 		g := graph.PermuteIDs(graph.ErdosRenyi(n, 0.15, rng), rng)
 		k := g.MaxDegree() + 1
-		colors, _, err := ColorGraph(g, k)
+		colors, _, err := colorGraph(g, k)
 		if err != nil {
 			return false
 		}

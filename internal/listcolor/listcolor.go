@@ -15,10 +15,16 @@
 // only on which vertices are active; Plan.Sweep checks the lists and sweeps
 // the slot classes, the one sweep body. The slot class is an exact seed
 // (local.ExactSeed): a vertex acts only in its own slot's round. A caller
-// that knows a sequence of instances' active sets in advance, as Algorithm
-// 3 knows its layers, hands them to a Planner (planner.go), which on a
-// network with several workers makes upcoming plans on other goroutines
-// while the caller sweeps.
+// that knows a sequence of instances' active sets in advance, as the
+// layered colorer knows its layers, hands them to a Planner (planner.go),
+// which on a network with several workers makes upcoming plans on other
+// goroutines while the caller sweeps.
+//
+// Layer and Layering.ColorOutsideIn (layers.go) are the repository's one
+// layered colorer: BFS layers grown from a seed set, colored outermost
+// first with one deg+1 instance per layer through a Planner. Algorithm 3's
+// easy-clique layers, Algorithm 4's happy layers around T-nodes and the
+// loophole baseline all run it.
 //
 // GreedyRule (greedy.go) is the repository's one greedy round rule over the
 // same Instance type, with ID-local-max symmetry breaking instead of slots:

@@ -1,7 +1,7 @@
 package local
 
 // Fault injection. The LOCAL engine is fault-free by default; installing a
-// FaultHook on a network makes every subsequent Exchange/Runner.Step round on
+// FaultHook on a network makes every subsequent Runner.Step round on
 // that network consult a per-round fault view before, during, and after the
 // state computation. The hook is deliberately an interface so the engine
 // stays free of any policy: concrete schedules (seeded random plans, scripted
@@ -50,7 +50,7 @@ type RoundFaults interface {
 }
 
 // FaultHook supplies one RoundFaults view per engine round. NextRound is
-// called exactly once at the start of every Exchange/Runner.Step round on
+// called exactly once at the start of every Runner.Step round on
 // the network the hook is installed on, in round order, from the round's
 // calling goroutine; returning nil marks the round fault-free and keeps the
 // engine on its zero-overhead path.

@@ -58,7 +58,7 @@ import (
 // FrontierStats aggregates engine-round accounting across a network tree
 // (shared with Virtual children, like Rounds).
 type FrontierStats struct {
-	// EngineRounds counts state-engine rounds (Exchange, Step, Run, Sweep).
+	// EngineRounds counts state-engine rounds (Step, Run, Sweep).
 	EngineRounds int
 	// SparseRounds counts engine rounds executed on the sparse frontier path.
 	SparseRounds int

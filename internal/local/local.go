@@ -6,14 +6,13 @@
 //
 // # Execution model and round accounting
 //
-// The one engine is Exchange: one call runs one synchronous round in
+// The one engine is the Runner: one Step runs one synchronous round in
 // which every node computes its next state from its own state and the full
 // current states of its neighbors (legitimate in LOCAL because message size
-// is unbounded). Rounds are counted automatically.
-//
-// Multi-round algorithms should hold a Runner, which owns a pair of state
-// buffers and flips them each Step: a whole run then costs one buffer
-// allocation regardless of round count. The state function must be pure —
+// is unbounded). Rounds are counted automatically. A Runner owns a pair of
+// state buffers and flips them each Step, so a whole run costs one buffer
+// allocation regardless of round count; Run and Sweep drive many Steps on
+// an activation frontier (frontier.go). The state function must be pure —
 // it may read any neighbor state of the current round but must not mutate
 // shared structures — which is what makes the result independent of the
 // worker count. SetWorkers enables parallel rounds executed on a persistent
@@ -21,8 +20,8 @@
 // Close releases the pool early, and a finalizer covers networks that are
 // simply dropped.
 //
-// Constant-radius steps that are awkward to phrase as repeated Exchange
-// calls (collecting a radius-r ball and brute-forcing over it, as the paper
+// Constant-radius steps that are awkward to phrase as repeated Steps
+// (collecting a radius-r ball and brute-forcing over it, as the paper
 // does for loopholes and ruling sets) instead call Charge(r) and then read
 // the graph directly. The contract is: any direct read of global structure
 // must be preceded by a Charge covering the radius actually inspected.
@@ -80,7 +79,7 @@ type counter struct {
 
 // workerPool is a persistent chunked executor shared by a network and all
 // its Virtual children: a fixed set of goroutines parked on a job channel,
-// started once and reused by every subsequent Exchange/Runner round
+// started once and reused by every subsequent Runner round
 // instead of spawning fresh goroutines per round.
 type workerPool struct {
 	jobs chan poolJob
@@ -206,7 +205,7 @@ func (n *Network) Close() {
 // Span records the rounds consumed by one named phase, for reporting.
 //
 // Beyond the round total, a span carries frontier-scheduling observability:
-// EngineRounds counts the state-engine rounds (Exchange/Runner) inside the
+// EngineRounds counts the state-engine rounds (Runner steps) inside the
 // phase — Charge-only accounting contributes none — SparseRounds counts how
 // many of those ran on the sparse frontier path, and ActiveVertices /
 // SkippedVertices count the per-vertex state evaluations performed / avoided.
@@ -264,7 +263,7 @@ func (n *Network) Charge(r int) {
 type Interrupt struct{ Err error }
 
 // SetInterrupt installs a check invoked after every Charge (and therefore
-// after every Exchange round and every phase of the pipeline). A non-nil
+// after every engine round and every phase of the pipeline). A non-nil
 // return aborts the run by panicking with Interrupt{err}. The check is
 // shared with all Virtual children and must be fast and safe to call from
 // the algorithm's goroutine; pass nil to remove it.
@@ -341,7 +340,7 @@ func (n *Network) Virtual(vg *graph.Graph, dilation int) *Network {
 		workers: n.workers, noFrontier: n.noFrontier}
 }
 
-// SetWorkers sets the number of goroutines used by Exchange (1 = fully
+// SetWorkers sets the number of goroutines used by Runner rounds (1 = fully
 // sequential). State functions must be pure, so results are identical for
 // any worker count; tests cross-check this.
 func (n *Network) SetWorkers(w int) {
@@ -393,7 +392,7 @@ func (n *Network) Spans() []Span {
 	return out
 }
 
-// Nbrs exposes the neighbor states of one vertex during an Exchange round.
+// Nbrs exposes the neighbor states of one vertex during a Runner round.
 // The neighbor list is captured once per vertex per round, so every access
 // is a single index into the graph's flat CSR edge array.
 type Nbrs[S any] struct {
@@ -508,20 +507,6 @@ func exchangeInto[S any](n *Network, cur, next []S,
 		panic(*ip)
 	}
 	return int(notDone.Load())
-}
-
-// Exchange runs one synchronous round: every vertex v computes
-// f(v, cur[v], neighbors' cur states) into a fresh state slice. One call
-// charges exactly one round. f must be pure (no shared mutation), which
-// also makes parallel execution deterministic.
-//
-// Exchange allocates a new state slice per round; loops that run many
-// rounds should use a Runner, which double-buffers two slices for the whole
-// run.
-func Exchange[S any](n *Network, cur []S, f func(v int, self S, nbrs Nbrs[S]) S) []S {
-	next := make([]S, len(cur))
-	exchangeInto(n, cur, next, f, nil)
-	return next
 }
 
 // Runner owns the double-buffered state of one simulation run: a current

@@ -6,7 +6,13 @@ import (
 	"deltacoloring/internal/graph"
 )
 
-// bfsByExchange computes hop distances from vertex 0 using one Exchange per
+// exchange runs one round of f on a fresh Runner over a copy of cur: the
+// one-shot reference a persistent Runner's Steps must match.
+func exchange(net *Network, cur []int, f func(v int, self int, nbrs Nbrs[int]) int) []int {
+	return NewRunner(net, append([]int(nil), cur...)).Step(f)
+}
+
+// bfsByExchange computes hop distances from vertex 0 using one round per
 // BFS level; it doubles as the canonical example of the state engine.
 func bfsByExchange(net *Network, diamBound int) []int {
 	g := net.Graph()
@@ -16,7 +22,7 @@ func bfsByExchange(net *Network, diamBound int) []int {
 	}
 	dist[0] = 0
 	for r := 0; r < diamBound; r++ {
-		dist = Exchange(net, dist, func(v int, self int, nbrs Nbrs[int]) int {
+		dist = exchange(net, dist, func(v int, self int, nbrs Nbrs[int]) int {
 			if self >= 0 {
 				return self
 			}
@@ -81,9 +87,8 @@ func TestChargeAndVirtualDilation(t *testing.T) {
 	if net.Rounds() != 11+8 {
 		t.Fatalf("rounds = %d, want 19", net.Rounds())
 	}
-	// Exchange on a virtual network charges dilation rounds.
-	st := make([]int, vg.N())
-	Exchange(vnet, st, func(v int, s int, nb Nbrs[int]) int { return s })
+	// A round on a virtual network charges dilation rounds.
+	exchange(vnet, make([]int, vg.N()), func(v int, s int, nb Nbrs[int]) int { return s })
 	if net.Rounds() != 19+4 {
 		t.Fatalf("rounds = %d, want 23", net.Rounds())
 	}

@@ -11,9 +11,10 @@ import (
 	"deltacoloring/internal/graph"
 )
 
-// TestRunnerMatchesExchange pins the Runner's contract against the
-// one-shot Exchange: stepping the same pure function must produce the same
-// states, and States must always expose the latest buffer.
+// TestRunnerMatchesExchange pins the Runner's contract against one-shot
+// rounds on fresh runners (exchange): stepping the same pure function on the
+// flipped buffers must produce the same states, and States must always
+// expose the latest buffer.
 func TestRunnerMatchesExchange(t *testing.T) {
 	g := graph.Torus(10, 10)
 	inc := func(v int, self int, nbrs Nbrs[int]) int {
@@ -28,7 +29,7 @@ func TestRunnerMatchesExchange(t *testing.T) {
 	want := make([]int, g.N())
 	netA := New(g)
 	for r := 0; r < 5; r++ {
-		want = Exchange(netA, want, inc)
+		want = exchange(netA, want, inc)
 	}
 	netB := New(g)
 	run := NewRunner(netB, make([]int, g.N()))
@@ -56,11 +57,11 @@ func TestNetworkCloseThenReuse(t *testing.T) {
 	g := graph.Torus(20, 20) // >= parallelThreshold vertices
 	net := New(g)
 	net.SetWorkers(4)
-	st := Exchange(net, make([]int, g.N()), func(v int, self int, nbrs Nbrs[int]) int {
+	st := exchange(net, make([]int, g.N()), func(v int, self int, nbrs Nbrs[int]) int {
 		return self + 1
 	})
 	net.Close()
-	st = Exchange(net, st, func(v int, self int, nbrs Nbrs[int]) int {
+	st = exchange(net, st, func(v int, self int, nbrs Nbrs[int]) int {
 		return self + 1
 	})
 	for v, s := range st {

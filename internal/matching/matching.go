@@ -1,11 +1,10 @@
 // Package matching implements deterministic maximal matching in the LOCAL
 // model, the Step-1 substrate of the paper's Algorithm 2.
 //
-// The algorithm is the classic reduction to coloring: Linial-color the line
-// graph of the (sub-)edge set with Δ_L+1 colors (Δ_L <= 2Δ-2), then sweep
-// the color classes; all edges of one class are pairwise non-adjacent and
-// may join the matching simultaneously unless an incident edge already
-// joined. Total cost O(log* n + Δ log Δ) rounds — for constant Δ this
+// A maximal matching is a maximal independent set of the line graph, so
+// MaximalOn runs rulingset.MIS on the line graph of the (sub-)edge set:
+// Linial-color it with Δ_L+1 colors (Δ_L <= 2Δ-2), then sweep the color
+// classes. Total cost O(log* n + Δ log Δ) rounds — for constant Δ this
 // matches the O(Δ + log* n) bound the paper cites from [PR01, MT20] up to
 // the Δ-dependence (see DESIGN.md, substitutions).
 //
@@ -17,8 +16,8 @@ import (
 	"fmt"
 
 	"deltacoloring/internal/graph"
-	"deltacoloring/internal/linial"
 	"deltacoloring/internal/local"
+	"deltacoloring/internal/rulingset"
 )
 
 // Maximal computes a maximal matching of the whole graph.
@@ -40,53 +39,13 @@ func MaximalOn(net *local.Network, edges []graph.Edge) ([]graph.Edge, error) {
 		return nil, fmt.Errorf("matching: %w", err)
 	}
 	lg, lineEdges := graph.LineGraph(sub)
-	lnet := net.Virtual(lg, 2)
-	colors, err := linial.Color(lnet, lg.MaxDegree()+1)
+	in, err := rulingset.MIS(net.Virtual(lg, 2))
 	if err != nil {
-		return nil, fmt.Errorf("matching: line-graph coloring: %w", err)
+		return nil, fmt.Errorf("matching: line graph: %w", err)
 	}
-
-	type state struct {
-		color   int
-		in      bool
-		blocked bool
-	}
-	st := make([]state, lg.N())
-	for i := range st {
-		st[i] = state{color: colors[i]}
-	}
-	// Sweep the color classes frontier-scheduled: a vertex's output changes
-	// for non-neighborhood reasons only in its own class's round (the seed),
-	// and otherwise only when an incident edge joined (a neighbor state
-	// change the frontier tracks).
-	classes := lg.MaxDegree() + 1
-	buckets := make([][]int32, classes)
-	for i, c := range colors {
-		buckets[c] = append(buckets[c], int32(i))
-	}
-	run := local.NewRunner(lnet, st)
-	st = run.Sweep(classes, local.ReactiveSeed, func(c int, mark func(int)) {
-		for _, v := range buckets[c] {
-			mark(int(v))
-		}
-	}, func(c, v int, self state, nbrs local.Nbrs[state]) state {
-		if self.in || self.blocked {
-			return self
-		}
-		for i := 0; i < nbrs.Len(); i++ {
-			if nbrs.State(i).in {
-				self.blocked = true
-				return self
-			}
-		}
-		if self.color == c {
-			self.in = true
-		}
-		return self
-	})
 	var out []graph.Edge
-	for i := range st {
-		if st[i].in {
+	for i, ok := range in {
+		if ok {
 			out = append(out, lineEdges[i])
 		}
 	}

@@ -83,7 +83,7 @@ func Detect(net *local.Network, colors []int, numColors int) ([]int, error) {
 	for v, c := range colors {
 		init[v] = detectState{color: c}
 	}
-	st := local.Exchange(net, init, func(v int, self detectState, nbrs local.Nbrs[detectState]) detectState {
+	st := local.NewRunner(net, init).Step(func(v int, self detectState, nbrs local.Nbrs[detectState]) detectState {
 		if self.color == coloring.None || self.color < 0 || self.color >= numColors {
 			self.bad = true
 			return self

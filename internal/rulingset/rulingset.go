@@ -6,7 +6,9 @@
 // each class is an independent set, so all its vertices can join the MIS
 // simultaneously unless a neighbor already joined. Ruling sets are MIS on
 // the r-th power graph, executed as a virtual network with dilation r
-// (simulating one power-graph round costs r real rounds).
+// (simulating one power-graph round costs r real rounds), and a maximal
+// matching is MIS on the line graph (package matching): MIS holds the
+// repository's one MIS class sweep.
 //
 // The paper consumes ruling sets through Lemma 19 ([Mau21, SEW13],
 // O(Δ^{2/(r+2)} + log* n) rounds). Our MIS-on-power-graph substitution has a

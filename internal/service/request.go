@@ -236,7 +236,9 @@ func buildGraph(req *ColorRequest, maxN int, graphDir string) (*graph.Graph, err
 		}
 		return b.Build()
 	case req.Gen != nil:
-		return buildGen(req.Gen, maxN)
+		// DenseFamily turns every bad argument into an error: the service
+		// promises 400s, not panics.
+		return graph.DenseFamily(req.Gen.Family, req.Gen.M, req.Gen.Delta, maxN)
 	}
 	return nil, fmt.Errorf("no graph source")
 }
@@ -263,41 +265,6 @@ func loadStagedGraph(name, dir string, maxN int) (*graph.Graph, error) {
 		return nil, fmt.Errorf("file %q has n=%d, above the %d-vertex limit", name, g.N(), maxN)
 	}
 	return g, nil
-}
-
-// buildGen validates a generator spec upfront: the graph constructors panic
-// on out-of-range arguments, and the service promises 400s instead.
-func buildGen(spec *GenSpec, maxN int) (*graph.Graph, error) {
-	switch spec.Family {
-	case "hard", "easy", "mixed":
-	default:
-		return nil, fmt.Errorf("unknown gen family %q (want hard, easy, or mixed)", spec.Family)
-	}
-	// Cap m and delta individually first so n = 2*m*delta cannot overflow
-	// (maxN is far below sqrt(MaxInt)).
-	if spec.M > maxN || spec.Delta > maxN || (spec.M > 0 && spec.Delta > 0 && 2*spec.M*spec.Delta > maxN) {
-		return nil, fmt.Errorf("gen %s m=%d delta=%d exceeds the %d-vertex limit", spec.Family, spec.M, spec.Delta, maxN)
-	}
-	switch spec.Family {
-	case "hard":
-		if spec.Delta < 2 || spec.M < spec.Delta {
-			return nil, fmt.Errorf("gen hard needs 2 <= delta <= m, got m=%d delta=%d", spec.M, spec.Delta)
-		}
-		g, _ := graph.HardCliqueBipartite(spec.M, spec.Delta)
-		return g, nil
-	case "easy":
-		if spec.M < 4 || spec.Delta < 4 || spec.Delta%2 != 0 {
-			return nil, fmt.Errorf("gen easy needs m >= 4 and even delta >= 4, got m=%d delta=%d", spec.M, spec.Delta)
-		}
-		g, _ := graph.EasyCliqueRing(spec.M, spec.Delta)
-		return g, nil
-	default: // mixed
-		if spec.M < 4 || spec.Delta < 3 || spec.M < spec.Delta {
-			return nil, fmt.Errorf("gen mixed needs m >= max(4, delta) and delta >= 3, got m=%d delta=%d", spec.M, spec.Delta)
-		}
-		g, _ := graph.HardWithEasyPatch(spec.M, spec.Delta)
-		return g, nil
-	}
 }
 
 // cacheKey derives the canonical result-cache key: the graph's structural
