@@ -435,8 +435,8 @@ func TestDeterministicMixedDenseRandom(t *testing.T) {
 	}
 }
 
-// The whole pipeline must be bit-identical under parallel Exchange
-// execution (state functions are pure; this pins that contract).
+// The whole pipeline must be bit-identical under parallel engine rounds
+// (state functions are pure; this pins that contract).
 func TestDeterministicParallelWorkersIdentical(t *testing.T) {
 	g, _ := graph.HardWithEasyPatch(16, 16)
 	seqNet := local.New(g)

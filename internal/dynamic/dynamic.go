@@ -52,8 +52,8 @@ type Options struct {
 	// skips straight to a full recompute. 0 means the default of 0.25;
 	// negative disables incremental maintenance entirely.
 	FallbackDirtyFraction float64
-	// Workers sets the maintenance networks' Exchange worker count
-	// (0 keeps the engine default of 1).
+	// Workers sets the maintenance networks' engine worker count
+	// (local.Network.SetWorkers; 0 keeps the engine default of 1).
 	Workers int
 	// NetHook, when non-nil, runs on every maintenance network before any
 	// rounds execute. It is the chaos and conformance seam: tests install

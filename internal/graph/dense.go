@@ -98,6 +98,35 @@ func mustDenseFamily(family string, m, delta int) {
 	}
 }
 
+// emitCliques emits the edges of k disjoint copies of K_size, clique c on
+// the vertices [c*size, (c+1)*size). Every clique-built generator starts
+// from it; cliquePartition is the matching partition.
+func emitCliques(k, size int, emit func(u, v int)) {
+	for c := 0; c < k; c++ {
+		base := c * size
+		for u := 0; u < size; u++ {
+			for v := u + 1; v < size; v++ {
+				emit(base+u, base+v)
+			}
+		}
+	}
+}
+
+// cliquePartition returns the partition of k*size vertices into the k
+// cliques emitCliques lays out.
+func cliquePartition(k, size int) *CliquePartition {
+	part := &CliquePartition{Member: make([]int, k*size), Cliques: make([][]int, k)}
+	for c := range part.Cliques {
+		members := make([]int, size)
+		for u := range members {
+			members[u] = c*size + u
+			part.Member[c*size+u] = c
+		}
+		part.Cliques[c] = members
+	}
+	return part
+}
+
 // HardCliqueBipartite builds a dense graph in which every almost clique is a
 // hard clique. It places 2m cliques of size delta (m per side of a bipartite
 // super-graph) and connects vertex j of left clique i to vertex j of right
@@ -106,23 +135,10 @@ func mustDenseFamily(family string, m, delta int) {
 // >= 2. Total size n = 2*m*delta.
 func HardCliqueBipartite(m, delta int) (*Graph, *CliquePartition) {
 	mustDenseFamily("hard", m, delta)
-	n := 2 * m * delta
-	b := NewBuilder(n)
-	part := &CliquePartition{Member: make([]int, n)}
 	// Clique c occupies [c*delta, (c+1)*delta). Left cliques are 0..m-1,
 	// right cliques m..2m-1.
-	for c := 0; c < 2*m; c++ {
-		base := c * delta
-		members := make([]int, delta)
-		for u := 0; u < delta; u++ {
-			members[u] = base + u
-			part.Member[base+u] = c
-			for v := u + 1; v < delta; v++ {
-				b.AddEdge(base+u, base+v)
-			}
-		}
-		part.Cliques = append(part.Cliques, members)
-	}
+	b := NewBuilder(2 * m * delta)
+	emitCliques(2*m, delta, b.AddEdge)
 	for i := 0; i < m; i++ {
 		for j := 0; j < delta; j++ {
 			left := i*delta + j
@@ -130,40 +146,21 @@ func HardCliqueBipartite(m, delta int) (*Graph, *CliquePartition) {
 			b.AddEdge(left, right)
 		}
 	}
-	return b.MustBuild(), part
+	return b.MustBuild(), cliquePartition(2*m, delta)
 }
 
 // EasyCliqueRing builds a ring of k cliques of size delta where each clique
 // is matched to its two ring neighbors with delta/2 parallel matching edges
 // each. Adjacent matched pairs create non-clique 4-cycles, so every clique
-// is easy (Definition 8). Requires k >= 4 and even delta >= 4.
+// is easy (Definition 8). Requires k >= 4 and even delta >= 4. The edges are
+// EasyCliqueRingStream's, on one worker.
 func EasyCliqueRing(k, delta int) (*Graph, *CliquePartition) {
 	mustDenseFamily("easy", k, delta)
-	n := k * delta
-	b := NewBuilder(n)
-	part := &CliquePartition{Member: make([]int, n)}
-	for c := 0; c < k; c++ {
-		base := c * delta
-		members := make([]int, delta)
-		for u := 0; u < delta; u++ {
-			members[u] = base + u
-			part.Member[base+u] = c
-			for v := u + 1; v < delta; v++ {
-				b.AddEdge(base+u, base+v)
-			}
-		}
-		part.Cliques = append(part.Cliques, members)
+	g, err := EasyCliqueRingStream(k, delta, 1)
+	if err != nil {
+		panic(err)
 	}
-	// Vertices 0..delta/2-1 of clique c match to vertices delta/2..delta-1
-	// of clique (c+1) mod k.
-	half := delta / 2
-	for c := 0; c < k; c++ {
-		next := (c + 1) % k
-		for j := 0; j < half; j++ {
-			b.AddEdge(c*delta+j, next*delta+half+j)
-		}
-	}
-	return b.MustBuild(), part
+	return g, cliquePartition(k, delta)
 }
 
 // EasyDenseBlocks builds a dense graph of k cliques of size `size` where
@@ -177,21 +174,8 @@ func EasyDenseBlocks(k, size, spread int) (*Graph, *CliquePartition) {
 	if spread < 1 || k <= 2*spread || size <= 2*spread {
 		panic(fmt.Sprintf("graph: EasyDenseBlocks needs k > 2*spread >= 2 and size > 2*spread, got k=%d size=%d spread=%d", k, size, spread))
 	}
-	n := k * size
-	b := NewBuilder(n)
-	part := &CliquePartition{Member: make([]int, n)}
-	for c := 0; c < k; c++ {
-		base := c * size
-		members := make([]int, size)
-		for u := 0; u < size; u++ {
-			members[u] = base + u
-			part.Member[base+u] = c
-			for v := u + 1; v < size; v++ {
-				b.AddEdge(base+u, base+v)
-			}
-		}
-		part.Cliques = append(part.Cliques, members)
-	}
+	b := NewBuilder(k * size)
+	emitCliques(k, size, b.AddEdge)
 	for c := 0; c < k; c++ {
 		for s := 1; s <= spread; s++ {
 			next := (c + s) % k
@@ -202,7 +186,7 @@ func EasyDenseBlocks(k, size, spread int) (*Graph, *CliquePartition) {
 			}
 		}
 	}
-	return b.MustBuild(), part
+	return b.MustBuild(), cliquePartition(k, size)
 }
 
 // HardWithEasyPatch builds HardCliqueBipartite(m, delta) and rewires two
@@ -223,22 +207,16 @@ func HardWithEasyPatch(m, delta int) (*Graph, *CliquePartition) {
 	// L_{m-1} slot1 (since L_{m-1}+1 = R0 at slot 1).
 	v1, x := left(0, 1), right(1, 1)
 	y, w1 := left(m-1, 1), right(0, 1)
-	g = RemoveEdges(g, []Edge{{U: v1, V: x}, {U: y, V: w1}})
-	b := NewBuilder(g.N())
-	for v := 0; v < g.N(); v++ {
-		b.SetID(v, g.ID(v))
-		for _, w := range g.Neighbors(v) {
-			if v < int(w) {
-				b.AddEdge(v, int(w))
-			}
-		}
-	}
 	// New edges: v1-w1 doubles the L0-R0 connection (4-cycle with the slot-0
 	// edge), x-y doubles the L_{m-1}-R1 connection (slot 2 already joins
-	// them).
-	b.AddEdge(v1, w1)
-	b.AddEdge(x, y)
-	return b.MustBuild(), part
+	// them). ApplyEdits is strict: both removed edges must be present and
+	// both added edges absent.
+	g, err := ApplyEdits(g, g.N(), []Edge{{U: v1, V: w1}, {U: x, V: y}},
+		[]Edge{{U: v1, V: x}, {U: y, V: w1}})
+	if err != nil {
+		panic(err)
+	}
+	return g, part
 }
 
 // MixedDenseRandom builds a dense graph of k cliques of size `size` where
@@ -269,19 +247,8 @@ func MixedDenseRandom(k, size int, rng *rand.Rand) (*Graph, *CliquePartition) {
 
 func tryMixedDense(k, size, n int, rng *rand.Rand) (*Graph, *CliquePartition, bool) {
 	b := NewBuilder(n)
-	part := &CliquePartition{Member: make([]int, n)}
-	for c := 0; c < k; c++ {
-		base := c * size
-		members := make([]int, size)
-		for u := 0; u < size; u++ {
-			members[u] = base + u
-			part.Member[base+u] = c
-			for v := u + 1; v < size; v++ {
-				b.AddEdge(base+u, base+v)
-			}
-		}
-		part.Cliques = append(part.Cliques, members)
-	}
+	emitCliques(k, size, b.AddEdge)
+	part := cliquePartition(k, size)
 	// Two external slots per vertex, paired randomly under the constraints.
 	slots := make([]int, 0, 2*n)
 	for v := 0; v < n; v++ {

@@ -2,11 +2,11 @@ package graph
 
 import "fmt"
 
-// Streamed scale families. The dense generators in dense.go accumulate an
-// edge-pair slice in a Builder, which doubles the peak memory of a build; at
-// n = 10⁷ that is gigabytes of transient garbage. The constructors here emit
-// the same families through FromStream, so building touches only the final
-// CSR arrays: the two-pass counting build is the whole allocation story.
+// Streamed scale families. A Builder accumulates an edge-pair slice, which
+// doubles the peak memory of a build; at n = 10⁷ that is gigabytes of
+// transient garbage. The constructors here emit their families straight
+// through FromStream, so building touches only the final CSR arrays: the
+// two-pass counting build is the whole allocation story.
 
 // Circulant builds the circulant graph C_n(1, …, d/2): vertex v is adjacent
 // to v±s mod n for s = 1..d/2 — connected and d-regular for n > d and even
@@ -27,11 +27,11 @@ func Circulant(n, d, workers int) (*Graph, error) {
 	})
 }
 
-// EasyCliqueRingStream builds the same graph as EasyCliqueRing — identical
-// edge set and vertex numbering — through the streaming CSR path, so the
-// dense ring family scales to k·delta = 10⁷ vertices without the Builder's
-// pair slice. TestEasyCliqueRingStreamMatchesBuilder pins the byte-identity
-// with the Builder construction. Requires k >= 4 and even delta >= 4.
+// EasyCliqueRingStream builds EasyCliqueRing's graph through the streaming
+// CSR path, so the dense ring family scales to k·delta = 10⁷ vertices
+// without a Builder's pair slice; EasyCliqueRing is this on one worker plus
+// the clique partition. TestEasyCliqueRingStreamMatchesBuilder pins the
+// byte-identity across worker counts. Requires k >= 4 and even delta >= 4.
 func EasyCliqueRingStream(k, delta, workers int) (*Graph, error) {
 	if k < 4 || delta < 4 || delta%2 != 0 {
 		return nil, fmt.Errorf("graph: EasyCliqueRingStream needs k >= 4 and even delta >= 4, got k=%d delta=%d", k, delta)
@@ -39,17 +39,13 @@ func EasyCliqueRingStream(k, delta, workers int) (*Graph, error) {
 	n := k * delta
 	half := delta / 2
 	return FromStream(n, workers, func(emit func(u, v int)) error {
+		emitCliques(k, delta, emit)
+		// Vertices 0..delta/2-1 of clique c match to vertices
+		// delta/2..delta-1 of clique (c+1) mod k.
 		for c := 0; c < k; c++ {
-			base := c * delta
-			for u := 0; u < delta; u++ {
-				for v := u + 1; v < delta; v++ {
-					emit(base+u, base+v)
-				}
-			}
-			// Matching to the next ring clique, as in EasyCliqueRing.
 			next := (c + 1) % k
 			for j := 0; j < half; j++ {
-				emit(base+j, next*delta+half+j)
+				emit(c*delta+j, next*delta+half+j)
 			}
 		}
 		return nil

@@ -40,10 +40,10 @@ func TestCirculantShape(t *testing.T) {
 	}
 }
 
-// TestEasyCliqueRingStreamMatchesBuilder pins the streamed ring family to
-// the Builder construction byte for byte — same edge set, same vertex
-// numbering, same IDs — so scale runs exercise exactly the dense family the
-// rest of the suite validates.
+// TestEasyCliqueRingStreamMatchesBuilder pins the streamed ring family at
+// three workers to EasyCliqueRing (one worker) byte for byte — same edge
+// set, same vertex numbering, same IDs — so scale runs exercise exactly the
+// dense family the rest of the suite validates.
 func TestEasyCliqueRingStreamMatchesBuilder(t *testing.T) {
 	for _, tc := range []struct{ k, delta int }{{4, 4}, {7, 6}, {16, 16}} {
 		want, _ := EasyCliqueRing(tc.k, tc.delta)

@@ -237,14 +237,7 @@ func RegularBipartiteCirculant(m, d int, shifts ...int) *Graph {
 // generator exercises that degenerate case.
 func DisjointCliques(k, size int) *Graph {
 	b := NewBuilder(k * size)
-	for c := 0; c < k; c++ {
-		base := c * size
-		for u := 0; u < size; u++ {
-			for v := u + 1; v < size; v++ {
-				b.AddEdge(base+u, base+v)
-			}
-		}
-	}
+	emitCliques(k, size, b.AddEdge)
 	return b.MustBuild()
 }
 

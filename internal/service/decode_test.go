@@ -51,6 +51,32 @@ func TestParseRequestParity(t *testing.T) {
 	}
 }
 
+// TestGraphCreateSourceRule pins POST /v1/graphs to the graph-source rule
+// /v1/color answers in TestParseRequestParity: a body naming two sources,
+// or none, gets the same 400 text.
+func TestGraphCreateSourceRule(t *testing.T) {
+	_, cl, _ := newTestServer(t, Config{Workers: 1})
+	const want = `{"state":"failed","error":"exactly one of edge_list, graph, gen, or file is required"}` + "\n"
+	for _, body := range []string{
+		`{"graph":{"n":2,"edges":[[0,1]]},"gen":{"family":"hard","m":16,"delta":16}}`,
+		`{"edge_list":"2 1\n0 1\n","file":"ring.dcsr"}`,
+		`{}`,
+	} {
+		resp, err := http.Post(cl.BaseURL+"/v1/graphs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || string(got) != want {
+			t.Errorf("%s: %d %s, want 400 %s", body, resp.StatusCode, got, want)
+		}
+	}
+}
+
 // TestScanMarshaledStrings checks that the scanner, not the declined path,
 // takes the escapes json.Marshal writes into an ASCII edge list.
 func TestScanMarshaledStrings(t *testing.T) {

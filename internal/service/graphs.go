@@ -273,14 +273,8 @@ func (s *Server) handleGraphCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cr := &ColorRequest{EdgeList: req.EdgeList, Graph: req.Graph, Gen: req.Gen, File: req.File}
-	sources := 0
-	for _, set := range []bool{req.EdgeList != "", req.Graph != nil, req.Gen != nil, req.File != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		writeError(w, http.StatusBadRequest, "exactly one of edge_list, graph, gen, or file is required")
+	if err := checkGraphSource(cr); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Backend != "" {

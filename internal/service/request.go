@@ -168,6 +168,15 @@ func parseRequest(r io.Reader) (*ColorRequest, error) {
 	if err := validateShardCombo(req); err != nil {
 		return nil, err
 	}
+	if err := checkGraphSource(req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// checkGraphSource is the one graph-source rule of /v1/color and
+// POST /v1/graphs: a request names exactly one of its four sources.
+func checkGraphSource(req *ColorRequest) error {
 	sources := 0
 	for _, set := range []bool{req.EdgeList != "", req.Graph != nil, req.Gen != nil, req.File != ""} {
 		if set {
@@ -175,9 +184,9 @@ func parseRequest(r io.Reader) (*ColorRequest, error) {
 		}
 	}
 	if sources != 1 {
-		return nil, fmt.Errorf("exactly one of edge_list, graph, gen, or file is required")
+		return fmt.Errorf("exactly one of edge_list, graph, gen, or file is required")
 	}
-	return req, nil
+	return nil
 }
 
 // validateBackendName accepts the empty string (defer to Algo), "auto"
