@@ -81,7 +81,9 @@ var ErrNoCheckpoint = errors.New("durable: no valid checkpoint")
 // ReadCheckpoint loads and validates dir's snapshot. A missing, truncated,
 // or checksum-failing file returns ErrNoCheckpoint (wrapped with detail):
 // checkpoints are written atomically, so any damage means the directory
-// never finished initializing and holds no recoverable state.
+// never finished initializing and holds no recoverable state. A checkpoint
+// of another format version is not damage: its error names both versions,
+// and nothing in the directory is touched.
 func ReadCheckpoint(dir string) (dynamic.State, error) {
 	var st dynamic.State
 	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
@@ -90,6 +92,9 @@ func ReadCheckpoint(dir string) (dynamic.State, error) {
 	}
 	if err != nil {
 		return st, fmt.Errorf("durable: read checkpoint: %w", err)
+	}
+	if len(data) >= len(ckptMagic) && string(data[:5]) == string(ckptMagic[:5]) && data[5] != ckptVersion {
+		return st, fmt.Errorf("durable: checkpoint format version %d, this build reads version %d", data[5], ckptVersion)
 	}
 	if len(data) < len(ckptMagic)+12 || string(data[:len(ckptMagic)]) != string(ckptMagic) {
 		return st, fmt.Errorf("%w: bad header", ErrNoCheckpoint)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -618,5 +619,38 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 		if _, err := ReadCheckpoint(dir); !errors.Is(err, ErrNoCheckpoint) {
 			t.Fatalf("corrupt checkpoint accepted: %v", err)
 		}
+	}
+}
+
+// TestOlderCheckpointVersionRefused: a checkpoint of format version 1 (the
+// graph image without its DCSRv1 magic and pad) is refused by an error
+// naming both versions, by Recover and Verify alike, and the directory is
+// left byte for byte as it was.
+func TestOlderCheckpointVersionRefused(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "g1")
+	s := newStore(t, dir, 25, Config{Fsync: FsyncOff, CheckpointEvery: -1})
+	applyN(t, s, rand.New(rand.NewSource(26)), 3)
+	crash(s)
+	ckpt := filepath.Join(dir, checkpointFile)
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[5] = 1
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	walBefore, _ := os.ReadFile(filepath.Join(dir, walFile))
+	const want = "checkpoint format version 1, this build reads version 2"
+	if _, _, err := Recover(dir, Config{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Recover: err = %v, want %q", err, want)
+	}
+	if _, err := Verify(dir, Config{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Verify: err = %v, want %q", err, want)
+	}
+	ckptAfter, _ := os.ReadFile(ckpt)
+	walAfter, _ := os.ReadFile(filepath.Join(dir, walFile))
+	if !bytes.Equal(ckptAfter, data) || !bytes.Equal(walAfter, walBefore) {
+		t.Fatal("a refused checkpoint's directory changed")
 	}
 }

@@ -62,9 +62,14 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return "", fmt.Errorf("durable: unknown fsync policy %q (want always, interval, or off)", s)
 }
 
+// ckptVersion is the checkpoint format's version, byte 5 of ckptMagic.
+// Version 2 embeds the DCSRv1 graph image; version 1 had a magic-less
+// layout of the same arrays.
+const ckptVersion = 2
+
 var (
 	walMagic  = []byte("DWAL\x00\x01\x00\x00")
-	ckptMagic = []byte("DCKP\x00\x01\x00\x00")
+	ckptMagic = []byte{'D', 'C', 'K', 'P', 0, ckptVersion, 0, 0}
 	castTable = crc32.MakeTable(crc32.Castagnoli)
 )
 

@@ -12,8 +12,8 @@ import (
 
 // ErrTooManyEdges reports an edge set whose directed arc count (2m plus
 // duplicates) would overflow the int32 CSR offset space. Builders and the
-// streaming constructor surface it instead of silently mis-building; the
-// binary loader in internal/graphio wraps it for oversized headers.
+// streaming constructor surface it instead of silently mis-building, and
+// the DCSRv1 readers wrap it for an oversized header.
 var ErrTooManyEdges = errors.New("graph: edge count overflows int32 CSR offsets")
 
 // Builder accumulates edges and produces an immutable Graph. Duplicate edge
@@ -100,12 +100,8 @@ func (b *Builder) Build() (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[uint64]bool, b.n)
-	for v, id := range b.ids {
-		if seen[id] {
-			return nil, fmt.Errorf("graph: duplicate ID %d (vertex %d)", id, v)
-		}
-		seen[id] = true
+	if err := uniqueIDs(b.ids); err != nil {
+		return nil, err
 	}
 	g.ids = b.ids
 	return g, nil

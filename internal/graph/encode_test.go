@@ -31,8 +31,8 @@ func TestEncodeBinaryRoundTrip(t *testing.T) {
 		if err := EncodeBinary(&buf, g); err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
-		if buf.Len() != encodeBinarySize(g) {
-			t.Fatalf("%s: encoded %d bytes, size hint %d", name, buf.Len(), encodeBinarySize(g))
+		if size := shapeOf(int64(g.N()), int64(2*g.M())).size; int64(buf.Len()) != size {
+			t.Fatalf("%s: encoded %d bytes, layout says %d", name, buf.Len(), size)
 		}
 		got, err := DecodeBinary(&buf)
 		if err != nil {
@@ -91,22 +91,18 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 	}
 }
 
-// encodeRaw lays out a CSR image exactly as EncodeBinary does, from arrays
-// that need not describe a valid graph, with identity IDs.
+// encodeRaw encodes a CSR image from arrays that need not describe a
+// valid graph, with identity IDs.
 func encodeRaw(offsets, edges []int32) []byte {
-	n := len(offsets) - 1
-	b := binary.LittleEndian.AppendUint32(nil, uint32(n))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(edges)))
-	for _, o := range offsets {
-		b = binary.LittleEndian.AppendUint32(b, uint32(o))
+	ids := make([]uint64, len(offsets)-1)
+	for v := range ids {
+		ids[v] = uint64(v)
 	}
-	for _, e := range edges {
-		b = binary.LittleEndian.AppendUint32(b, uint32(e))
+	var buf bytes.Buffer
+	if err := EncodeBinary(&buf, fromCSR(offsets, edges, ids)); err != nil {
+		panic(err)
 	}
-	for v := 0; v < n; v++ {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	return b
+	return buf.Bytes()
 }
 
 // TestDecodeBinaryRejectsAsymmetry: negative controls for the symmetry
@@ -206,7 +202,7 @@ func TestDecodeBinarySymmetryMatchesMatrix(t *testing.T) {
 // TestDecodeBinaryChecksLengthFirst: a header claiming more bytes than a
 // sized reader holds fails before the body is allocated.
 func TestDecodeBinaryChecksLengthFirst(t *testing.T) {
-	head := binary.LittleEndian.AppendUint32(nil, 1<<20) // a 12 MiB body
+	head := binary.LittleEndian.AppendUint32([]byte(BinaryMagic), 1<<20) // a 12 MiB body
 	head = binary.LittleEndian.AppendUint32(head, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -217,5 +213,50 @@ func TestDecodeBinaryChecksLengthFirst(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 		t.Fatalf("allocated %d bytes rejecting an 8-byte input", grew)
+	}
+}
+
+// TestDecodeBinaryRejectsPadAndIDs: an image whose pad is not zero, or
+// whose IDs repeat, is refused, by DecodeBinary and by SplitBinary's
+// caller alike.
+func TestDecodeBinaryRejectsPadAndIDs(t *testing.T) {
+	clean := encodeRaw([]int32{0, 1, 2}, []int32{1, 0}) // n=2: a 4-byte pad
+	if _, err := DecodeBinary(bytes.NewReader(clean)); err != nil {
+		t.Fatalf("clean image rejected: %v", err)
+	}
+	padded := append([]byte(nil), clean...)
+	padded[16+4*3+4*2] = 1
+	if _, err := DecodeBinary(bytes.NewReader(padded)); err == nil || !strings.Contains(err.Error(), "pad") {
+		t.Fatalf("non-zero pad: DecodeBinary err = %v", err)
+	}
+	if _, _, _, err := SplitBinary(padded); err == nil || !strings.Contains(err.Error(), "pad") {
+		t.Fatalf("non-zero pad: SplitBinary err = %v", err)
+	}
+	dup := append([]byte(nil), clean...)
+	binary.LittleEndian.PutUint64(dup[len(dup)-8:], 0) // vertex 1 takes vertex 0's ID
+	if _, err := DecodeBinary(bytes.NewReader(dup)); err == nil || !strings.Contains(err.Error(), "duplicate ID 0 on vertices 0 and 1") {
+		t.Fatalf("duplicate ID: err = %v", err)
+	}
+}
+
+// TestUniqueIDs covers both of the ID check's paths: the bitset for IDs
+// below 64·n and the map above it.
+func TestUniqueIDs(t *testing.T) {
+	for _, tc := range []struct {
+		ids  []uint64
+		want string
+	}{
+		{nil, ""},
+		{[]uint64{0}, ""},
+		{[]uint64{3, 1, 2, 0}, ""},
+		{[]uint64{255, 0, 130, 64}, ""}, // every ID below 64·4: the bitset
+		{[]uint64{1 << 40, 5, 1 << 63}, ""},
+		{[]uint64{2, 1, 2}, "duplicate ID 2 on vertices 0 and 2"},
+		{[]uint64{5, 1 << 40, 9, 1 << 40}, "duplicate ID 1099511627776 on vertices 1 and 3"},
+	} {
+		err := uniqueIDs(tc.ids)
+		if (tc.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("uniqueIDs(%v) = %v, want %q", tc.ids, err, tc.want)
+		}
 	}
 }

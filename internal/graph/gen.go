@@ -37,17 +37,6 @@ func Complete(n int) *Graph {
 	return b.MustBuild()
 }
 
-// CompleteBipartite returns K_{a,b}.
-func CompleteBipartite(a, b int) *Graph {
-	bl := NewBuilder(a + b)
-	for u := 0; u < a; u++ {
-		for v := 0; v < b; v++ {
-			bl.AddEdge(u, a+v)
-		}
-	}
-	return bl.MustBuild()
-}
-
 // Star returns the star K_{1,n-1} with center 0.
 func Star(n int) *Graph {
 	b := NewBuilder(n)
@@ -65,25 +54,6 @@ func RandomTree(n int, rng *rand.Rand) *Graph {
 	b := NewBuilder(n)
 	for v := 1; v < n; v++ {
 		b.AddEdge(v, rng.Intn(v))
-	}
-	return b.MustBuild()
-}
-
-// CompleteKAry returns the complete k-ary tree with the given number of
-// levels (level 1 is just the root).
-func CompleteKAry(k, levels int) *Graph {
-	if levels < 1 {
-		panic("graph: CompleteKAry needs levels >= 1")
-	}
-	n := 1
-	width := 1
-	for l := 1; l < levels; l++ {
-		width *= k
-		n += width
-	}
-	b := NewBuilder(n)
-	for v := 1; v < n; v++ {
-		b.AddEdge(v, (v-1)/k)
 	}
 	return b.MustBuild()
 }
@@ -204,32 +174,6 @@ func tryConfigurationModel(n, d int, rng *rand.Rand) (*Graph, bool) {
 		count[key(j)]++
 	}
 	return nil, false
-}
-
-// RegularBipartiteCirculant returns a d-regular bipartite graph on 2m
-// vertices: left vertex i is adjacent to right vertices (i+j) mod m for
-// j in [0, d). It is triangle-free (bipartite) and deterministic, and is
-// the default "super-graph" H for the hard-clique constructions in dense.go.
-func RegularBipartiteCirculant(m, d int, shifts ...int) *Graph {
-	if d > m {
-		panic(fmt.Sprintf("graph: RegularBipartiteCirculant needs d <= m, got m=%d d=%d", m, d))
-	}
-	if len(shifts) == 0 {
-		shifts = make([]int, d)
-		for j := range shifts {
-			shifts[j] = j
-		}
-	}
-	if len(shifts) != d {
-		panic("graph: RegularBipartiteCirculant: len(shifts) must equal d")
-	}
-	b := NewBuilder(2 * m)
-	for i := 0; i < m; i++ {
-		for _, s := range shifts {
-			b.AddEdge(i, m+(i+s)%m)
-		}
-	}
-	return b.MustBuild()
 }
 
 // DisjointCliques returns k disjoint copies of K_size. For Δ < 63 the

@@ -145,12 +145,10 @@ func TestGeneratorShapes(t *testing.T) {
 		{"Cycle(5)", Cycle(5), 5, 5, 2},
 		{"Path(5)", Path(5), 5, 4, 2},
 		{"Complete(7)", Complete(7), 7, 21, 6},
-		{"CompleteBipartite(3,4)", CompleteBipartite(3, 4), 7, 12, 4},
 		{"Star(6)", Star(6), 6, 5, 5},
 		{"Grid(4,3)", Grid(4, 3), 12, 17, 4},
 		{"Torus(4,5)", Torus(4, 5), 20, 40, 4},
 		{"DisjointCliques(3,4)", DisjointCliques(3, 4), 12, 18, 3},
-		{"CompleteKAry(2,3)", CompleteKAry(2, 3), 7, 6, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -187,26 +185,6 @@ func TestRandomTree(t *testing.T) {
 	for v := 1; v < g.N(); v++ {
 		if g.Dist(0, v) < 0 {
 			t.Fatalf("tree vertex %d unreachable from 0", v)
-		}
-	}
-}
-
-func TestRegularBipartiteCirculant(t *testing.T) {
-	g := RegularBipartiteCirculant(10, 3)
-	if err := g.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.Degree(v) != 3 {
-			t.Fatalf("vertex %d degree %d, want 3", v, g.Degree(v))
-		}
-	}
-	// Bipartite: no edges within each side.
-	for u := 0; u < 10; u++ {
-		for v := u + 1; v < 10; v++ {
-			if g.HasEdge(u, v) || g.HasEdge(10+u, 10+v) {
-				t.Fatal("edge within one side of the bipartition")
-			}
 		}
 	}
 }

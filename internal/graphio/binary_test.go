@@ -13,6 +13,9 @@ import (
 	"deltacoloring/internal/graph"
 )
 
+// headerLen is the DCSRv1 header: magic, n, ne.
+const headerLen = 16
+
 func testGraph(t testing.TB, n, d int) *graph.Graph {
 	t.Helper()
 	// Circulant: v ~ v±1..v±d/2 mod n — connected, d-regular for even d.
@@ -34,12 +37,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ n, d int }{{0, 0}, {1, 0}, {5, 2}, {100, 6}, {257, 8}} {
 		g := testGraph(t, tc.n, tc.d)
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			t.Fatalf("n=%d: WriteBinary: %v", tc.n, err)
+		if err := graph.EncodeBinary(&buf, g); err != nil {
+			t.Fatalf("n=%d: EncodeBinary: %v", tc.n, err)
 		}
-		got, err := readBinary(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		got, err := readImage(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 		if err != nil {
-			t.Fatalf("n=%d: readBinary: %v", tc.n, err)
+			t.Fatalf("n=%d: readImage: %v", tc.n, err)
 		}
 		if got.N() != g.N() || got.M() != g.M() || got.MaxDegree() != g.MaxDegree() {
 			t.Fatalf("n=%d: round-trip shape mismatch", tc.n)
@@ -93,14 +96,14 @@ func TestBinaryFileAndLoadSniffing(t *testing.T) {
 
 // TestOpenBinaryMmap forces a file past the mmap size gate and checks the
 // mapped view agrees with the portable reader (on platforms without mmap the
-// fallback path serves both, which still exercises OpenBinary end to end).
+// heap reader serves both, which still exercises Load end to end).
 func TestOpenBinaryMmap(t *testing.T) {
 	g := testGraph(t, 20000, 8) // ~1 MB, beyond mmapMinBytes
 	path := filepath.Join(t.TempDir(), "big.dcsr")
 	if err := WriteBinaryFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	mg, closer, err := OpenBinary(path)
+	mg, closer, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +123,7 @@ func TestOpenBinaryMmap(t *testing.T) {
 func TestBinaryRejectsCorruption(t *testing.T) {
 	g := testGraph(t, 50, 4)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if err := graph.EncodeBinary(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	base := buf.Bytes()
@@ -128,7 +131,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	corrupt := func(mutate func(b []byte)) error {
 		b := append([]byte(nil), base...)
 		mutate(b)
-		_, err := readBinary(bytes.NewReader(b), int64(len(b)))
+		_, err := readImage(bytes.NewReader(b), int64(len(b)))
 		return err
 	}
 
@@ -137,36 +140,42 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	}
 	if err := corrupt(func(b []byte) {
 		// First adjacency entry out of range.
-		binary.LittleEndian.PutUint32(b[binaryHeaderLen+4*51:], 1<<30)
+		binary.LittleEndian.PutUint32(b[headerLen+4*51:], 1<<30)
 	}); err == nil {
 		t.Fatal("out-of-range neighbor accepted")
 	}
 	if err := corrupt(func(b []byte) {
 		// Break offset monotonicity.
-		binary.LittleEndian.PutUint32(b[binaryHeaderLen+4:], math.MaxUint32)
+		binary.LittleEndian.PutUint32(b[headerLen+4:], math.MaxUint32)
 	}); err == nil {
 		t.Fatal("non-monotone offsets accepted")
 	}
 	short := base[:len(base)-8]
-	if _, err := readBinary(bytes.NewReader(short), int64(len(short))); err == nil {
+	if _, err := readImage(bytes.NewReader(short), int64(len(short))); err == nil {
 		t.Fatal("truncated file accepted")
+	}
+	long := append(append([]byte(nil), base...), 0)
+	if _, err := readImage(bytes.NewReader(long), int64(len(long))); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if g.N()%2 == 0 {
+		if err := corrupt(func(b []byte) { b[headerLen+4*(g.N()+1)+8*g.M()] = 1 }); err == nil || !strings.Contains(err.Error(), "pad") {
+			t.Fatalf("non-zero pad: err = %v", err)
+		}
 	}
 }
 
 // TestBinaryRejectsOverflowingEdgeCount crafts a header whose half-edge
-// count exceeds the int32 offset space and checks for the typed error —
-// the satellite guard against silent mis-building at huge m.
+// count exceeds the int32 offset space and checks for the typed error, the
+// guard against silent mis-building at huge m.
 func TestBinaryRejectsOverflowingEdgeCount(t *testing.T) {
-	var head [binaryHeaderLen]byte
-	copy(head[:], binaryMagic[:])
+	var head [headerLen]byte
+	copy(head[:], graph.BinaryMagic)
 	binary.LittleEndian.PutUint32(head[8:12], 100)
 	binary.LittleEndian.PutUint32(head[12:16], math.MaxInt32+1) // even, > MaxInt32
-	_, err := readBinary(bytes.NewReader(head[:]), int64(len(head)))
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("want ErrTooLarge, got %v", err)
-	}
+	_, err := readImage(bytes.NewReader(head[:]), int64(len(head)))
 	if !errors.Is(err, graph.ErrTooManyEdges) {
-		t.Fatalf("ErrTooLarge should wrap graph.ErrTooManyEdges, got %v", err)
+		t.Fatalf("want graph.ErrTooManyEdges, got %v", err)
 	}
 }
 
@@ -175,7 +184,7 @@ func TestBinaryRejectsOverflowingEdgeCount(t *testing.T) {
 // only symmetry fails.
 func writeOneSidedFile(t *testing.T) string {
 	t.Helper()
-	b := append([]byte(nil), binaryMagic[:]...)
+	b := []byte(graph.BinaryMagic)
 	for _, x := range []uint32{3, 2, 0, 2, 2, 2, 1, 2} { // n, 2m, offsets, edges
 		b = binary.LittleEndian.AppendUint32(b, x)
 	}
@@ -189,25 +198,47 @@ func writeOneSidedFile(t *testing.T) string {
 	return path
 }
 
-// TestBinaryFileRejectsAsymmetry: every loader of binary graph files
-// refuses a one-sided edge list — ReadFile (the service's file source),
-// OpenBinary's heap fallback for small files, and the mapped loader.
-func TestBinaryFileRejectsAsymmetry(t *testing.T) {
-	path := writeOneSidedFile(t)
-	symmetric := func(what string, err error) {
+// rejectedByEveryLoader checks that each loader of binary graph files
+// refuses path with an error containing want: ReadFile (the service's file
+// source), Load's heap reader for small files, and the mapped loader.
+func rejectedByEveryLoader(t *testing.T, path, want string) {
+	t.Helper()
+	check := func(what string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "not symmetric") {
-			t.Fatalf("%s: err = %v, want a symmetry error", what, err)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: err = %v, want %q", what, err, want)
 		}
 	}
 	_, err := ReadFile(path)
-	symmetric("ReadFile", err)
-	_, _, err = OpenBinary(path) // below mmapMinBytes: the heap fallback
-	symmetric("OpenBinary", err)
+	check("ReadFile", err)
+	_, _, err = Load(path) // below mmapMinBytes: the heap reader
+	check("Load", err)
 	_, _, err = openBinaryMmap(path, 0)
-	if err == errMmapUnsupported {
+	if err == errNotMapped {
 		t.Log("no mapped loader on this platform")
 		return
 	}
-	symmetric("openBinaryMmap", err)
+	check("openBinaryMmap", err)
+}
+
+// TestBinaryFileRejectsAsymmetry: every loader refuses a one-sided edge
+// list.
+func TestBinaryFileRejectsAsymmetry(t *testing.T) {
+	rejectedByEveryLoader(t, writeOneSidedFile(t), "not symmetric")
+}
+
+// TestBinaryFileRejectsDuplicateIDs: every loader refuses a file in which
+// vertex 1 carries vertex 0's ID, as the checkpoint and shard decoders do.
+func TestBinaryFileRejectsDuplicateIDs(t *testing.T) {
+	b := []byte(graph.BinaryMagic)
+	for _, x := range []uint32{2, 2, 0, 1, 2, 1, 0, 0} { // n, 2m, offsets, edges, pad
+		b = binary.LittleEndian.AppendUint32(b, x)
+	}
+	b = binary.LittleEndian.AppendUint64(b, 7)
+	b = binary.LittleEndian.AppendUint64(b, 7)
+	path := filepath.Join(t.TempDir(), "dup.dcsr")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejectedByEveryLoader(t, path, "duplicate ID 7")
 }

@@ -24,29 +24,31 @@ func inRange(t *testing.T, g *graph.Graph) {
 }
 
 // FuzzReadBinary feeds arbitrary bytes to the DCSRv1 loaders: the heap
-// reader on the bytes with their length, the heap file loader behind
-// ReadFile and OpenBinary's fallback on a temp file, and the memory-mapped
-// loader on the same file with its size gate lowered to zero, so that small
-// inputs reach the mapping too. The header must match the size in each.
-// Each returns an error or a graph whose adjacencies stay in range, and
-// never panics. An image the mapping accepts the other two accept too, with
-// the same adjacencies.
+// reader on the bytes with their length, ReadFile's heap loader on a temp
+// file, and the memory-mapped loader on the same file with its size gate
+// lowered to zero, so that small inputs reach the mapping too. The header
+// must match the size in each. Each returns an error or a graph whose
+// adjacencies stay in range, and never panics. An image the mapping accepts
+// the other two accept too, with the same adjacencies.
 func FuzzReadBinary(f *testing.F) {
 	var valid bytes.Buffer
-	if err := WriteBinary(&valid, testGraph(f, 12, 4)); err != nil {
+	if err := graph.EncodeBinary(&valid, testGraph(f, 12, 4)); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
 	path := filepath.Join(f.TempDir(), "in.dcsr")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hg, herr := readBinary(bytes.NewReader(data), int64(len(data)))
+		hg, herr := readImage(bytes.NewReader(data), int64(len(data)))
 		if herr == nil {
 			inRange(t, hg)
+		}
+		if !bytes.HasPrefix(data, []byte(graph.BinaryMagic)) {
+			return // ReadFile would parse it as text, and the mapping skips it
 		}
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		fg, ferr := readBinaryFile(path)
+		fg, ferr := ReadFile(path)
 		if ferr == nil {
 			inRange(t, fg)
 		}

@@ -9,5 +9,5 @@ import (
 )
 
 func openBinaryMmap(path string, minBytes int64) (*graph.Graph, io.Closer, error) {
-	return nil, nil, errMmapUnsupported
+	return nil, nil, errNotMapped
 }

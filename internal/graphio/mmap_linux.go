@@ -12,12 +12,13 @@ import (
 	"deltacoloring/internal/graph"
 )
 
-// openBinaryMmap maps path read-only and adopts the CSR arrays in place via
-// unsafe.Slice casts. This is only correct because the layout guarantees the
-// int32 sections start 4-aligned and the ids section 8-aligned within the
-// (page-aligned) mapping, and the gated platforms are little-endian like the
-// file. Files below minBytes are left to the buffered reader. The returned
-// closer unmaps; the graph aliases the mapping and must not outlive it.
+// openBinaryMmap maps the binary graph file at path read-only and adopts
+// its arrays in place. This is only correct because the DCSRv1 layout
+// starts the int32 sections 4-aligned and the ids section 8-aligned within
+// the (page-aligned) mapping, and the gated platforms are little-endian
+// like the image. A file below minBytes, or one without the magic, is
+// errNotMapped. The returned closer unmaps; the graph aliases the mapping
+// and must not outlive it.
 func openBinaryMmap(path string, minBytes int64) (*graph.Graph, io.Closer, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -29,14 +30,14 @@ func openBinaryMmap(path string, minBytes int64) (*graph.Graph, io.Closer, error
 		return nil, nil, err
 	}
 	size := st.Size()
-	if size < minBytes {
-		return nil, nil, errMmapUnsupported // small file: buffered read is cheaper
+	if size < minBytes || !isBinary(f) {
+		return nil, nil, errNotMapped
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		return nil, nil, fmt.Errorf("graphio: mmap: %w", err)
 	}
-	g, err := adoptMapped(data, size)
+	g, err := adoptMapped(data)
 	if err != nil {
 		syscall.Munmap(data)
 		return nil, nil, err
@@ -44,26 +45,22 @@ func openBinaryMmap(path string, minBytes int64) (*graph.Graph, io.Closer, error
 	return g, &mmapCloser{data: data}, nil
 }
 
-// adoptMapped builds a graph view over the mapped bytes.
-func adoptMapped(data []byte, size int64) (*graph.Graph, error) {
-	if size < binaryHeaderLen {
-		return nil, fmt.Errorf("graphio: binary header: %w", io.ErrUnexpectedEOF)
-	}
-	n, ne, err := parseBinaryHeader(data[:binaryHeaderLen], size)
+// adoptMapped builds a graph view over the mapped image, its sections laid
+// out by graph.SplitBinary.
+func adoptMapped(data []byte) (*graph.Graph, error) {
+	offsets, edges, ids, err := graph.SplitBinary(data)
 	if err != nil {
 		return nil, err
 	}
-	idsOff, _ := binaryLayout(n, ne)
-	offsets := unsafe.Slice((*int32)(unsafe.Pointer(&data[binaryHeaderLen])), n+1)
-	var edges []int32
-	if ne > 0 {
-		edges = unsafe.Slice((*int32)(unsafe.Pointer(&data[binaryHeaderLen+4*(n+1)])), ne)
+	return graph.NewCSRView(view[int32](offsets), view[int32](edges), view[uint64](ids))
+}
+
+// view casts a section of the mapping to the array it holds.
+func view[T int32 | uint64](b []byte) []T {
+	if len(b) == 0 {
+		return nil
 	}
-	var ids []uint64
-	if n > 0 {
-		ids = unsafe.Slice((*uint64)(unsafe.Pointer(&data[idsOff])), n)
-	}
-	return graph.NewCSRView(offsets, edges, ids)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(T(0))))
 }
 
 type mmapCloser struct{ data []byte }

@@ -51,6 +51,14 @@ func (s *Server) recoverAll() {
 		return
 	}
 	for _, id := range ids {
+		// The ID stays taken whether or not its directory recovers: a new
+		// graph must never be created over a directory that failed.
+		s.gmu.Lock()
+		var seq uint64
+		if _, err := fmt.Sscanf(id, "g%d", &seq); err == nil && seq > s.graphSeq {
+			s.graphSeq = seq
+		}
+		s.gmu.Unlock()
 		st, rep, rerr := durable.Recover(filepath.Join(s.cfg.DataDir, id), s.durableConfig())
 		gr := GraphRecovery{ID: id, Report: rep}
 		if rerr != nil {
@@ -64,9 +72,7 @@ func (s *Server) recoverAll() {
 	}
 }
 
-// installRecovered registers a recovered store under its durable ID and
-// keeps the ID allocator above it, so new graphs never collide with
-// recovered directories.
+// installRecovered registers a recovered store under its durable ID.
 func (s *Server) installRecovered(id string, st *durable.Store) {
 	gs := &graphStore{
 		id:       id,
@@ -76,10 +82,6 @@ func (s *Server) installRecovered(id string, st *durable.Store) {
 		loopDone: make(chan struct{}),
 	}
 	s.gmu.Lock()
-	var seq uint64
-	if _, err := fmt.Sscanf(id, "g%d", &seq); err == nil && seq > s.graphSeq {
-		s.graphSeq = seq
-	}
 	s.graphs[id] = gs
 	s.gmu.Unlock()
 	s.graphsWG.Add(1)

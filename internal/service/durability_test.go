@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"deltacoloring/internal/durable"
 	"deltacoloring/internal/dynamic"
 )
 
@@ -302,4 +305,69 @@ func TestDeleteDrainsInFlightMutations(t *testing.T) {
 		t.Fatal("deletion tombstone left behind")
 	}
 	_ = svc
+}
+
+// TestFailedRecoveryReservesItsID: a graph directory whose checkpoint does
+// not load (here a torn one) is reported under /readyz and left as it is,
+// and its ID stays taken: the next graph gets the ID after it.
+func TestFailedRecoveryReservesItsID(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{Workers: 1, DataDir: dataDir, CheckpointEvery: -1}
+	svc := New(cfg)
+	ts := httptest.NewServer(svc.Handler())
+	waitReady(t, ts)
+	var created GraphResponse
+	if code := doJSON(t, ts, "POST", "/v1/graphs", &CreateGraphRequest{Graph: cycleSpec(8)}, &created); code != http.StatusCreated || created.ID != "g000001" {
+		t.Fatalf("create: %d %q (%s)", code, created.ID, created.Error)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+
+	dir := filepath.Join(dataDir, "g000001")
+	ckpt := filepath.Join(dir, durable.CheckpointFile)
+	b, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, b[:len(b)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirBytes(t, dir)
+
+	_, ts2 := newGraphServer(t, cfg)
+	waitReady(t, ts2)
+	var next GraphResponse
+	if code := doJSON(t, ts2, "POST", "/v1/graphs", &CreateGraphRequest{Graph: cycleSpec(6)}, &next); code != http.StatusCreated || next.ID != "g000002" {
+		t.Fatalf("create after a failed recovery: %d %q (%s), want 201 g000002", code, next.ID, next.Error)
+	}
+	var ready struct {
+		Recovery []GraphRecovery `json:"recovery"`
+	}
+	doJSON(t, ts2, "GET", "/readyz", nil, &ready)
+	if len(ready.Recovery) != 1 || ready.Recovery[0].ID != "g000001" || !strings.Contains(ready.Recovery[0].Error, "torn body") {
+		t.Fatalf("/readyz recovery = %+v, want g000001's checkpoint error", ready.Recovery)
+	}
+	if after := dirBytes(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatal("the failed directory changed")
+	}
+}
+
+// dirBytes reads every file in dir.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
 }

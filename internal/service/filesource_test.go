@@ -130,3 +130,52 @@ func TestFileSourceRejectsAsymmetricGraph(t *testing.T) {
 		t.Fatalf("one-sided file: status %d, error %q; want 400 naming the asymmetry", code, resp.Error)
 	}
 }
+
+// TestFileSourceRejectsDuplicateIDs: a staged binary file in which vertex 1
+// carries vertex 0's ID is a bad input, refused with 400 on every surface
+// that loads it. It is not a run failure: six refusals leave the breaker
+// closed, and a valid request after them is served.
+func TestFileSourceRejectsDuplicateIDs(t *testing.T) {
+	dir, g := stageGraphDir(t)
+	b, err := os.ReadFile(filepath.Join(dir, "ring.dcsr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := b[len(b)-8*g.N():]
+	copy(ids[8:16], ids[0:8])
+	if err := os.WriteFile(filepath.Join(dir, "dup.dcsr"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := newGraphServer(t, Config{Workers: 2, GraphDir: dir})
+	const want = "duplicate ID 0 on vertices 0 and 1"
+	var out struct {
+		Error string `json:"error"`
+	}
+	for i, req := range []*ColorRequest{
+		{File: "dup.dcsr"},
+		{File: "dup.dcsr", Backend: "greedy"},
+		{File: "dup.dcsr", Shards: 2},
+		{File: "dup.dcsr", Backend: "greedy", NoCache: true},
+		{File: "dup.dcsr", Shards: 2, NoCache: true},
+		{File: "dup.dcsr"},
+	} {
+		out.Error = ""
+		if code := doJSON(t, ts, "POST", "/v1/color", req, &out); code != 400 || !strings.Contains(out.Error, want) {
+			t.Fatalf("request %d (%+v): status %d, error %q; want 400 naming the duplicate", i, req, code, out.Error)
+		}
+	}
+	out.Error = ""
+	if code := doJSON(t, ts, "POST", "/v1/graphs", &CreateGraphRequest{File: "dup.dcsr"}, &out); code != 400 || !strings.Contains(out.Error, want) {
+		t.Fatalf("create from file: status %d, error %q; want 400 naming the duplicate", code, out.Error)
+	}
+	if state, _ := svc.breaker.snapshot(); state != breakerClosed {
+		t.Fatalf("breaker state %d after bad inputs, want closed", state)
+	}
+	var resp ColorResponse
+	if code := doJSON(t, ts, "POST", "/v1/color", &ColorRequest{File: "ring.dcsr", Backend: "greedy"}, &resp); code != 200 {
+		t.Fatalf("valid request after the refusals: status %d, error %q", code, resp.Error)
+	}
+	if err := deltacoloring.VerifyWithin(g, resp.Colors, g.MaxDegree()+1); err != nil {
+		t.Fatal(err)
+	}
+}

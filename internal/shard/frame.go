@@ -24,7 +24,7 @@ import (
 //	uvarint  len(session), then the session bytes
 //	uvarint  shard
 //	init:    uvarint parent n, uvarint Δ,
-//	         uvarint len(graph), then the graph.EncodeBinary image,
+//	         uvarint len(graph), then the DCSRv1 image (graph.EncodeBinary),
 //	         uvarint len(to_parent), then one int32 each,
 //	         uvarint len(locals), then one int32 each
 //	step:    uvarint len(updates), then one (v, c) int32 pair each
@@ -51,7 +51,10 @@ import (
 // coordinator and a worker built from different wire versions fail cleanly
 // instead of misreading each other; a later bad record ends the stream.
 
-// frameVersion leads every frame; bump it on any layout change.
+// frameVersion leads every frame; bump it on any layout change. The graph
+// image is opaque bytes to the frame and carries its own version in its
+// magic, so an image change leaves frameVersion alone: a worker refuses an
+// image of another version in its CSR decoder, as "bad shard graph".
 const frameVersion = 1
 
 // frameContentType labels both frame kinds on the wire.

@@ -270,7 +270,11 @@ func (h *Host) handleInit(req *RoundsRequest, workers *InProcess) *RoundsRespons
 			Error: fmt.Sprintf("shard parent graph has n=%d, above the %d-vertex limit", req.ParentN, h.maxN),
 		}
 	}
-	sub, err := graph.DecodeBinary(bytes.NewReader(req.Graph))
+	r := bytes.NewReader(req.Graph)
+	sub, err := graph.DecodeBinary(r)
+	if err == nil && r.Len() != 0 {
+		err = fmt.Errorf("%d bytes past the graph image", r.Len())
+	}
 	if err != nil {
 		return &RoundsResponse{Error: fmt.Sprintf("bad shard graph: %v", err)}
 	}
