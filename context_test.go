@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,5 +155,24 @@ func TestDeterministicCancelDuringLayerPlanning(t *testing.T) {
 	}
 	if h := colorsHash(res.Colors); h != pinHash || res.Rounds != pinRounds {
 		t.Fatalf("run after cancellation: hash %#x rounds %d, pinned %#x rounds %d", h, res.Rounds, uint64(pinHash), pinRounds)
+	}
+}
+
+// The post-shattering components of a checked randomized run publish to
+// the run's harness. HardCliqueBipartite has no easy cliques, so only the
+// components run Algorithm 3 and publish its phases.
+func TestCheckedRandomizedChecksComponents(t *testing.T) {
+	g := GenHardCliqueBipartite(16, 16)
+	for seed := int64(1); seed <= 3; seed++ {
+		res, rep, err := RunCheckedRandomizedContext(context.Background(), g, ScaledRandomizedParams(), seed, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Rand.Components == 0 {
+			t.Fatalf("seed %d: no post-shattering components", seed)
+		}
+		if !slices.Contains(rep.Phases, "alg3/layers") || !slices.Contains(rep.Phases, "alg3/rulingset") {
+			t.Fatalf("seed %d: component phases unchecked: %d checks over %v", seed, rep.Checks, rep.Phases)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // and measure the blast radius (damaged vertices, repair-set growth), the
 // color cost (extra colors beyond Δ), and the round cost of detection plus
 // recoloring. E18 backs DESIGN.md's "fault model and repair contract"
-// section; it is run by `deltabench -only E18` and deliberately kept out of
-// All(), which mirrors the paper's own E1–E16 evaluation.
+// section. It is in Experiments, so the default `deltabench` report runs it;
+// `deltabench -only E18` runs it alone.
 func E18(s Scale) (*Table, error) {
 	t := &Table{
 		ID:     "E18",

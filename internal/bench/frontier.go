@@ -25,8 +25,8 @@ type frontierWorkload struct {
 // evaluations the frontier skipped. Every workload is executed twice, once
 // per engine, and E19 fails if the round counts diverge — the
 // result-preservation cross-check CI runs. E19 backs DESIGN.md's "Frontier
-// scheduling contract" section; it is run by `deltabench -only E19` and,
-// like E18, kept out of All().
+// scheduling contract" section. It is in Experiments, so the default
+// `deltabench` report runs it; `deltabench -only E19` runs it alone.
 func E19(s Scale) (*Table, error) {
 	t := &Table{
 		ID:     "E19",

@@ -148,11 +148,12 @@ func ColorRandomized(net *local.Network, rp RandomizedParams, rng *rand.Rand) (*
 	// Step 6: the modified deterministic algorithm on each component.
 	// Components are vertex-disjoint and interact only through vertices
 	// that stay uncolored throughout, so they run in parallel; we charge
-	// the maximum component cost.
+	// the maximum component cost. Each runs on a fork of the run's network,
+	// so the run's interrupt, checks, faults and workers reach it.
 	doneComp := net.Phase("alg4/components")
 	maxRounds := 0
 	for _, comp := range comps {
-		compNet := local.New(g)
+		compNet := net.Fork()
 		hardLike, err := colorComponent(compNet, a, cl, rp, out, comp)
 		if err != nil {
 			doneComp()

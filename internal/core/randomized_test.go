@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deltacoloring/internal/acd"
@@ -28,6 +29,43 @@ func TestRandomizedHardCliqueBipartite(t *testing.T) {
 	}
 	if res.Rand.TNodesKept > res.Rand.TNodesProposed {
 		t.Fatal("kept more T-nodes than proposed")
+	}
+}
+
+// TestRandomizedInterruptReachesComponents: the post-shattering components
+// run on forks of the run's network, so a cancellation raised once they
+// start stops them, before the alg4/components span closes. The span's own
+// closing Charge checks the interrupt once; a second check inside the span
+// comes from a component's rounds.
+func TestRandomizedInterruptReachesComponents(t *testing.T) {
+	g, _ := graph.HardCliqueBipartite(16, 16)
+	net := local.New(g)
+	var closed []string
+	net.SetSpanHook(func(s local.Span) { closed = append(closed, s.Name) })
+	armed, checks := false, 0
+	net.SetCheckHook(func(phase string, _ any) error {
+		armed = armed || phase == "alg4/preshatter"
+		return nil
+	})
+	errStop := errors.New("stop")
+	net.SetInterrupt(func() error {
+		if armed {
+			if checks++; checks == 2 {
+				return errStop
+			}
+		}
+		return nil
+	})
+	err := func() (err error) {
+		defer local.RecoverInterrupt(&err)
+		_, err = ColorRandomized(net, TestRandomizedParams(), rand.New(rand.NewSource(1)))
+		return err
+	}()
+	if !errors.Is(err, errStop) {
+		t.Fatalf("err = %v, want the interrupt", err)
+	}
+	if slices.Contains(closed, "alg4/components") {
+		t.Fatalf("the interrupt was seen only after the components finished; closed spans %v", closed)
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
 
+	"deltacoloring/internal/codec"
 	"deltacoloring/internal/dynamic"
 	"deltacoloring/internal/graph"
 )
@@ -108,7 +108,7 @@ func ReadCheckpoint(dir string) (dynamic.State, error) {
 	if crc32.Checksum(body, castTable) != crc {
 		return st, fmt.Errorf("%w: CRC mismatch", ErrNoCheckpoint)
 	}
-	st, err = decodeState(bytes.NewReader(body))
+	st, err = decodeState(body)
 	if err != nil {
 		return st, fmt.Errorf("%w: %v", ErrNoCheckpoint, err)
 	}
@@ -118,139 +118,74 @@ func ReadCheckpoint(dir string) (dynamic.State, error) {
 // encodeState serializes a store image (see DESIGN.md §13 for the layout).
 func encodeState(w *bytes.Buffer, st dynamic.State) error {
 	var scratch [binary.MaxVarintLen64]byte
-	writeU64 := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		w.Write(b[:])
-	}
-	writeVarint := func(v int64) {
-		n := binary.PutVarint(scratch[:], v)
-		w.Write(scratch[:n])
-	}
-	writeBool := func(b bool) {
+	u64 := func(v uint64) { w.Write(binary.LittleEndian.AppendUint64(scratch[:0], v)) }
+	flag := func(b bool) {
+		c := byte(0)
 		if b {
-			w.WriteByte(1)
-		} else {
-			w.WriteByte(0)
+			c = 1
 		}
+		w.WriteByte(c)
 	}
-	writeSnap := func(g *graph.Graph, colors []int, numColors int, version int64) error {
-		writeU64(uint64(version))
-		if err := graph.EncodeBinary(w, g); err != nil {
+	snap := func(s *dynamic.Snapshot) error {
+		u64(uint64(s.Version))
+		if err := graph.EncodeBinary(w, s.G); err != nil {
 			return err
 		}
-		for _, c := range colors {
-			writeVarint(int64(c))
+		for _, c := range s.Colors {
+			w.Write(binary.AppendVarint(scratch[:0], int64(c)))
 		}
-		writeU64(uint64(numColors))
+		u64(uint64(s.NumColors))
 		return nil
 	}
 
-	writeU64(uint64(st.Version))
-	writeBool(st.Healthy)
-	writeU64(math.Float64bits(st.FallbackDirtyFraction))
-	writeU64(uint64(len(st.Backend)))
+	u64(uint64(st.Version))
+	flag(st.Healthy)
+	u64(math.Float64bits(st.FallbackDirtyFraction))
+	u64(uint64(len(st.Backend)))
 	w.WriteString(st.Backend)
-	if err := writeSnap(st.G, st.Colors, st.NumColors, st.Version); err != nil {
+	if err := snap(&dynamic.Snapshot{G: st.G, Colors: st.Colors, NumColors: st.NumColors, Version: st.Version}); err != nil {
 		return err
 	}
 	for _, r := range st.Removed {
-		writeBool(r)
+		flag(r)
 	}
-	for _, v := range []int64{
-		st.Stats.Batches, st.Stats.Mutations, st.Stats.Incremental,
-		st.Stats.Recomputes, st.Stats.Fallbacks, st.Stats.Failures,
-		st.Stats.Recolored, st.Stats.Rounds,
-	} {
-		writeU64(uint64(v))
+	for _, p := range statFields(&st.Stats) {
+		u64(uint64(*p))
 	}
 	// Last-good is elided when it is the current state (the healthy common
 	// case): recovery reconstitutes it from the snapshot itself.
-	sameAsCurrent := st.LastGood != nil && st.Healthy && st.LastGood.Version == st.Version
-	writeBool(st.LastGood != nil && !sameAsCurrent)
-	if st.LastGood != nil && !sameAsCurrent {
-		if err := writeSnap(st.LastGood.G, st.LastGood.Colors, st.LastGood.NumColors, st.LastGood.Version); err != nil {
-			return err
-		}
+	lg := st.LastGood
+	if lg != nil && st.Healthy && lg.Version == st.Version {
+		lg = nil
+	}
+	flag(lg != nil)
+	if lg != nil {
+		return snap(lg)
 	}
 	return nil
 }
 
-// decodeState parses one encodeState body, validating as it goes.
-func decodeState(r *bytes.Reader) (dynamic.State, error) {
-	var st dynamic.State
-	readU64 := func() (uint64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
-	readBool := func() (bool, error) {
-		b, err := r.ReadByte()
-		if err != nil {
-			return false, err
-		}
-		if b > 1 {
-			return false, fmt.Errorf("durable: bad bool byte %d", b)
-		}
-		return b == 1, nil
-	}
-	readSnap := func() (*dynamic.Snapshot, error) {
-		ver, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		g, err := graph.DecodeBinary(r)
-		if err != nil {
-			return nil, err
-		}
-		colors := make([]int, g.N())
-		for i := range colors {
-			c, err := binary.ReadVarint(r)
-			if err != nil {
-				return nil, err
-			}
-			colors[i] = int(c)
-		}
-		k, err := readU64()
-		if err != nil {
-			return nil, err
-		}
-		if k > uint64(g.N())+1 {
-			return nil, fmt.Errorf("durable: checkpoint numColors %d implausible for n=%d", k, g.N())
-		}
-		return &dynamic.Snapshot{G: g, Colors: colors, NumColors: int(k), Version: int64(ver)}, nil
-	}
+// statFields lists a store's cumulative counters in checkpoint order.
+func statFields(s *dynamic.Stats) []*int64 {
+	return []*int64{&s.Batches, &s.Mutations, &s.Incremental, &s.Recomputes,
+		&s.Fallbacks, &s.Failures, &s.Recolored, &s.Rounds}
+}
 
-	ver, err := readU64()
-	if err != nil {
-		return st, err
+// decodeState parses one encodeState body, validating as it goes. It
+// accepts only what encodeState writes: minimal varints, 0/1 bools, and no
+// explicit last-good where the encoder elides it.
+func decodeState(body []byte) (dynamic.State, error) {
+	r := codec.NewReader(body, "durable: bad checkpoint")
+	st := dynamic.State{Version: int64(r.U64()), Healthy: r.Bool()}
+	st.FallbackDirtyFraction = math.Float64frombits(r.U64())
+	if blen := r.U64(); blen > 256 {
+		r.Failf("backend name length %d implausible", blen)
+	} else {
+		st.Backend = string(r.Skip(int(blen)))
 	}
-	st.Version = int64(ver)
-	if st.Healthy, err = readBool(); err != nil {
-		return st, err
-	}
-	fracBits, err := readU64()
-	if err != nil {
-		return st, err
-	}
-	st.FallbackDirtyFraction = math.Float64frombits(fracBits)
-	blen, err := readU64()
-	if err != nil {
-		return st, err
-	}
-	if blen > 256 {
-		return st, fmt.Errorf("durable: backend name length %d implausible", blen)
-	}
-	name := make([]byte, blen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return st, err
-	}
-	st.Backend = string(name)
-	cur, err := readSnap()
-	if err != nil {
-		return st, err
+	cur := readSnap(&r)
+	if cur == nil {
+		return st, r.Err()
 	}
 	if cur.Version != st.Version {
 		return st, fmt.Errorf("durable: checkpoint snapshot version %d != header %d", cur.Version, st.Version)
@@ -258,36 +193,43 @@ func decodeState(r *bytes.Reader) (dynamic.State, error) {
 	st.G, st.Colors, st.NumColors = cur.G, cur.Colors, cur.NumColors
 	st.Removed = make([]bool, st.G.N())
 	for i := range st.Removed {
-		if st.Removed[i], err = readBool(); err != nil {
-			return st, err
+		st.Removed[i] = r.Bool()
+	}
+	for _, p := range statFields(&st.Stats) {
+		*p = int64(r.U64())
+	}
+	switch hasLG := r.Bool(); {
+	case hasLG:
+		st.LastGood = readSnap(&r)
+		if lg := st.LastGood; lg != nil && st.Healthy && lg.Version == st.Version {
+			r.Failf("explicit last-good at the current version %d of a healthy store", st.Version)
 		}
-	}
-	stats := make([]int64, 8)
-	for i := range stats {
-		v, err := readU64()
-		if err != nil {
-			return st, err
-		}
-		stats[i] = int64(v)
-	}
-	st.Stats = dynamic.Stats{
-		Batches: stats[0], Mutations: stats[1], Incremental: stats[2],
-		Recomputes: stats[3], Fallbacks: stats[4], Failures: stats[5],
-		Recolored: stats[6], Rounds: stats[7],
-	}
-	hasLG, err := readBool()
-	if err != nil {
-		return st, err
-	}
-	if hasLG {
-		if st.LastGood, err = readSnap(); err != nil {
-			return st, err
-		}
-	} else if st.Healthy {
+	case st.Healthy:
 		st.LastGood = cur
 	}
-	if r.Len() != 0 {
-		return st, fmt.Errorf("durable: %d trailing checkpoint bytes", r.Len())
+	return st, r.End()
+}
+
+// readSnap reads one snapshot: version, graph image, one varint color per
+// vertex, palette size. It returns nil once r has failed.
+func readSnap(r *codec.Reader) *dynamic.Snapshot {
+	ver := int64(r.U64())
+	g, size, err := graph.DecodeBinary(r.Rest())
+	if err != nil {
+		r.Failf("%w", err)
+		return nil
 	}
-	return st, nil
+	r.Skip(size)
+	colors := make([]int, g.N())
+	for i := range colors {
+		colors[i] = int(r.Varint())
+	}
+	k := r.U64()
+	if k > uint64(g.N())+1 {
+		r.Failf("numColors %d implausible for n=%d", k, g.N())
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return &dynamic.Snapshot{G: g, Colors: colors, NumColors: int(k), Version: ver}
 }

@@ -2,14 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"deltacoloring/internal/dynamic"
 	"deltacoloring/internal/faults"
@@ -514,7 +515,7 @@ func TestFsyncPolicies(t *testing.T) {
 	for _, pol := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncOff} {
 		t.Run(string(pol), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "g1")
-			s := newStore(t, dir, 23, Config{Fsync: pol, FsyncInterval: time.Millisecond})
+			s := newStore(t, dir, 23, Config{Fsync: pol})
 			rng := rand.New(rand.NewSource(24))
 			applyN(t, s, rng, 5)
 			st := s.WALStats()
@@ -534,6 +535,25 @@ func TestFsyncPolicies(t *testing.T) {
 			verifyLive(t, rec.Live())
 			rec.Close()
 		})
+	}
+}
+
+// TestWALPayloadCountCheckedBeforeAlloc: a payload claiming more mutations
+// than its bytes can hold at three bytes each is refused before the batch
+// is allocated. 2^20 mutations presized would take 32 MiB.
+func TestWALPayloadCountCheckedBeforeAlloc(t *testing.T) {
+	payload := binary.LittleEndian.AppendUint64(nil, 7)
+	payload = binary.AppendUvarint(payload, 1<<20)
+	payload = append(payload, make([]byte, 1<<20)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := decodePayload(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("err = %v, want the count refused", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("allocated %d bytes refusing a %d-byte payload", grew, len(payload))
 	}
 }
 

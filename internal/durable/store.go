@@ -17,25 +17,19 @@ import (
 type Config struct {
 	// Fsync is the WAL flush policy ("" means FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncInterval is the background flush cadence under FsyncInterval
-	// (default 100ms).
-	FsyncInterval time.Duration
 	// CheckpointEvery snapshots the store and truncates the log after this
 	// many appended batches (default 64; negative disables periodic
 	// checkpoints — Close still writes a final one).
 	CheckpointEvery int
-	// Dynamic carries the process-level store options applied at recovery
-	// (Workers, NetHook). Store-identity options (Backend,
-	// FallbackDirtyFraction) are read from the checkpoint instead.
+	// Dynamic carries the process-level store option applied at recovery
+	// (NetHook). Store-identity options (Backend, FallbackDirtyFraction)
+	// are read from the checkpoint instead.
 	Dynamic dynamic.Options
 }
 
 func (c Config) withDefaults() Config {
 	if c.Fsync == "" {
 		c.Fsync = FsyncAlways
-	}
-	if c.FsyncInterval <= 0 {
-		c.FsyncInterval = 100 * time.Millisecond
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 64
@@ -233,6 +227,9 @@ func (s *Store) Destroy() error {
 	return os.RemoveAll(doomed)
 }
 
+// fsyncInterval is the background flush cadence under FsyncInterval.
+const fsyncInterval = 100 * time.Millisecond
+
 // deletingSuffix marks directories whose removal was in flight.
 const deletingSuffix = ".deleting"
 
@@ -248,7 +245,7 @@ func (s *Store) startSyncer() {
 	stop, done := s.syncStop, s.syncDone
 	go func() {
 		defer close(done)
-		t := time.NewTicker(s.cfg.FsyncInterval)
+		t := time.NewTicker(fsyncInterval)
 		defer t.Stop()
 		for {
 			select {

@@ -31,7 +31,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
+	"deltacoloring/internal/codec"
 	"deltacoloring/internal/dynamic"
 )
 
@@ -42,8 +44,8 @@ const (
 	// FsyncAlways syncs after every append, before the batch is
 	// acknowledged: a crash loses no acknowledged batch.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval syncs on a background ticker (Config.FsyncInterval): a
-	// crash loses at most the last interval's acknowledged batches.
+	// FsyncInterval syncs on a background ticker every 100 ms: a crash
+	// loses at most the last interval's acknowledged batches.
 	FsyncInterval FsyncPolicy = "interval"
 	// FsyncOff never syncs explicitly: the OS flushes at its leisure, and a
 	// crash may lose any batch since the last checkpoint. Appends still hit
@@ -92,34 +94,12 @@ type Record struct {
 	Size   int64
 }
 
-// opCode maps the mutation vocabulary onto single bytes for the WAL payload.
-func opCode(op dynamic.Op) (byte, error) {
-	switch op {
-	case dynamic.OpAddEdge:
-		return 1, nil
-	case dynamic.OpRemoveEdge:
-		return 2, nil
-	case dynamic.OpAddVertex:
-		return 3, nil
-	case dynamic.OpRemoveVertex:
-		return 4, nil
-	}
-	return 0, fmt.Errorf("durable: unknown mutation op %q", op)
-}
+// walOps maps a WAL opcode to its mutation op; index 0 is no op.
+var walOps = [...]dynamic.Op{1: dynamic.OpAddEdge, 2: dynamic.OpRemoveEdge, 3: dynamic.OpAddVertex, 4: dynamic.OpRemoveVertex}
 
-func opFromCode(c byte) (dynamic.Op, error) {
-	switch c {
-	case 1:
-		return dynamic.OpAddEdge, nil
-	case 2:
-		return dynamic.OpRemoveEdge, nil
-	case 3:
-		return dynamic.OpAddVertex, nil
-	case 4:
-		return dynamic.OpRemoveVertex, nil
-	}
-	return "", fmt.Errorf("durable: unknown mutation opcode %d", c)
-}
+// minMutationBytes is a mutation's shortest encoding: the opcode and two
+// one-byte varints.
+const minMutationBytes = 3
 
 // encodeRecord frames one record: 4-byte payload length, 4-byte CRC32C,
 // payload = version + batch.
@@ -128,11 +108,11 @@ func encodeRecord(version int64, batch []dynamic.Mutation) ([]byte, error) {
 	payload = binary.LittleEndian.AppendUint64(payload, uint64(version))
 	payload = binary.AppendUvarint(payload, uint64(len(batch)))
 	for _, m := range batch {
-		c, err := opCode(m.Op)
-		if err != nil {
-			return nil, err
+		c := slices.Index(walOps[:], m.Op)
+		if c <= 0 {
+			return nil, fmt.Errorf("durable: unknown mutation op %q", m.Op)
 		}
-		payload = append(payload, c)
+		payload = append(payload, byte(c))
 		payload = binary.AppendVarint(payload, int64(m.U))
 		payload = binary.AppendVarint(payload, int64(m.V))
 	}
@@ -142,45 +122,23 @@ func encodeRecord(version int64, batch []dynamic.Mutation) ([]byte, error) {
 	return append(rec, payload...), nil
 }
 
-// decodePayload parses one checksummed payload back into a record.
+// decodePayload parses one checksummed payload back into a record. It
+// accepts only what encodeRecord writes, and refuses a batch count the
+// payload cannot hold before allocating for it.
 func decodePayload(payload []byte) (int64, []dynamic.Mutation, error) {
-	if len(payload) < 9 {
-		return 0, nil, errors.New("durable: record payload too short")
-	}
-	version := int64(binary.LittleEndian.Uint64(payload))
-	rest := payload[8:]
-	count, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, errors.New("durable: bad batch length")
-	}
-	rest = rest[n:]
-	if count > uint64(len(rest)) { // each mutation is at least 1 byte
-		return 0, nil, fmt.Errorf("durable: batch length %d exceeds payload", count)
-	}
-	batch := make([]dynamic.Mutation, 0, count)
-	for i := uint64(0); i < count; i++ {
-		if len(rest) == 0 {
-			return 0, nil, errors.New("durable: truncated mutation")
+	r := codec.NewReader(payload, "durable: bad record payload")
+	version := int64(r.U64())
+	batch := make([]dynamic.Mutation, r.Count(minMutationBytes))
+	for i := 0; i < len(batch) && r.Err() == nil; i++ {
+		c := r.Byte()
+		if c == 0 || int(c) >= len(walOps) {
+			r.Failf("unknown mutation opcode %d", c)
+			break
 		}
-		op, err := opFromCode(rest[0])
-		if err != nil {
-			return 0, nil, err
-		}
-		rest = rest[1:]
-		u, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, nil, errors.New("durable: bad mutation endpoint")
-		}
-		rest = rest[n:]
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, nil, errors.New("durable: bad mutation endpoint")
-		}
-		rest = rest[n:]
-		batch = append(batch, dynamic.Mutation{Op: op, U: int(u), V: int(v)})
+		batch[i] = dynamic.Mutation{Op: walOps[c], U: int(r.Varint()), V: int(r.Varint())}
 	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("durable: %d trailing payload bytes", len(rest))
+	if err := r.End(); err != nil {
+		return 0, nil, err
 	}
 	return version, batch, nil
 }

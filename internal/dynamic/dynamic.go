@@ -52,9 +52,6 @@ type Options struct {
 	// skips straight to a full recompute. 0 means the default of 0.25;
 	// negative disables incremental maintenance entirely.
 	FallbackDirtyFraction float64
-	// Workers sets the maintenance networks' engine worker count
-	// (local.Network.SetWorkers; 0 keeps the engine default of 1).
-	Workers int
 	// NetHook, when non-nil, runs on every maintenance network before any
 	// rounds execute. It is the chaos and conformance seam: tests install
 	// fault plans (local.SetFaults) or the invariant harness through it.
@@ -405,7 +402,7 @@ type State struct {
 	LastGood *Snapshot
 	Stats    Stats
 	// FallbackDirtyFraction and Backend are the store-identity options; the
-	// process-level ones (Workers, NetHook) are supplied fresh at recovery.
+	// process-level one (NetHook) is supplied fresh at recovery.
 	FallbackDirtyFraction float64
 	Backend               string
 }
@@ -438,8 +435,8 @@ func (l *Live) State() State {
 // lengths against the graph) and the options, and trusts the caller for
 // coloring validity — the durable layer re-verifies every recovered coloring
 // against the sequential oracle and downgrades Healthy before calling this,
-// so an invalid checkpoint is never served as healthy. Process-level options
-// (Workers, NetHook) come from opts; store-identity options (Backend,
+// so an invalid checkpoint is never served as healthy. The process-level
+// option (NetHook) comes from opts; store-identity options (Backend,
 // FallbackDirtyFraction) come from the state itself.
 func NewFromState(st State, opts Options) (*Live, error) {
 	if st.G == nil {

@@ -10,11 +10,11 @@ import (
 	"deltacoloring/internal/repair"
 )
 
-// runOpts carries the store's process-level options into every
+// runOpts carries the store's process-level option (NetHook) into every
 // maintenance network and backend run, so chaos hooks and the conformance
 // harness perturb and observe each of them alike.
 func (l *Live) runOpts() *backend.RunOptions {
-	return &backend.RunOptions{Workers: l.opts.Workers, NetHook: l.opts.NetHook}
+	return &backend.RunOptions{NetHook: l.opts.NetHook}
 }
 
 // maintainIncremental runs the frontier-seeded maintenance path on the
@@ -98,8 +98,8 @@ func (l *Live) maintainIncremental(g2 *graph.Graph, colors []int, p *batchPlan, 
 // every structure (tombstones included: they are isolated and cost nothing).
 // A backend failure — the structure drifted out of its domain (sparse
 // vertices, a (Δ+1)-clique), an injected fault, an invalid coloring — falls
-// through to the next. Workers and NetHook apply to every attempt, so chaos
-// hooks perturb the recompute exactly as the incremental path. colors is
+// through to the next. NetHook applies to every attempt, so chaos hooks
+// perturb the recompute exactly as the incremental path. colors is
 // overwritten on success.
 func (l *Live) recompute(g2 *graph.Graph, colors []int, res *ApplyResult) (err error) {
 	defer func() {

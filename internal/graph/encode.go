@@ -58,9 +58,12 @@ func shapeOf(n, ne int64) binaryShape {
 	return binaryShape{n: n, ne: ne, edgesEnd: edgesEnd, idsOff: idsOff, size: idsOff + 8*n}
 }
 
-// parseBinaryHeader checks the magic and the shape fields of an image's
-// first binaryHeaderLen bytes.
+// parseBinaryHeader checks the magic and the shape fields of the image
+// head starts with.
 func parseBinaryHeader(head []byte) (binaryShape, error) {
+	if len(head) < binaryHeaderLen {
+		return binaryShape{}, fmt.Errorf("graph: binary header: %w", io.ErrUnexpectedEOF)
+	}
 	if string(head[:len(BinaryMagic)]) != BinaryMagic {
 		return binaryShape{}, fmt.Errorf("graph: not a DCSRv1 image (bad magic)")
 	}
@@ -82,9 +85,6 @@ func parseBinaryHeader(head []byte) (binaryShape, error) {
 // adopts them in place (graphio's memory mapping) and passes them to
 // NewCSRView.
 func SplitBinary(image []byte) (offsets, edges, ids []byte, err error) {
-	if len(image) < binaryHeaderLen {
-		return nil, nil, nil, fmt.Errorf("graph: binary header: %w", io.ErrUnexpectedEOF)
-	}
 	s, err := parseBinaryHeader(image)
 	if err != nil {
 		return nil, nil, nil, err
@@ -165,35 +165,27 @@ func fromLE[T int32 | uint64](b []byte) []T {
 	return xs
 }
 
-// DecodeBinary reads one DCSRv1 image from r, checks it with SplitBinary,
-// and validates its arrays, copied to the heap, with NewCSRView. It reads
-// exactly the image's bytes; a caller holding a whole image checks that
-// nothing follows. A reader that knows its length (Len, as bytes.Reader
-// has) fails a header claiming more than it holds before the image is
-// allocated.
-func DecodeBinary(r io.Reader) (*Graph, error) {
-	var head [binaryHeaderLen]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("graph: binary header: %w", err)
-	}
-	s, err := parseBinaryHeader(head[:])
+// DecodeBinary decodes the DCSRv1 image that b starts with and returns its
+// length in bytes; the caller decides what may follow it. The header is
+// checked against len(b) before anything is allocated, the image with
+// SplitBinary, and its arrays, copied to the heap, with NewCSRView.
+func DecodeBinary(b []byte) (*Graph, int, error) {
+	s, err := parseBinaryHeader(b)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	body := s.size - binaryHeaderLen
-	if lr, ok := r.(interface{ Len() int }); ok && int64(lr.Len()) < body {
-		return nil, fmt.Errorf("graph: header claims a %d-byte body, %d bytes remain", body, lr.Len())
+	if s.size > int64(len(b)) {
+		return nil, 0, fmt.Errorf("graph: header claims a %d-byte image, %d bytes remain", s.size, len(b))
 	}
-	image := make([]byte, s.size)
-	copy(image, head[:])
-	if _, err := io.ReadFull(r, image[binaryHeaderLen:]); err != nil {
-		return nil, fmt.Errorf("graph: binary body: %w", err)
-	}
-	offsets, edges, ids, err := SplitBinary(image)
+	offsets, edges, ids, err := SplitBinary(b[:s.size])
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return NewCSRView(fromLE[int32](offsets), fromLE[int32](edges), fromLE[uint64](ids))
+	g, err := NewCSRView(fromLE[int32](offsets), fromLE[int32](edges), fromLE[uint64](ids))
+	if err != nil {
+		return nil, 0, err
+	}
+	return g, int(s.size), nil
 }
 
 // NewCSRView adopts externally produced CSR arrays (a decoded image, or

@@ -34,9 +34,12 @@ func TestEncodeBinaryRoundTrip(t *testing.T) {
 		if size := shapeOf(int64(g.N()), int64(2*g.M())).size; int64(buf.Len()) != size {
 			t.Fatalf("%s: encoded %d bytes, layout says %d", name, buf.Len(), size)
 		}
-		got, err := DecodeBinary(&buf)
+		got, size, err := DecodeBinary(buf.Bytes())
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if size != buf.Len() {
+			t.Fatalf("%s: decoded a %d-byte image from %d bytes", name, size, buf.Len())
 		}
 		if got.N() != g.N() || got.M() != g.M() || got.MaxDegree() != g.MaxDegree() {
 			t.Fatalf("%s: round trip changed shape: %v vs %v", name, got, g)
@@ -71,7 +74,7 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 
 	// Truncations at every prefix length must error, never panic.
 	for cut := 0; cut < len(clean); cut += 7 {
-		if _, err := DecodeBinary(bytes.NewReader(clean[:cut])); err == nil {
+		if _, _, err := DecodeBinary(clean[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -81,7 +84,7 @@ func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(clean); i += 11 {
 		mut := append([]byte(nil), clean...)
 		mut[i] ^= 0x40
-		got, err := DecodeBinary(bytes.NewReader(mut))
+		got, _, err := DecodeBinary(mut)
 		if err != nil {
 			continue
 		}
@@ -121,7 +124,7 @@ func TestDecodeBinaryRejectsAsymmetry(t *testing.T) {
 		// the shorter list) finds the edge and misses the asymmetry.
 		"one-sided from a low degree": {[]int32{0, 1, 3, 4, 5, 6}, []int32{1, 2, 3, 1, 1, 1}},
 	} {
-		_, err := DecodeBinary(bytes.NewReader(encodeRaw(tc.offsets, tc.edges)))
+		_, _, err := DecodeBinary(encodeRaw(tc.offsets, tc.edges))
 		if err == nil || !strings.Contains(err.Error(), "not symmetric") {
 			t.Errorf("%s: err = %v, want a symmetry error", name, err)
 		}
@@ -134,7 +137,7 @@ func TestDecodeBinaryRejectsAsymmetry(t *testing.T) {
 		}
 	}
 	// The positive control: the same path with 3's entry intact decodes.
-	if _, err := DecodeBinary(bytes.NewReader(encodeRaw([]int32{0, 1, 3, 5, 6}, []int32{1, 0, 2, 1, 3, 2}))); err != nil {
+	if _, _, err := DecodeBinary(encodeRaw([]int32{0, 1, 3, 5, 6}, []int32{1, 0, 2, 1, 3, 2})); err != nil {
 		t.Fatalf("valid path rejected: %v", err)
 	}
 }
@@ -184,7 +187,7 @@ func TestDecodeBinarySymmetryMatchesMatrix(t *testing.T) {
 				symmetric = symmetric && adj[v][w] == adj[w][v]
 			}
 		}
-		_, err := DecodeBinary(bytes.NewReader(encodeRaw(offsets, edges)))
+		_, _, err := DecodeBinary(encodeRaw(offsets, edges))
 		if (err == nil) != symmetric {
 			t.Fatalf("offsets %v edges %v: symmetric=%v but decode err=%v", offsets, edges, symmetric, err)
 		}
@@ -199,14 +202,14 @@ func TestDecodeBinarySymmetryMatchesMatrix(t *testing.T) {
 	}
 }
 
-// TestDecodeBinaryChecksLengthFirst: a header claiming more bytes than a
-// sized reader holds fails before the body is allocated.
+// TestDecodeBinaryChecksLengthFirst: a header claiming more bytes than the
+// input holds fails before the body is allocated.
 func TestDecodeBinaryChecksLengthFirst(t *testing.T) {
 	head := binary.LittleEndian.AppendUint32([]byte(BinaryMagic), 1<<20) // a 12 MiB body
 	head = binary.LittleEndian.AppendUint32(head, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := DecodeBinary(bytes.NewReader(head))
+	_, _, err := DecodeBinary(head)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("header without a body accepted")
@@ -221,12 +224,12 @@ func TestDecodeBinaryChecksLengthFirst(t *testing.T) {
 // caller alike.
 func TestDecodeBinaryRejectsPadAndIDs(t *testing.T) {
 	clean := encodeRaw([]int32{0, 1, 2}, []int32{1, 0}) // n=2: a 4-byte pad
-	if _, err := DecodeBinary(bytes.NewReader(clean)); err != nil {
+	if _, _, err := DecodeBinary(clean); err != nil {
 		t.Fatalf("clean image rejected: %v", err)
 	}
 	padded := append([]byte(nil), clean...)
 	padded[16+4*3+4*2] = 1
-	if _, err := DecodeBinary(bytes.NewReader(padded)); err == nil || !strings.Contains(err.Error(), "pad") {
+	if _, _, err := DecodeBinary(padded); err == nil || !strings.Contains(err.Error(), "pad") {
 		t.Fatalf("non-zero pad: DecodeBinary err = %v", err)
 	}
 	if _, _, _, err := SplitBinary(padded); err == nil || !strings.Contains(err.Error(), "pad") {
@@ -234,7 +237,7 @@ func TestDecodeBinaryRejectsPadAndIDs(t *testing.T) {
 	}
 	dup := append([]byte(nil), clean...)
 	binary.LittleEndian.PutUint64(dup[len(dup)-8:], 0) // vertex 1 takes vertex 0's ID
-	if _, err := DecodeBinary(bytes.NewReader(dup)); err == nil || !strings.Contains(err.Error(), "duplicate ID 0 on vertices 0 and 1") {
+	if _, _, err := DecodeBinary(dup); err == nil || !strings.Contains(err.Error(), "duplicate ID 0 on vertices 0 and 1") {
 		t.Fatalf("duplicate ID: err = %v", err)
 	}
 }

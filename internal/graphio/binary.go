@@ -54,29 +54,12 @@ func isBinary(f *os.File) bool {
 	return n == len(head) && string(head[:]) == graph.BinaryMagic
 }
 
-// sizedReader counts down the bytes left of a reader of known size, so
-// graph.DecodeBinary checks a header against them before it allocates.
-type sizedReader struct {
-	r    io.Reader
-	left int
-}
-
-func (s *sizedReader) Read(p []byte) (int, error) {
-	n, err := s.r.Read(p)
-	s.left -= n
-	return n, err
-}
-
-func (s *sizedReader) Len() int { return s.left }
-
-// readImage decodes the one DCSRv1 image that r's size bytes hold into
-// heap arrays. Bytes past the image are an error, as they are to the
-// mapping.
-func readImage(r io.Reader, size int64) (*graph.Graph, error) {
-	sr := &sizedReader{r: r, left: int(size)}
-	g, err := graph.DecodeBinary(sr)
-	if err == nil && sr.left != 0 {
-		return nil, fmt.Errorf("graphio: %d bytes past the graph image", sr.left)
+// readImage decodes the one DCSRv1 image that data holds into heap arrays.
+// Bytes past the image are an error, as they are to the mapping.
+func readImage(data []byte) (*graph.Graph, error) {
+	g, size, err := graph.DecodeBinary(data)
+	if err == nil && size != len(data) {
+		return nil, fmt.Errorf("graphio: %d bytes past the graph image", len(data)-size)
 	}
 	return g, err
 }
@@ -102,7 +85,11 @@ func ReadFile(path string) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readImage(f, st.Size())
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("graphio: read %s: %w", path, err)
+	}
+	return readImage(data)
 }
 
 // Load opens path as either format, sniffing the magic. A binary file is

@@ -40,7 +40,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := graph.EncodeBinary(&buf, g); err != nil {
 			t.Fatalf("n=%d: EncodeBinary: %v", tc.n, err)
 		}
-		got, err := readImage(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+		got, err := readImage(buf.Bytes())
 		if err != nil {
 			t.Fatalf("n=%d: readImage: %v", tc.n, err)
 		}
@@ -131,7 +131,7 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 	corrupt := func(mutate func(b []byte)) error {
 		b := append([]byte(nil), base...)
 		mutate(b)
-		_, err := readImage(bytes.NewReader(b), int64(len(b)))
+		_, err := readImage(b)
 		return err
 	}
 
@@ -151,11 +151,11 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		t.Fatal("non-monotone offsets accepted")
 	}
 	short := base[:len(base)-8]
-	if _, err := readImage(bytes.NewReader(short), int64(len(short))); err == nil {
+	if _, err := readImage(short); err == nil {
 		t.Fatal("truncated file accepted")
 	}
 	long := append(append([]byte(nil), base...), 0)
-	if _, err := readImage(bytes.NewReader(long), int64(len(long))); err == nil {
+	if _, err := readImage(long); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	if g.N()%2 == 0 {
@@ -173,7 +173,7 @@ func TestBinaryRejectsOverflowingEdgeCount(t *testing.T) {
 	copy(head[:], graph.BinaryMagic)
 	binary.LittleEndian.PutUint32(head[8:12], 100)
 	binary.LittleEndian.PutUint32(head[12:16], math.MaxInt32+1) // even, > MaxInt32
-	_, err := readImage(bytes.NewReader(head[:]), int64(len(head)))
+	_, err := readImage(head[:])
 	if !errors.Is(err, graph.ErrTooManyEdges) {
 		t.Fatalf("want graph.ErrTooManyEdges, got %v", err)
 	}

@@ -38,7 +38,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(valid.Bytes())
 	path := filepath.Join(f.TempDir(), "in.dcsr")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hg, herr := readImage(bytes.NewReader(data), int64(len(data)))
+		hg, herr := readImage(data)
 		if herr == nil {
 			inRange(t, hg)
 		}

@@ -76,7 +76,10 @@ type counter struct {
 	spanHook  func(Span)
 	checkHook func(phase string, artifact any) error
 	pool      *workerPool
-	frontier  FrontierStats
+	// poolOf, when set, is the counter whose pool this one borrows (a
+	// Fork's); Close on the borrower leaves the pool running.
+	poolOf   *counter
+	frontier FrontierStats
 }
 
 // workerPool is a persistent chunked executor shared by a network and all
@@ -119,6 +122,9 @@ func (p *workerPool) close() {
 
 // getPool returns the shared pool, starting it on first use.
 func (c *counter) getPool() *workerPool {
+	if c.poolOf != nil {
+		return c.poolOf.getPool()
+	}
 	c.mu.Lock()
 	if c.pool == nil {
 		c.pool = newWorkerPool(runtime.NumCPU())
@@ -334,6 +340,19 @@ func (n *Network) Virtual(vg *graph.Graph, dilation int) *Network {
 	}
 	return &Network{g: vg, counter: n.counter, dilation: n.dilation * dilation,
 		workers: n.workers, noFrontier: n.noFrontier}
+}
+
+// Fork returns a network over n's graph with a counter of its own: its
+// rounds and spans start at zero and stay off n's books, and n's span hook
+// does not see them. Everything else is n's run: the interrupt, the check
+// hook, the fault hook, the worker count and pool, and the frontier switch.
+// It is for independent sub-runs, such as Algorithm 4's post-shattering
+// components, whose rounds the caller charges to n as it sees fit.
+func (n *Network) Fork() *Network {
+	n.counter.mu.Lock()
+	c := &counter{interrupt: n.counter.interrupt, checkHook: n.counter.checkHook, poolOf: n.counter}
+	n.counter.mu.Unlock()
+	return &Network{g: n.g, counter: c, dilation: 1, workers: n.workers, faults: n.faults, noFrontier: n.noFrontier}
 }
 
 // SetWorkers sets the number of goroutines used by Runner rounds (1 = fully

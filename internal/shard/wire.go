@@ -270,10 +270,9 @@ func (h *Host) handleInit(req *RoundsRequest, workers *InProcess) *RoundsRespons
 			Error: fmt.Sprintf("shard parent graph has n=%d, above the %d-vertex limit", req.ParentN, h.maxN),
 		}
 	}
-	r := bytes.NewReader(req.Graph)
-	sub, err := graph.DecodeBinary(r)
-	if err == nil && r.Len() != 0 {
-		err = fmt.Errorf("%d bytes past the graph image", r.Len())
+	sub, size, err := graph.DecodeBinary(req.Graph)
+	if err == nil && size != len(req.Graph) {
+		err = fmt.Errorf("%d bytes past the graph image", len(req.Graph)-size)
 	}
 	if err != nil {
 		return &RoundsResponse{Error: fmt.Sprintf("bad shard graph: %v", err)}
